@@ -10,10 +10,10 @@ from .estimators import (EstimateReport, EstimatorUndefinedError,
                          ipw_ht, ols, saturation, shrinkage, variance_ci)
 from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
                        audit_geometry, audit_interference, build_space,
-                       build_space_from_dist, neighborhood, uniform_disk)
+                       build_space_from_dist, uniform_disk)
 from .harness import ExperimentConfig, ResultRow, rate_slope, run_experiment
 from .oracle import (AssignmentEnumeration, enumerate_assignments,
-                     exact_expectation, exact_saturation_tables)
+                     exact_expectation)
 from .outcomes import (GuessMatrix, LinearOutcomes, OutcomeOracle, age,
                        make_guess, make_sim_dgp, realize)
 from .owopt import (OwWeightTable, SaturationTables, assemble_objective,

@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, oracle, owopt
-from .design import (draw_treatments, extend_uniform_overlap, incidence,
+from .design import (ClusterPartition, draw_treatments, incidence,
                      scaling_clusters, scaling_rule)
-from .estimators import (EstimatorUndefinedError, exposure, hajek, ipw_ht,
-                         ols, shrinkage, variance_ci)
-from .geometry import build_space, build_space_from_dist
+from .estimators import UNDEFINED, DesignContext, DrawBlock, interval
+from .geometry import InterferenceBudget, build_space, build_space_from_dist
 from .outcomes import make_guess, make_sim_dgp, realize
 
 
@@ -32,18 +31,12 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([harness.csv_field(v) for v in row])
     return buf.getvalue()
 
 
@@ -68,8 +61,6 @@ def load_population(path):
 
 
 def load_clusters(path, n):
-    from .design import ClusterPartition
-
     assignment = np.full(n, -1, dtype=np.int64)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -97,6 +88,8 @@ def load_outcomes(path, n):
     if "unit_id" in cols:
         rows.sort(key=lambda r: int(r[cols["unit_id"]]))
     Y = np.array([float(r[cols["y"]]) for r in rows])
+    if not np.all(np.isfinite(Y)):
+        raise SystemExit(f"{path} has non-finite Y values")
     d = np.array([int(r[cols["d"]]) for r in rows], dtype=np.int8)
     return Y, d
 
@@ -126,56 +119,28 @@ def cmd_estimate(args):
     space = load_population(args.population)
     partition = load_clusters(args.clusters, space.n)
     Y, d = load_outcomes(args.outcomes, space.n)
-    b = np.zeros(partition.n_clusters, dtype=np.int8)
-    for c, members in enumerate(partition.clusters):
-        vals = np.unique(d[members])
-        if vals.size != 1:
-            raise SystemExit(f"treatments are not constant within cluster {c}")
-        b[c] = vals[0]
+    b = d[[members[0] for members in partition.clusters]]
+    mixed = partition.assignment[d != b[partition.assignment]]
+    if mixed.size:
+        raise SystemExit(f"treatments are not constant within cluster {mixed.min()}")
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
+    guess = make_guess(space, args.guess_seed) if args.estimator == "shrink" else None
+    block = DrawBlock(DesignContext(space, partition, h, args.p, args.eta),
+                      Y, d, b, guess=guess)
 
-    report = None
+    estimate = float(getattr(block, args.estimator)[0])
+    var = lo = hi = ""
     flags = []
-    try:
-        if args.estimator == "ht":
-            report = ipw_ht(Y, d, space, partition, h, args.p)
-        elif args.estimator == "hajek":
-            report = hajek(Y, d, space, partition, h, args.p)
-        else:
-            extended = extend_uniform_overlap(space, partition, h)
-            T = exposure(partition, extended, b)
-            if args.estimator == "ols":
-                report = ols(Y, T)
-            else:
-                guess = make_guess(space, args.guess_seed)
-                report = shrinkage(Y, T, d, guess, h=h)
-        if args.estimator in ("hajek", "ols") and args.ci_level > 0:
-            if args.estimator == "ols":
-                T_ci = T.T
-            else:
-                counts = incidence(space, partition, h)
-                T_ci = (counts.incidence @ b) / counts.phi
-            vr = variance_ci(Y, d, T_ci, report.estimate, space, partition, h,
-                             args.eta, args.p, level=args.ci_level,
-                             estimator=args.estimator)
-            report.variance_hat = vr.variance_hat
-            report.ci = vr.ci
-            if vr.truncated:
-                flags.append("variance_truncated")
-    except EstimatorUndefinedError as exc:
-        report = None
-        flags = [exc.reason]
+    if np.isnan(estimate):
+        estimate, flags = "", [UNDEFINED[args.estimator][0]]
+    elif args.estimator in ("hajek", "ols") and args.ci_level > 0:
+        vr = interval(estimate, block.variance(args.estimator)[0], args.ci_level)
+        var, (_, lo, hi) = vr.variance_hat, vr.ci
+        flags = ["variance_truncated"] if vr.truncated else []
 
-    if report is not None:
-        est = f"{report.estimate:.12g}"
-        var = "" if report.variance_hat is None else f"{report.variance_hat:.12g}"
-        lo = "" if report.ci is None else f"{report.ci[1]:.12g}"
-        hi = "" if report.ci is None else f"{report.ci[2]:.12g}"
-    else:
-        est = var = lo = hi = ""
     text = _csv_text(["estimator", "estimate", "var_hat", "ci_lo", "ci_hi",
                       "fail_flags"],
-                     [(args.estimator, est, var, lo, hi, ";".join(flags))])
+                     [(args.estimator, estimate, var, lo, hi, ";".join(flags))])
     if args.out:
         _write(Path(args.out), text)
     sys.stdout.write(text)
@@ -183,8 +148,6 @@ def cmd_estimate(args):
 
 
 def cmd_ow_weights(args):
-    from .geometry import InterferenceBudget
-
     space = load_population(args.population)
     partition = load_clusters(args.clusters, space.n)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
@@ -224,15 +187,12 @@ def cmd_oracle(args):
                    guess.A_hat, delimiter=",", fmt="%.12g")
 
     enum = oracle.enumerate_assignments(partition, args.p)
+    ctx = DesignContext(space, partition, h, args.p, args.eta)
 
     def run(b):
         d = np.asarray(b)[partition.assignment]
-        Y = realize(outcomes, d)
-        if args.estimator == "ht":
-            return ipw_ht(Y, d, space, partition, h, args.p).estimate
-        if args.estimator == "hajek":
-            return hajek(Y, d, space, partition, h, args.p).estimate
-        raise SystemExit("oracle supports estimators ht and hajek")
+        est = getattr(DrawBlock(ctx, realize(outcomes, d), d), args.estimator)[0]
+        return None if np.isnan(est) else est
 
     res = oracle.exact_expectation(run, enum)
     print(f"estimator={args.estimator} n={space.n} C={partition.n_clusters} "
@@ -348,7 +308,7 @@ def build_parser():
     o = sub.add_parser("oracle", help="exact expectation over all assignments")
     o.add_argument("--population", required=True)
     o.add_argument("--clusters", required=True)
-    o.add_argument("--estimator", default="ht")
+    o.add_argument("--estimator", default="ht", choices=["ht", "hajek"])
     o.add_argument("--p", type=float, default=0.5)
     o.add_argument("--eta", type=float, default=1.0)
     o.add_argument("--c0", type=float, default=1.0)

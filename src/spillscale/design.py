@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PremetricSpace
+from .geometry import PremetricSpace, greedy_set_cover
 
 # spawn-key purpose tags; keep streams for different uses disjoint even when
 # integer seeds collide (e.g. population seed base+n vs replicate seed base+r)
@@ -76,17 +76,8 @@ def greedy_cover(space: PremetricSpace, g: float) -> list:
     Every unit ends up inside N(u, g) of some returned u; the pick order is
     deterministic given the input ordering.
     """
-    if g <= 0:
-        raise ValueError("cover size g must be > 0")
-    M = space.neighborhood_matrix(g)
-    uncovered = np.ones(space.n, dtype=bool)
-    cover = []
-    while uncovered.any():
-        gains = M[:, uncovered].sum(axis=1)
-        u = int(np.argmax(gains))
-        cover.append(u)
-        uncovered &= ~M[u]
-    return cover
+    return greedy_set_cover(np.ones(space.n, dtype=bool),
+                            space.neighborhood_matrix(g))
 
 
 def scaling_clusters(space: PremetricSpace, g: float) -> ClusterPartition:
@@ -132,10 +123,6 @@ class IncidenceCounts:
         return int(self.phi.max())
 
     @property
-    def gamma_max(self) -> int:
-        return int(self.gamma.max())
-
-    @property
     def sum_gamma_sq(self) -> float:
         return float(np.sum(self.gamma.astype(float) ** 2))
 
@@ -157,6 +144,7 @@ class ExtendedNeighborhoods:
     extra: list                     # per unit: appended unit ids (array)
     phi_target: int
     incidence: np.ndarray           # n x C boolean, rows sum to phi_target
+    base: IncidenceCounts | None = None     # counts before the extension
 
     def exposure_phi(self) -> np.ndarray:
         return self.incidence.sum(axis=1)
@@ -194,7 +182,8 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
             extra[i] = np.sort(np.concatenate(
                 [partition.clusters[c] for c in chosen]))
     return ExtendedNeighborhoods(s=float(s), extra=extra,
-                                 phi_target=int(phi_target), incidence=inc)
+                                 phi_target=int(phi_target), incidence=inc,
+                                 base=base)
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,23 @@ the fraction of treated clusters among those meeting each (extended)
 neighborhood, and the shrinkage estimator instruments a guess-implied
 exposure with that fraction.  Variances come from a spatial HAC sum over
 pairs whose slightly inflated neighborhoods share a randomization cluster.
+
+Every estimator is linear in the outcomes with weights that depend only on
+the design, so one batched core serves all callers: a `DesignContext` holds
+the design-derived arrays, a `DrawBlock` evaluates the estimators on an
+n x m block of draws, and the single-draw functions are its m = 1 case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
 
-from .design import ClusterPartition, ExtendedNeighborhoods, incidence
+from . import design
+from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
 from .geometry import PremetricSpace
 from .outcomes import GuessMatrix
 
@@ -37,8 +44,6 @@ class EstimateReport:
     estimate: float
     estimator: str
     params: dict = field(default_factory=dict)
-    variance_hat: float | None = None
-    ci: tuple | None = None         # (level, lo, hi)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -59,27 +64,205 @@ class SaturationProfile:
     idx: np.ndarray                 # index of s_tilde in grid
 
 
-def emp_cov(x, y) -> float:
-    """Empirical covariance x'y/n - mean(x)mean(y), no dof correction."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(x @ y / x.size - x.mean() * y.mean())
+@dataclass(frozen=True)
+class VarianceResult:
+    variance_hat: float
+    ci: tuple                       # (level, lo, hi)
+    truncated: bool                 # negative HAC sum clipped to zero
 
 
-def exposure_values(T) -> np.ndarray:
-    """Accept an ExposureVector or a plain array of exposures."""
-    if isinstance(T, ExposureVector):
-        return T.T
-    return np.asarray(T, dtype=float)
+def _cols(x):
+    """Float64 array with draws along the columns (1-D input is one draw)."""
+    if x is None:
+        return None
+    x = np.asarray(x.T if isinstance(x, ExposureVector) else x, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
+
+
+def _dot(a, b) -> np.ndarray:
+    """Column-wise dot products of two n x m arrays."""
+    return np.einsum("im,im->m", a, b)
+
+
+class DesignContext:
+    """Arrays derived from one design (space, partition, h, p, eta, epsilon),
+    each computed on first use and kept for one Monte Carlo cell or one
+    command; nothing is cached across contexts."""
+
+    def __init__(self, space: PremetricSpace, partition: ClusterPartition,
+                 h, p: float, eta: float = 1.0, epsilon: float = 0.1):
+        self.space, self.partition = space, partition
+        self.h, self.p, self.eta, self.epsilon = h, p, eta, epsilon
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """Size-h neighborhood operator in float64, so counts cannot wrap."""
+        return self.space.neighborhood_matrix(self.h).astype(np.float64)
+
+    @cached_property
+    def extended(self) -> ExtendedNeighborhoods:
+        return design.extend_uniform_overlap(self.space, self.partition, self.h)
+
+    @cached_property
+    def counts(self) -> IncidenceCounts:
+        """Base incidence at h, taken from the extension once that is built."""
+        if "extended" in self.__dict__:
+            return self.extended.base
+        return design.incidence(self.space, self.partition, self.h)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return dependency_graph(self.space, self.partition, self.h, self.eta,
+                                self.epsilon)
+
+
+class DrawBlock:
+    """The estimators over m draws of one design, one draw per column.
+
+    Y and D are n x m outcomes and unit treatments, B is C x m cluster bits
+    (1-D inputs are one draw); T, when given, replaces the extended-
+    neighborhood exposures.  Shared quantities are computed once, on first
+    use.  Each estimate is an (m,) array, NaN where the estimator is
+    undefined on that draw.
+    """
+
+    def __init__(self, ctx: DesignContext | None, Y=None, D=None, B=None,
+                 T=None, guess: GuessMatrix | None = None):
+        self.ctx, self.guess = ctx, guess
+        self.Y, self.D, self.B = _cols(Y), _cols(D), _cols(B)
+        if T is not None:
+            self.T = _cols(T)
+        self.ybar = None if Y is None else self.Y.mean(axis=0)
+
+    @cached_property
+    def pure(self) -> tuple[np.ndarray, np.ndarray]:
+        """(saturated, dissaturated) flags of each size-h neighborhood."""
+        M = self.ctx.M
+        return (M @ (1.0 - self.D)) == 0.0, (M @ self.D) == 0.0
+
+    @cached_property
+    def ipw(self) -> tuple[np.ndarray, np.ndarray]:
+        """Saturated and dissaturated weights 1/p**phi and 1/(1-p)**phi."""
+        sat, dis = self.pure
+        phi, p = self.ctx.counts.phi.astype(float)[:, None], self.ctx.p
+        return sat * p ** -phi, dis * (1.0 - p) ** -phi
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        return exposure(self.ctx.partition, self.ctx.extended, self.B).T
+
+    @cached_property
+    def tbar(self) -> np.ndarray:
+        return self.T.mean(axis=0)
+
+    @cached_property
+    def cov_ty(self) -> np.ndarray:
+        return _dot(self.T, self.Y) / self.T.shape[0] - self.tbar * self.ybar
+
+    @cached_property
+    def ht(self) -> np.ndarray:
+        w1, w0 = self.ipw
+        return _dot(w1 - w0, self.Y) / self.Y.shape[0]
+
+    @cached_property
+    def hajek_weights(self) -> np.ndarray:
+        """Each group's weights renormalized to sum to 1, NaN if it is empty."""
+        w1, w0 = self.ipw
+        s1, s0 = w1.sum(axis=0), w0.sum(axis=0)
+        return w1 / np.where(s1 > 0, s1, np.nan) - w0 / np.where(s0 > 0, s0, np.nan)
+
+    @cached_property
+    def hajek(self) -> np.ndarray:
+        return _dot(self.hajek_weights, self.Y)
+
+    @cached_property
+    def var_t(self) -> np.ndarray:
+        var = _dot(self.T, self.T) / self.T.shape[0] - self.tbar ** 2
+        return np.where(var > 1e-12, var, np.nan)
+
+    @cached_property
+    def ols_weights(self) -> np.ndarray:
+        return (self.T - self.tbar) / (self.T.shape[0] * self.var_t)
+
+    @cached_property
+    def ols(self) -> np.ndarray:
+        return self.cov_ty / self.var_t
+
+    @cached_property
+    def first_stage(self) -> np.ndarray:
+        """Cov(T, A_hat d), NaN where numerically zero."""
+        Tg = self.guess.A_hat @ self.D
+        cov = _dot(self.T, Tg) / self.T.shape[0] - self.tbar * Tg.mean(axis=0)
+        return np.where(np.abs(cov) > 1e-12, cov, np.nan)
+
+    @cached_property
+    def shrink(self) -> np.ndarray:
+        return self.cov_ty / self.first_stage * (self.guess.A_hat.sum() / self.guess.n)
+
+    def hac(self, w, estimate, T) -> np.ndarray:
+        """Unclipped HAC sums e' lam e, e = w (Y - mean(Y) - estimate (T - p))."""
+        e = w * (self.Y - self.ybar - estimate * (T - self.ctx.p))
+        return _dot(e, self.ctx.lam @ e)
+
+    def variance(self, name: str) -> np.ndarray:
+        """HAC sums of the "hajek" or "ols" estimates."""
+        if name == "ols":
+            return self.hac(self.ols_weights, self.ols, self.T)
+        # Hajek centers on its own exposure, the treated share of the
+        # clusters meeting the base neighborhood
+        counts = self.ctx.counts
+        T = (counts.incidence.astype(np.float64) @ self.B) / counts.phi[:, None]
+        return self.hac(self.hajek_weights, self.hajek, T)
+
+
+# reason and message of each estimator's one failure mode
+UNDEFINED = {
+    "hajek": ("undefined_draw",
+              "Hajek needs at least one saturated and one dissaturated unit"),
+    "ols": ("degenerate_exposure", "exposure has zero sample variance"),
+    "shrink": ("weak_instrument", "near-zero first stage Cov(T, A_hat d)"),
+}
+
+
+def _one_draw(values, name: str) -> np.ndarray:
+    """The single draw of a block quantity; raises when it is undefined."""
+    values = values[..., 0]
+    if np.isnan(values).any():
+        raise EstimatorUndefinedError(*UNDEFINED[name])
+    return values
+
+
+def half_width(sigma2, level: float):
+    """Normal interval half-width z * sqrt(sigma2), negative sums clipped."""
+    return norm.ppf(0.5 + level / 2.0) * np.sqrt(np.maximum(sigma2, 0.0))
+
+
+def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:
+    """Variance and normal confidence interval from one unclipped HAC sum."""
+    half = half_width(sigma2, level)
+    return VarianceResult(variance_hat=max(float(sigma2), 0.0),
+                          ci=(level, estimate - half, estimate + half),
+                          truncated=bool(sigma2 < 0.0))
 
 
 def saturation_indicators(space: PremetricSpace, d, h) -> tuple[np.ndarray, np.ndarray]:
     """(saturated, dissaturated) flags of each unit's size-h neighborhood."""
-    d = np.asarray(d)
-    M = space.neighborhood_matrix(h)
-    untreated_in = M @ (1 - d)
-    treated_in = M @ d
-    return untreated_in == 0, treated_in == 0
+    sat, dis = DrawBlock(DesignContext(space, None, h, None), D=d).pure
+    return sat[:, 0], dis[:, 0]
+
+
+def _pure_comparison(name, Y, d, space, partition, h, p) -> EstimateReport:
+    """One draw of "ht" or "hajek", with the purity counts behind it."""
+    block = DrawBlock(DesignContext(space, partition, h, p), Y, d)
+    if name == "hajek":
+        _one_draw(block.hajek_weights, name)
+    sat, dis = block.pure
+    return EstimateReport(
+        estimate=float(getattr(block, name)[0]), estimator=name,
+        params={"h": float(h), "p": p},
+        diagnostics={"phi_max": block.ctx.counts.phi_max,
+                     "n_saturated": int(sat.sum()),
+                     "n_dissaturated": int(dis.sum())})
 
 
 def ipw_ht(Y, d, space: PremetricSpace, partition: ClusterPartition,
@@ -89,40 +272,20 @@ def ipw_ht(Y, d, space: PremetricSpace, partition: ClusterPartition,
     Units that are neither saturated nor dissaturated contribute zero, so
     the estimator is defined for every draw.
     """
-    Y = np.asarray(Y, dtype=float)
-    sat, dis = saturation_indicators(space, d, h)
-    phi = incidence(space, partition, h).phi
-    w = sat / p ** phi - dis / (1.0 - p) ** phi
-    est = float(np.sum(w * Y) / Y.size)
-    return EstimateReport(
-        estimate=est, estimator="ht", params={"h": float(h), "p": p},
-        diagnostics={"phi_max": int(phi.max()), "n_saturated": int(sat.sum()),
-                     "n_dissaturated": int(dis.sum())})
+    return _pure_comparison("ht", Y, d, space, partition, h, p)
 
 
 def hajek_weights(d, space: PremetricSpace, partition: ClusterPartition,
                   h, p: float) -> np.ndarray:
     """Per-unit weights whose dot with Y is the Hajek estimate."""
-    sat, dis = saturation_indicators(space, d, h)
-    if not sat.any() or not dis.any():
-        raise EstimatorUndefinedError(
-            "undefined_draw", "Hajek needs at least one saturated and one "
-            "dissaturated unit")
-    phi = incidence(space, partition, h).phi
-    w1 = sat / p ** phi
-    w0 = dis / (1.0 - p) ** phi
-    return w1 / w1.sum() - w0 / w0.sum()
+    block = DrawBlock(DesignContext(space, partition, h, p), D=d)
+    return _one_draw(block.hajek_weights, "hajek")
 
 
 def hajek(Y, d, space: PremetricSpace, partition: ClusterPartition,
           h, p: float) -> EstimateReport:
     """Group-renormalized IPW: saturated and dissaturated weights each sum to 1."""
-    Y = np.asarray(Y, dtype=float)
-    w = hajek_weights(d, space, partition, h, p)
-    sat, dis = saturation_indicators(space, d, h)
-    return EstimateReport(
-        estimate=float(w @ Y), estimator="hajek", params={"h": float(h), "p": p},
-        diagnostics={"n_saturated": int(sat.sum()), "n_dissaturated": int(dis.sum())})
+    return _pure_comparison("hajek", Y, d, space, partition, h, p)
 
 
 def exposure(partition: ClusterPartition, extended: ExtendedNeighborhoods,
@@ -131,28 +294,21 @@ def exposure(partition: ClusterPartition, extended: ExtendedNeighborhoods,
     phi = extended.exposure_phi()
     if np.any(phi != extended.phi_target):
         raise ValueError("exposure requires uniform overlap; extend first")
-    b = np.asarray(b, dtype=float)
-    T = (extended.incidence @ b) / extended.phi_target
+    b = np.asarray(b, dtype=np.float64)
+    T = (extended.incidence.astype(np.float64) @ b) / extended.phi_target
     return ExposureVector(T=T, phi_used=int(extended.phi_target))
 
 
 def ols_weights(T) -> np.ndarray:
     """Per-unit weights whose dot with Y is the OLS estimate."""
-    T = exposure_values(T)
-    var_t = emp_cov(T, T)
-    if var_t <= 1e-12:
-        raise EstimatorUndefinedError(
-            "degenerate_exposure", "exposure has zero sample variance")
-    return (T - T.mean()) / (T.size * var_t)
+    return _one_draw(DrawBlock(None, T=T).ols_weights, "ols")
 
 
 def ols(Y, T) -> EstimateReport:
     """Regression slope of outcomes on exposures, empirical-covariance form."""
-    Y = np.asarray(Y, dtype=float)
-    Tv = exposure_values(T)
-    w = ols_weights(Tv)
-    return EstimateReport(estimate=float(w @ Y), estimator="ols",
-                          params={}, diagnostics={})
+    block = DrawBlock(None, Y, T=T)
+    _one_draw(block.var_t, "ols")
+    return EstimateReport(estimate=float(block.ols[0]), estimator="ols")
 
 
 def shrinkage(Y, T, d, guess: GuessMatrix, h=None) -> EstimateReport:
@@ -162,16 +318,9 @@ def shrinkage(Y, T, d, guess: GuessMatrix, h=None) -> EstimateReport:
     any guess with nonzero total mass, tighter when the guess's split of
     spillovers across the neighborhood boundary matches the truth.
     """
-    Y = np.asarray(Y, dtype=float)
-    Tv = exposure_values(T)
-    t_guess = guess.A_hat @ np.asarray(d, dtype=float)
-    first_stage = emp_cov(Tv, t_guess)
-    if abs(first_stage) <= 1e-12:
-        raise EstimatorUndefinedError(
-            "weak_instrument", "near-zero first stage Cov(T, A_hat d)")
-    scale = guess.A_hat.sum() / guess.n
-    est = emp_cov(Tv, Y) / first_stage * scale
-    return EstimateReport(estimate=float(est), estimator="shrink",
+    block = DrawBlock(None, Y, d, T=T, guess=guess)
+    first_stage = float(_one_draw(block.first_stage, "shrink"))
+    return EstimateReport(estimate=float(block.shrink[0]), estimator="shrink",
                           params={"h": h}, diagnostics={"first_stage": first_stage})
 
 
@@ -191,7 +340,6 @@ def effective_grid(space: PremetricSpace, grid) -> np.ndarray:
 def saturation(space: PremetricSpace, d, grid) -> SaturationProfile:
     """Largest grid size whose neighborhood is fully treated or untreated."""
     grid_eff = effective_grid(space, grid)
-    d = np.asarray(d)
     idx = np.zeros(space.n, dtype=np.int64)
     alive = np.ones(space.n, dtype=bool)   # purity is monotone down the grid
     for k, s in enumerate(grid_eff):
@@ -199,13 +347,6 @@ def saturation(space: PremetricSpace, d, grid) -> SaturationProfile:
         alive &= sat | dis
         idx[alive] = k
     return SaturationProfile(grid=grid_eff, s_tilde=grid_eff[idx], idx=idx)
-
-
-@dataclass(frozen=True)
-class VarianceResult:
-    variance_hat: float
-    ci: tuple                       # (level, lo, hi)
-    truncated: bool                 # negative HAC sum clipped to zero
 
 
 def dependency_graph(space: PremetricSpace, partition: ClusterPartition,
@@ -218,7 +359,7 @@ def dependency_graph(space: PremetricSpace, partition: ClusterPartition,
     if not 0.0 < epsilon < 2.0 * eta / 3.0:
         raise ValueError("epsilon must lie in (0, 2*eta/3)")
     s_dep = float(h) ** (1.0 + epsilon)
-    inc = incidence(space, partition, s_dep).incidence
+    inc = design.incidence(space, partition, s_dep).incidence
     return (inc @ inc.T) > 0
 
 
@@ -234,22 +375,11 @@ def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,
     The weights carry the 1/n scale, so sigma2 estimates Var(theta_hat)
     directly and the interval is theta_hat +/- z * sqrt(sigma2).
     """
-    Y = np.asarray(Y, dtype=float)
-    Tv = exposure_values(T)
+    if weights is None and estimator not in ("hajek", "ols"):
+        raise ValueError("pass weights or estimator in {'hajek','ols'}")
+    block = DrawBlock(DesignContext(space, partition, h, p, eta, epsilon),
+                      Y, d, T=T)
     if weights is None:
-        if estimator == "hajek":
-            weights = hajek_weights(d, space, partition, h, p)
-        elif estimator == "ols":
-            weights = ols_weights(Tv)
-        else:
-            raise ValueError("pass weights or estimator in {'hajek','ols'}")
-    lam = dependency_graph(space, partition, h, eta, epsilon)
-    e = np.asarray(weights) * (Y - Y.mean() - estimate * (Tv - p))
-    sigma2 = float(e @ (lam @ e))
-    truncated = sigma2 < 0.0
-    sigma2 = max(sigma2, 0.0)
-    z = norm.ppf(0.5 + level / 2.0)
-    half = z * np.sqrt(sigma2)
-    return VarianceResult(variance_hat=sigma2,
-                          ci=(level, estimate - half, estimate + half),
-                          truncated=truncated)
+        weights = _one_draw(getattr(block, f"{estimator}_weights"), estimator)
+    sigma2 = block.hac(_cols(weights), estimate, block.T)[0]
+    return interval(estimate, sigma2, level)

@@ -140,10 +140,6 @@ def build_space_from_dist(dist) -> PremetricSpace:
     return PremetricSpace(n=n, dist=dist, rule=IDENTITY)
 
 
-def neighborhood(space: PremetricSpace, i: int, s) -> np.ndarray:
-    return space.neighborhood(i, s)
-
-
 def uniform_disk(n: int, rng: np.random.Generator, radius: float | None = None) -> np.ndarray:
     """n points uniform on a disk of the given radius (default sqrt(n), q=2)."""
     if radius is None:

@@ -2,9 +2,9 @@
 
 Each (population size, design) cell builds a fresh uniform-disk population,
 the linear simulation outcomes, a guess matrix, and the partition, then
-replays seeded treatment draws.  Replicates are vectorized in blocks but
-reproduce the per-draw estimator functions bit for bit (same Philox streams,
-same arithmetic shapes), so identical configs give identical CSV bytes.
+replays seeded treatment draws in blocks through the same batched
+estimator core the single-draw functions use (same Philox streams as
+`draw_treatments`), so identical configs give identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -13,18 +13,17 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.stats import norm
 
 from . import owopt
-from .design import (TAG_COORDS, ClusterPartition, extend_uniform_overlap,
-                     incidence, rng_for, scaling_clusters, scaling_rule,
-                     singleton_partition)
-from .estimators import dependency_graph
+from .design import (TAG_COORDS, TAG_TREAT, ClusterPartition, rng_for,
+                     scaling_clusters, scaling_rule, singleton_partition)
+from .estimators import DesignContext, DrawBlock, half_width
 from .geometry import PremetricSpace, build_space, uniform_disk
 from .outcomes import GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp, sim_budget
 
 DESIGNS = ("scaling_clusters", "iid")
 ESTIMATORS = ("ht", "hajek", "ols", "shrink", "ow")
+BLOCK = 512                     # replicates evaluated per batched call
 
 
 class ConfigError(ValueError):
@@ -84,16 +83,14 @@ class ResultRow:
 
     def csv_values(self):
         # seconds is wall clock and would break byte-for-byte reruns
-        vals = []
-        for name in self.CSV_COLUMNS:
-            v = getattr(self, name)
-            if v is None:
-                vals.append("")
-            elif isinstance(v, float):
-                vals.append(f"{v:.12g}")
-            else:
-                vals.append(str(v))
-        return vals
+        return [csv_field(getattr(self, name)) for name in self.CSV_COLUMNS]
+
+
+def csv_field(v) -> str:
+    """CSV text of one value: empty for None, floats to 12 digits."""
+    if v is None:
+        return ""
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def build_population(n: int, seed: int) -> tuple[PremetricSpace, LinearOutcomes, GuessMatrix]:
@@ -118,8 +115,6 @@ def draw_bits_batch(n_clusters: int, p: float, seeds) -> np.ndarray:
 
     Stream-for-stream identical to design.draw_treatments(partition, p, s).
     """
-    from .design import TAG_TREAT
-
     B = np.empty((len(seeds), n_clusters), dtype=np.int8)
     for k, s in enumerate(seeds):
         B[k] = rng_for(int(s), TAG_TREAT).uniform(size=n_clusters) < p
@@ -138,8 +133,7 @@ class CellResult:
 
 def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     estimators, ci_level=0.95, epsilon=0.1, eta=1.0,
-                    ow_mc_draws=100_000, grid_factors=None,
-                    block: int = 512) -> CellResult:
+                    ow_mc_draws=100_000, grid_factors=None) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
     Replicate r uses treatment seed base_seed + r.  Estimator failures
@@ -148,26 +142,13 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     """
     t0 = time.perf_counter()
     n = space.n
-    A = outcomes.A
     eps_b0 = outcomes.eps + outcomes.beta0
-    counts = incidence(space, partition, h)
-    phi = counts.phi
-    inc_base = counts.incidence.astype(np.float64)
-    M_h = space.neighborhood_matrix(h).astype(np.float64)
-    extended = extend_uniform_overlap(space, partition, h)
-    inc_ext = extended.incidence.astype(np.float64)
-    phi_u = float(extended.phi_target)
-    assignment = partition.assignment
-    inv_p_phi = p ** -phi.astype(float)
-    inv_q_phi = (1.0 - p) ** -phi.astype(float)
-    z = norm.ppf(0.5 + ci_level / 2.0)
-    need_ci = {"hajek", "ols"} & set(estimators)
-    lam = dependency_graph(space, partition, h, eta, epsilon) if need_ci else None
-    if "shrink" in estimators:
-        A_hat = guess.A_hat
-        scale_hat = A_hat.sum() / n
+    ctx = DesignContext(space, partition, h, p, eta, epsilon)
+    # every cell builds the extension; HT and Hajek reuse its base counts
+    ctx.extended
+    core = [name for name in estimators if name != "ow"]
+    need_ci = [name for name in core if name in ("hajek", "ols")]
 
-    ow_table = None
     if "ow" in estimators:
         budget = sim_budget(outcomes, space, eta,
                             s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
@@ -181,75 +162,21 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     estimates = {name: np.full(reps, np.nan) for name in estimators}
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
 
-    for lo in range(0, reps, block):
-        seeds = range(base_seed + lo, base_seed + min(lo + block, reps))
+    for lo in range(0, reps, BLOCK):
+        seeds = range(base_seed + lo, base_seed + min(lo + BLOCK, reps))
         B = draw_bits_batch(partition.n_clusters, p, list(seeds))
-        D = B[:, assignment].T.astype(np.float64)        # n x m
-        Bf = B.T.astype(np.float64)                      # C x m
-        m = D.shape[1]
-        sl = slice(lo, lo + m)
-        Y = A @ D + eps_b0[:, None]
-        ybar = Y.mean(axis=0)
-
-        sat = (M_h @ (1.0 - D)) == 0.0
-        dis = (M_h @ D) == 0.0
-
-        if "ht" in estimators:
-            w = sat * inv_p_phi[:, None] - dis * inv_q_phi[:, None]
-            estimates["ht"][sl] = np.einsum("im,im->m", w, Y) / n
-
-        T = None
-        if {"hajek", "ols", "shrink"} & set(estimators):
-            T = (inc_ext @ Bf) / phi_u
-            tbar = T.mean(axis=0)
-
-        if "hajek" in estimators:
-            w1 = sat * inv_p_phi[:, None]
-            w0 = dis * inv_q_phi[:, None]
-            s1 = w1.sum(axis=0)
-            s0 = w0.sum(axis=0)
-            ok = (s1 > 0) & (s0 > 0)
-            w_haj = np.where(ok, 1.0, np.nan) * (
-                w1 / np.where(s1 > 0, s1, 1.0)
-                - w0 / np.where(s0 > 0, s0, 1.0))
-            est = np.einsum("im,im->m", w_haj, Y)
-            estimates["hajek"][sl] = np.where(ok, est, np.nan)
-            if lam is not None:
-                # Hajek centers on its own exposure: treated-cluster share
-                # of the base neighborhood, 1 when saturated, 0 when not
-                T_haj = (inc_base @ Bf) / phi[:, None]
-                e = w_haj * (Y - ybar[None, :] - est[None, :] * (T_haj - p))
-                sig2 = np.maximum(np.einsum("im,im->m", e, lam @ e), 0.0)
-                covers["hajek"][sl] = ok & (
-                    np.abs(est - outcomes.theta) <= z * np.sqrt(sig2))
-
-        if {"ols", "shrink"} & set(estimators):
-            cov_ty = np.einsum("im,im->m", T, Y) / n - tbar * ybar
-            var_t = np.einsum("im,im->m", T, T) / n - tbar ** 2
-
-        if "ols" in estimators:
-            ok = var_t > 1e-12
-            est = cov_ty / np.where(ok, var_t, 1.0)
-            estimates["ols"][sl] = np.where(ok, est, np.nan)
-            if lam is not None:
-                w_ols = (T - tbar[None, :]) / (n * np.where(ok, var_t, 1.0))
-                e = w_ols * (Y - ybar[None, :] - est[None, :] * (T - p))
-                sig2 = np.maximum(np.einsum("im,im->m", e, lam @ e), 0.0)
-                covers["ols"][sl] = ok & (
-                    np.abs(est - outcomes.theta) <= z * np.sqrt(sig2))
-
-        if "shrink" in estimators:
-            Tg = A_hat @ D
-            cov_ttg = (np.einsum("im,im->m", T, Tg) / n
-                       - tbar * Tg.mean(axis=0))
-            ok = np.abs(cov_ttg) > 1e-12
-            estimates["shrink"][sl] = np.where(
-                ok, cov_ty / np.where(ok, cov_ttg, 1.0) * scale_hat, np.nan)
-
+        D = B[:, partition.assignment].T.astype(np.float64)     # n x m
+        Y = outcomes.A @ D + eps_b0[:, None]
+        block = DrawBlock(ctx, Y, D, B.T, guess=guess)
+        sl = slice(lo, lo + D.shape[1])
+        for name in core:
+            estimates[name][sl] = getattr(block, name)
+        for name in need_ci:
+            half = half_width(block.variance(name), ci_level)
+            covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
         if "ow" in estimators:
-            idx = owopt.stilde_indices(G_stack, B)       # m x n
-            w_real = (2.0 * D - 1.0) * ow_table.W[np.arange(n)[None, :], idx].T
-            estimates["ow"][sl] = np.einsum("im,im->m", w_real, Y)
+            idx = owopt.stilde_indices(G_stack, B)
+            estimates["ow"][sl] = owopt.ow_estimates(ow_table, idx, D, Y)
 
     return CellResult(estimates=estimates, covers=covers,
                       theta=outcomes.theta,

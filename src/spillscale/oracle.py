@@ -21,15 +21,6 @@ class EnumerationError(ValueError):
     """Exact enumeration requested beyond the cluster-count cutoff."""
 
 
-def all_assignments(n_clusters: int) -> np.ndarray:
-    """All 2**C cluster bit-vectors, in integer order (bit c = cluster c)."""
-    if n_clusters > MAX_EXACT_CLUSTERS:
-        raise EnumerationError(
-            f"exact enumeration needs C <= {MAX_EXACT_CLUSTERS}, got {n_clusters}")
-    codes = np.arange(2 ** n_clusters, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(n_clusters)) & 1).astype(np.int8)
-
-
 @dataclass(frozen=True, eq=False)
 class AssignmentEnumeration:
     """Every cluster assignment with its exact probability."""
@@ -44,12 +35,17 @@ class AssignmentEnumeration:
 
 
 def enumerate_assignments(partition: ClusterPartition, p: float) -> AssignmentEnumeration:
-    """Exhaustive assignment list for the partition's clusters."""
+    """Every 2**C bit-vector in integer order (bit c = cluster c), with its
+    product-Bernoulli probability."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    bits = all_assignments(partition.n_clusters)
-    k = bits.sum(axis=1).astype(float)
     C = partition.n_clusters
+    if C > MAX_EXACT_CLUSTERS:
+        raise EnumerationError(
+            f"exact enumeration needs C <= {MAX_EXACT_CLUSTERS}, got {C}")
+    codes = np.arange(2 ** C, dtype=np.int64)
+    bits = ((codes[:, None] >> np.arange(C)) & 1).astype(np.int8)
+    k = bits.sum(axis=1).astype(float)
     # log-space keeps tiny probabilities stable before the final exp
     probs = np.exp(k * np.log(p) + (C - k) * np.log1p(-p))
     return AssignmentEnumeration(assignments=bits, probs=probs, p=float(p))
@@ -88,9 +84,3 @@ def exact_expectation(fn, enumeration: AssignmentEnumeration) -> ExactExpectatio
         raise ValueError("fn undefined on every assignment")
     return ExactExpectation(mean=total / mass, p_defined=mass)
 
-
-def exact_saturation_tables(partition: ClusterPartition, space, grid, p: float):
-    """Exact marginal/joint saturation-size tables by enumeration."""
-    from .owopt import saturation_tables  # deferred: owopt imports this module
-
-    return saturation_tables(space, partition, grid, p, method="exact")

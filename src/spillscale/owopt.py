@@ -19,7 +19,7 @@ import numpy as np
 from .design import TAG_TABLES, ClusterPartition, rng_for
 from .estimators import EstimateReport, effective_grid
 from .geometry import InterferenceBudget, PremetricSpace
-from .oracle import all_assignments
+from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
 
@@ -104,10 +104,8 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
     pairs = interacting_pairs(G[-1])
 
     if method == "exact":
-        B_all = all_assignments(partition.n_clusters)
-        k = B_all.sum(axis=1).astype(float)
-        C = partition.n_clusters
-        weights_all = np.exp(k * np.log(p) + (C - k) * np.log1p(-p))
+        enum = enumerate_assignments(partition, p)
+        B_all, weights_all = enum.assignments, enum.probs
         draws_used, seed_used = None, None
     elif method == "mc":
         gen = rng_for(seed, TAG_TABLES)
@@ -430,14 +428,22 @@ def default_ow_grid(h: float) -> list:
     return [float(h) * 2.0 ** k for k in range(-5, 3)]
 
 
+def ow_estimates(weights: OwWeightTable, idx, D, Y) -> np.ndarray:
+    """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i per draw; idx is m x n grid
+    indices, D and Y are n x m."""
+    rows = np.arange(weights.W.shape[0])[None, :]
+    w_real = (2.0 * D - 1.0) * weights.W[rows, idx].T
+    return np.einsum("im,im->m", w_real, Y)
+
+
 def ow_estimate(Y, d, profile, weights: OwWeightTable) -> EstimateReport:
     """Weighted outcome sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i."""
     if weights.grid is None or profile.grid.size != weights.grid.size or \
             not np.allclose(profile.grid, weights.grid):
         raise ValueError("saturation profile and weight table use different grids")
-    Y = np.asarray(Y, dtype=float)
-    d = np.asarray(d)
-    w_real = (2.0 * d - 1.0) * weights.W[np.arange(Y.size), profile.idx]
-    return EstimateReport(estimate=float(w_real @ Y), estimator="ow",
+    Y = np.asarray(Y, dtype=float)[:, None]
+    d = np.asarray(d, dtype=float)[:, None]
+    est = ow_estimates(weights, profile.idx[None, :], d, Y)[0]
+    return EstimateReport(estimate=float(est), estimator="ow",
                           params={"grid_size": int(weights.grid.size)},
                           diagnostics={"objective": weights.objective_value})

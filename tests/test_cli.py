@@ -135,6 +135,18 @@ class TestEstimateCommand:
         assert row["fail_flags"] == "undefined_draw"
 
 
+    def test_non_finite_outcome_rejected(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        write_population(pop, np.array([[0.0], [1.0]]))
+        (tmp_path / "outcomes.csv").write_text("unit_id,Y,d\n0,nan,1\n1,2.0,0\n")
+        (tmp_path / "clusters.csv").write_text("unit_id,cluster_id\n0,0\n1,1\n")
+        with pytest.raises(SystemExit, match="non-finite"):
+            main(["estimate", "--population", str(pop), "--outcomes",
+                  str(tmp_path / "outcomes.csv"), "--clusters",
+                  str(tmp_path / "clusters.csv"), "--estimator", "ols",
+                  "--h", "1.0"])
+
+
 class TestOwWeightsCommand:
     def test_outputs_and_descent(self, tmp_path):
         space, _, _ = harness.build_population(12, 3)
@@ -179,6 +191,21 @@ class TestOracleCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "exact_mean=" in out and "theta=" in out
+
+    def test_unsupported_estimator_rejected_at_parsing(self, tmp_path):
+        space, _, _ = harness.build_population(6, 3)
+        pop = tmp_path / "pop.csv"
+        write_population(pop, space.coords)
+        with open(tmp_path / "clusters.csv", "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["unit_id", "cluster_id"])
+            for i in range(space.n):
+                w.writerow([i, i])
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--population", str(pop), "--clusters",
+                  str(tmp_path / "clusters.csv"), "--estimator", "ols",
+                  "--h", "1.0"])
+        assert exc.value.code == 2
 
     def test_dump_matrices(self, tmp_path):
         space, _, _ = harness.build_population(6, 3)

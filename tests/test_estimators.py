@@ -5,7 +5,7 @@ import spillscale as ss
 from spillscale import harness
 from spillscale.design import (draw_treatments, extend_uniform_overlap,
                                incidence, scaling_clusters, singleton_partition)
-from spillscale.estimators import (EstimatorUndefinedError, emp_cov, exposure,
+from spillscale.estimators import (DrawBlock, EstimatorUndefinedError, exposure,
                                    hajek, hajek_weights, ipw_ht, ols,
                                    ols_weights, saturation,
                                    saturation_indicators, shrinkage,
@@ -130,6 +130,31 @@ class TestHajek:
         bias_ht = abs(np.nanmean(ht) - outcomes.theta)
         bias_hj = abs(np.nanmean(hj) - outcomes.theta)
         assert bias_hj < bias_ht
+
+
+class TestCountsDoNotWrap:
+    """Bit vectors are int8; neighborhood counts must not wrap at 128/256."""
+
+    def _one_treated_cluster(self):
+        space = line_space(256)
+        part = scaling_clusters(space, 1000.0)
+        assert part.n_clusters == 1
+        return space, part, np.ones(256, dtype=np.int8), np.ones(256)
+
+    def test_ht_counts_256_treated_neighbors(self):
+        space, part, d, Y = self._one_treated_cluster()
+        assert ipw_ht(Y, d, space, part, 1000.0, 0.5).estimate == pytest.approx(2.0)
+
+    def test_hajek_undefined_without_dissaturated_units(self):
+        space, part, d, Y = self._one_treated_cluster()
+        with pytest.raises(EstimatorUndefinedError) as exc:
+            hajek(Y, d, space, part, 1000.0, 0.5)
+        assert exc.value.reason == "undefined_draw"
+
+    def test_saturation_indicators(self):
+        space, _, d, _ = self._one_treated_cluster()
+        sat, dis = saturation_indicators(space, d, 1000.0)
+        assert sat.all() and not dis.any()
 
 
 class TestExposure:
@@ -316,7 +341,9 @@ class TestVarianceCi:
 
 class TestEmpCov:
     def test_matches_numpy_population_covariance(self):
+        # the core's Cov(T, Y): x'y/n - mean(x)mean(y), no dof correction
         rng = np.random.default_rng(6)
         x = rng.normal(size=50)
         y = rng.normal(size=50)
-        assert emp_cov(x, y) == pytest.approx(float(np.cov(x, y, bias=True)[0, 1]))
+        cov = DrawBlock(None, Y=y, T=x).cov_ty[0]
+        assert cov == pytest.approx(float(np.cov(x, y, bias=True)[0, 1]))

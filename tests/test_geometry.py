@@ -6,7 +6,7 @@ from spillscale.geometry import (GeometryError, audit_geometry,
                                  audit_interference, build_space,
                                  build_space_from_dist,
                                  fit_interference_constant, greedy_packing,
-                                 greedy_set_cover, neighborhood)
+                                 greedy_set_cover)
 
 from conftest import line_space
 
@@ -16,12 +16,12 @@ class TestBuildSpace:
         space = build_space([[0.0], [1.0], [2.0]])
         assert space.dist[0, 2] == 2.0
         # q=1 radius rule: size 1 -> radius 1
-        assert set(neighborhood(space, 0, 1.0)) == {0, 1}
+        assert set(space.neighborhood(0, 1.0)) == {0, 1}
 
     def test_singleton(self):
         space = build_space([[0.0, 0.0]])
         for s in (0.25, 1.0, 100.0):
-            assert set(neighborhood(space, 0, s)) == {0}
+            assert set(space.neighborhood(0, s)) == {0}
 
     def test_rejects_nonfinite(self):
         with pytest.raises(GeometryError):
@@ -51,21 +51,21 @@ class TestNeighborhood:
     def test_rejects_nonpositive_size(self):
         space = line_space(3)
         with pytest.raises(ValueError):
-            neighborhood(space, 0, 0.0)
+            space.neighborhood(0, 0.0)
         with pytest.raises(ValueError):
-            neighborhood(space, 0, -1.0)
+            space.neighborhood(0, -1.0)
 
     def test_below_min_distance_is_self(self):
         space = line_space(5, spacing=2.0)
-        assert set(neighborhood(space, 2, 1.0)) == {2}
+        assert set(space.neighborhood(2, 1.0)) == {2}
 
     def test_above_max_distance_is_everything(self):
         space = line_space(5)
-        assert len(neighborhood(space, 0, 10.0)) == 5
+        assert len(space.neighborhood(0, 10.0)) == 5
 
     def test_middle_of_line_both_ends(self):
         space = line_space(3)
-        assert set(neighborhood(space, 1, 1.0)) == {0, 1, 2}
+        assert set(space.neighborhood(1, 1.0)) == {0, 1, 2}
 
     def test_monotone_and_reflexive(self, disk500):
         space, _, _ = disk500
@@ -73,8 +73,8 @@ class TestNeighborhood:
         for _ in range(25):
             i = int(rng.integers(space.n))
             s1, s2 = sorted(rng.uniform(0.5, 60.0, size=2))
-            n1 = set(neighborhood(space, i, s1))
-            n2 = set(neighborhood(space, i, s2))
+            n1 = set(space.neighborhood(i, s1))
+            n2 = set(space.neighborhood(i, s2))
             assert i in n1
             assert n1 <= n2
 
@@ -86,7 +86,7 @@ class TestNeighborhood:
             s = float(rng.uniform(1.0, 40.0))
             direct = {j for j in range(space.n)
                       if np.linalg.norm(space.coords[i] - space.coords[j]) <= np.sqrt(s)}
-            assert set(neighborhood(space, i, s)) == direct
+            assert set(space.neighborhood(i, s)) == direct
 
 
 class TestAudits:

@@ -6,7 +6,7 @@ from spillscale import harness, owopt
 from spillscale.design import (draw_treatments, scaling_clusters,
                                singleton_partition)
 from spillscale.estimators import ipw_ht, saturation
-from spillscale.oracle import enumerate_assignments, exact_saturation_tables
+from spillscale.oracle import enumerate_assignments
 from spillscale.owopt import (assemble_objective, ipw_weight_table,
                               objective_kernel, ow_estimate, project_rows,
                               saturation_tables, solve_qp, stilde_indices)
@@ -72,7 +72,7 @@ class TestSaturationTables:
                 break
         assert part.n_clusters == 4
         grid = [g, 2 * g]
-        exact = exact_saturation_tables(part, space, grid, 0.5)
+        exact = saturation_tables(space, part, grid, 0.5, method="exact")
         mc = saturation_tables(space, part, grid, 0.5, method="mc",
                                mc_draws=200_000, seed=9)
         assert np.max(np.abs(exact.marg - mc.marg)) < 0.01
