@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import harness, oracle, owopt
-from .design import (ClusterPartition, draw_treatments, incidence,
-                     scaling_clusters, scaling_rule)
+from .design import (ClusterPartition, cluster_bits, draw_treatments,
+                     incidence, scaling_clusters, scaling_rule)
 from .estimators import UNDEFINED, DesignContext, DrawBlock, interval
-from .geometry import InterferenceBudget, build_space, build_space_from_dist
+from .geometry import (GeometryError, InterferenceBudget, build_space,
+                       build_space_from_dist)
 from .outcomes import make_guess, make_sim_dgp, realize
 
 
@@ -31,32 +31,26 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([harness.csv_field(v) for v in row])
-    return buf.getvalue()
-
-
 def load_population(path):
     """Population CSV: either unit_id,x1..xq coordinates or i,j,dist table."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip().lower() for h in next(reader)]
         body = [row for row in reader if row]
-    if header[:1] == ["unit_id"] and len(header) >= 2:
-        body.sort(key=lambda r: int(r[0]))
-        coords = np.array([[float(v) for v in row[1:]] for row in body])
-        return build_space(coords)
-    if header == ["i", "j", "dist"]:
-        ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
-        remap = {u: k for k, u in enumerate(ids)}
-        dist = np.zeros((len(ids), len(ids)))
-        for i, j, d in body:
-            dist[remap[int(i)], remap[int(j)]] = float(d)
-        return build_space_from_dist(dist)
+    try:
+        if header[:1] == ["unit_id"] and len(header) >= 2:
+            body.sort(key=lambda r: int(r[0]))
+            coords = np.array([[float(v) for v in row[1:]] for row in body])
+            return build_space(coords)
+        if header == ["i", "j", "dist"]:
+            ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
+            remap = {u: k for k, u in enumerate(ids)}
+            dist = np.zeros((len(ids), len(ids)))
+            for i, j, d in body:
+                dist[remap[int(i)], remap[int(j)]] = float(d)
+            return build_space_from_dist(dist)
+    except GeometryError as exc:
+        raise SystemExit(f"invalid population in {path}: {exc}") from None
     raise SystemExit(f"unrecognized population header in {path}: {header}")
 
 
@@ -87,11 +81,18 @@ def load_outcomes(path, n):
         raise SystemExit(f"{path} has {len(rows)} rows for {n} units")
     if "unit_id" in cols:
         rows.sort(key=lambda r: int(r[cols["unit_id"]]))
+        ids = [int(r[cols["unit_id"]]) for r in rows]
+        repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+        if repeated:
+            raise SystemExit(f"{path} lists unit_id {repeated[0]} more than "
+                             f"once; each of the {n} units needs one row")
     Y = np.array([float(r[cols["y"]]) for r in rows])
     if not np.all(np.isfinite(Y)):
         raise SystemExit(f"{path} has non-finite Y values")
-    d = np.array([int(r[cols["d"]]) for r in rows], dtype=np.int8)
-    return Y, d
+    d = np.array([int(r[cols["d"]]) for r in rows])
+    if not np.isin(d, (0, 1)).all():
+        raise SystemExit(f"{path} has d values other than 0 and 1")
+    return Y, d.astype(np.int8)
 
 
 def cmd_design(args):
@@ -101,14 +102,15 @@ def cmd_design(args):
     draw = draw_treatments(partition, args.p, args.seed)
     counts = incidence(space, partition, h)
     out = Path(args.out)
-    _write(out / "clusters.csv", _csv_text(
+    _write(out / "clusters.csv", harness.csv_text(
         ["unit_id", "cluster_id"],
         [(i, int(partition.assignment[i])) for i in range(space.n)]))
     inc_rows = [("phi", i, int(counts.phi[i])) for i in range(space.n)]
     inc_rows += [("gamma", c, int(counts.gamma[c]))
                  for c in range(partition.n_clusters)]
-    _write(out / "incidence.csv", _csv_text(["kind", "id", "value"], inc_rows))
-    _write(out / "treatments.csv", _csv_text(
+    _write(out / "incidence.csv",
+           harness.csv_text(["kind", "id", "value"], inc_rows))
+    _write(out / "treatments.csv", harness.csv_text(
         ["unit_id", "d"], [(i, int(draw.d[i])) for i in range(space.n)]))
     print(f"n={space.n} clusters={partition.n_clusters} h={h:.6g} "
           f"phi_max={counts.phi_max} seed={args.seed}")
@@ -119,10 +121,10 @@ def cmd_estimate(args):
     space = load_population(args.population)
     partition = load_clusters(args.clusters, space.n)
     Y, d = load_outcomes(args.outcomes, space.n)
-    b = d[[members[0] for members in partition.clusters]]
-    mixed = partition.assignment[d != b[partition.assignment]]
-    if mixed.size:
-        raise SystemExit(f"treatments are not constant within cluster {mixed.min()}")
+    try:
+        b = cluster_bits(partition, d)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
     guess = make_guess(space, args.guess_seed) if args.estimator == "shrink" else None
     block = DrawBlock(DesignContext(space, partition, h, args.p, args.eta),
@@ -138,9 +140,9 @@ def cmd_estimate(args):
         var, (_, lo, hi) = vr.variance_hat, vr.ci
         flags = ["variance_truncated"] if vr.truncated else []
 
-    text = _csv_text(["estimator", "estimate", "var_hat", "ci_lo", "ci_hi",
-                      "fail_flags"],
-                     [(args.estimator, estimate, var, lo, hi, ";".join(flags))])
+    text = harness.csv_text(
+        ["estimator", "estimate", "var_hat", "ci_lo", "ci_hi", "fail_flags"],
+        [(args.estimator, estimate, var, lo, hi, ";".join(flags))])
     if args.out:
         _write(Path(args.out), text)
     sys.stdout.write(text)
@@ -160,8 +162,8 @@ def cmd_ow_weights(args):
     out = Path(args.out)
     rows = [(i, f"{tables.grid[s]:.12g}", f"{ow.W[i, s]:.12g}")
             for i in range(space.n) for s in range(tables.grid.size)]
-    _write(out / "weights.csv", _csv_text(["unit_id", "s", "w"], rows))
-    _write(out / "qp_report.csv", _csv_text(
+    _write(out / "weights.csv", harness.csv_text(["unit_id", "s", "w"], rows))
+    _write(out / "qp_report.csv", harness.csv_text(
         ["objective", "kkt_residual", "iterations", "converged",
          "ipw_objective"],
         [(f"{ow.objective_value:.12g}", f"{ow.kkt_residual:.12g}",
@@ -191,7 +193,8 @@ def cmd_oracle(args):
 
     def run(b):
         d = np.asarray(b)[partition.assignment]
-        est = getattr(DrawBlock(ctx, realize(outcomes, d), d), args.estimator)[0]
+        est = getattr(DrawBlock(ctx, realize(outcomes, d), d, b),
+                      args.estimator)[0]
         return None if np.isnan(est) else est
 
     res = oracle.exact_expectation(run, enum)

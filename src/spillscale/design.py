@@ -196,6 +196,16 @@ class DesignDraw:
     seed: int
 
 
+def cluster_bits(partition: ClusterPartition, d) -> np.ndarray:
+    """Cluster bits behind unit treatments d; ValueError if a cluster is mixed."""
+    d = np.asarray(d)
+    b = d[[members[0] for members in partition.clusters]]
+    mixed = partition.assignment[d != b[partition.assignment]]
+    if mixed.size:
+        raise ValueError(f"treatments are not constant within cluster {mixed.min()}")
+    return b
+
+
 def draw_treatments(partition: ClusterPartition, p: float, seed: int) -> DesignDraw:
     """i.i.d. Bernoulli(p) cluster bits from the seeded generator."""
     if not 0.0 < p < 1.0:

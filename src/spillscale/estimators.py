@@ -2,8 +2,9 @@
 
 Horvitz-Thompson compares units whose whole size-h neighborhood is treated
 against units whose whole neighborhood is untreated, inverse-weighted by the
-exact saturation probabilities p**phi and (1-p)**phi.  Hajek renormalizes
-each comparison group's weights to sum to one.  OLS regresses outcomes on
+exact saturation probabilities p**phi and (1-p)**phi: a neighborhood is pure
+when all phi clusters meeting it share one status.  Hajek renormalizes each
+comparison group's weights to sum to one.  OLS regresses outcomes on
 the fraction of treated clusters among those meeting each (extended)
 neighborhood, and the shrinkage estimator instruments a guess-implied
 exposure with that fraction.  Variances come from a spatial HAC sum over
@@ -12,7 +13,8 @@ pairs whose slightly inflated neighborhoods share a randomization cluster.
 Every estimator is linear in the outcomes with weights that depend only on
 the design, so one batched core serves all callers: a `DesignContext` holds
 the design-derived arrays, a `DrawBlock` evaluates the estimators on an
-n x m block of draws, and the single-draw functions are its m = 1 case.
+n x m block of draws, and the single-draw functions (d constant within
+each cluster) are its m = 1 case.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _dot(a, b) -> np.ndarray:
 
 
 class DesignContext:
-    """Arrays derived from one design (space, partition, h, p, eta, epsilon),
+    """Incidence at h, its extension and the dependency graph of one design,
     each computed on first use and kept for one Monte Carlo cell or one
     command; nothing is cached across contexts."""
 
@@ -93,11 +95,6 @@ class DesignContext:
                  h, p: float, eta: float = 1.0, epsilon: float = 0.1):
         self.space, self.partition = space, partition
         self.h, self.p, self.eta, self.epsilon = h, p, eta, epsilon
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """Size-h neighborhood operator in float64, so counts cannot wrap."""
-        return self.space.neighborhood_matrix(self.h).astype(np.float64)
 
     @cached_property
     def extended(self) -> ExtendedNeighborhoods:
@@ -135,10 +132,14 @@ class DrawBlock:
         self.ybar = None if Y is None else self.Y.mean(axis=0)
 
     @cached_property
+    def treated(self) -> np.ndarray:
+        """Treated clusters among the phi meeting each size-h neighborhood."""
+        return self.ctx.counts.incidence.astype(np.float64) @ self.B
+
+    @cached_property
     def pure(self) -> tuple[np.ndarray, np.ndarray]:
-        """(saturated, dissaturated) flags of each size-h neighborhood."""
-        M = self.ctx.M
-        return (M @ (1.0 - self.D)) == 0.0, (M @ self.D) == 0.0
+        """(saturated, dissaturated): all or none of those clusters treated."""
+        return self.treated == self.ctx.counts.phi[:, None], self.treated == 0.0
 
     @cached_property
     def ipw(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +211,7 @@ class DrawBlock:
             return self.hac(self.ols_weights, self.ols, self.T)
         # Hajek centers on its own exposure, the treated share of the
         # clusters meeting the base neighborhood
-        counts = self.ctx.counts
-        T = (counts.incidence.astype(np.float64) @ self.B) / counts.phi[:, None]
+        T = self.treated / self.ctx.counts.phi[:, None]
         return self.hac(self.hajek_weights, self.hajek, T)
 
 
@@ -246,14 +246,17 @@ def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:
 
 
 def saturation_indicators(space: PremetricSpace, d, h) -> tuple[np.ndarray, np.ndarray]:
-    """(saturated, dissaturated) flags of each unit's size-h neighborhood."""
-    sat, dis = DrawBlock(DesignContext(space, None, h, None), D=d).pure
-    return sat[:, 0], dis[:, 0]
+    """(saturated, dissaturated) flags of each unit's size-h neighborhood,
+    unit by unit: the partition-free reference for `DrawBlock.pure`."""
+    M = space.neighborhood_matrix(h).astype(np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    return M @ (1.0 - d) == 0.0, M @ d == 0.0
 
 
 def _pure_comparison(name, Y, d, space, partition, h, p) -> EstimateReport:
     """One draw of "ht" or "hajek", with the purity counts behind it."""
-    block = DrawBlock(DesignContext(space, partition, h, p), Y, d)
+    block = DrawBlock(DesignContext(space, partition, h, p), Y,
+                      B=design.cluster_bits(partition, d))
     if name == "hajek":
         _one_draw(block.hajek_weights, name)
     sat, dis = block.pure
@@ -278,7 +281,8 @@ def ipw_ht(Y, d, space: PremetricSpace, partition: ClusterPartition,
 def hajek_weights(d, space: PremetricSpace, partition: ClusterPartition,
                   h, p: float) -> np.ndarray:
     """Per-unit weights whose dot with Y is the Hajek estimate."""
-    block = DrawBlock(DesignContext(space, partition, h, p), D=d)
+    block = DrawBlock(DesignContext(space, partition, h, p),
+                      B=design.cluster_bits(partition, d))
     return _one_draw(block.hajek_weights, "hajek")
 
 
@@ -378,7 +382,7 @@ def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,
     if weights is None and estimator not in ("hajek", "ols"):
         raise ValueError("pass weights or estimator in {'hajek','ols'}")
     block = DrawBlock(DesignContext(space, partition, h, p, eta, epsilon),
-                      Y, d, T=T)
+                      Y, B=design.cluster_bits(partition, d), T=T)
     if weights is None:
         weights = _one_draw(getattr(block, f"{estimator}_weights"), estimator)
     sigma2 = block.hac(_cols(weights), estimate, block.T)[0]

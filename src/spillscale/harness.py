@@ -9,6 +9,8 @@ estimator core the single-draw functions use (same Philox streams as
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from dataclasses import dataclass, field, fields
 
@@ -78,19 +80,19 @@ class ResultRow:
     coverage: float | None
     seconds: float
 
+    # seconds is wall clock and would break byte-for-byte reruns
     CSV_COLUMNS = ("n", "design", "estimator", "reps_ok", "fail_rate",
                    "mean_est", "bias", "rmse", "coverage")
 
-    def csv_values(self):
-        # seconds is wall clock and would break byte-for-byte reruns
-        return [csv_field(getattr(self, name)) for name in self.CSV_COLUMNS]
 
-
-def csv_field(v) -> str:
-    """CSV text of one value: empty for None, floats to 12 digits."""
-    if v is None:
-        return ""
-    return f"{v:.12g}" if isinstance(v, float) else str(v)
+def csv_text(header, rows) -> str:
+    """CSV with "\n" line ends: None as empty, floats to 12 digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue()
 
 
 def build_population(n: int, seed: int) -> tuple[PremetricSpace, LinearOutcomes, GuessMatrix]:
@@ -144,20 +146,19 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     n = space.n
     eps_b0 = outcomes.eps + outcomes.beta0
     ctx = DesignContext(space, partition, h, p, eta, epsilon)
-    # every cell builds the extension; HT and Hajek reuse its base counts
-    ctx.extended
+    if "ols" in estimators or "shrink" in estimators:
+        ctx.extended        # built first, so HT and Hajek reuse its base counts
     core = [name for name in estimators if name != "ow"]
     need_ci = [name for name in core if name in ("hajek", "ols")]
 
     if "ow" in estimators:
         budget = sim_budget(outcomes, space, eta,
                             s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
-        factors = grid_factors or [2.0 ** k for k in range(-5, 3)]
-        grid = [h * f for f in factors]
+        grid = ([h * f for f in grid_factors] if grid_factors
+                else owopt.default_ow_grid(h))
         tables, _, ow_table = owopt.optimize_weights(
             space, partition, grid, p, budget, h, method="mc",
             mc_draws=ow_mc_draws, seed=base_seed + n)
-        G_stack = owopt.cluster_incidence_stack(space, partition, ow_table.grid)
 
     estimates = {name: np.full(reps, np.nan) for name in estimators}
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
@@ -175,7 +176,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
             half = half_width(block.variance(name), ci_level)
             covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
         if "ow" in estimators:
-            idx = owopt.stilde_indices(G_stack, B)
+            idx = owopt.stilde_indices(tables.incidence, B)
             estimates["ow"][sl] = owopt.ow_estimates(ow_table, idx, D, Y)
 
     return CellResult(estimates=estimates, covers=covers,
@@ -288,13 +289,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def results_csv(rows: list) -> str:
-    lines = [",".join(ResultRow.CSV_COLUMNS)]
-    lines += [",".join(r.csv_values()) for r in rows]
-    return "\n".join(lines) + "\n"
+    cols = ResultRow.CSV_COLUMNS
+    return csv_text(cols, [[getattr(r, c) for c in cols] for r in rows])
 
 
 def slopes_csv(rows: list) -> str:
-    lines = ["estimator,design,slope,n_points"]
-    for est, design, slope, k in slopes_table(rows):
-        lines.append(f"{est},{design},{slope:.12g},{k}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["estimator", "design", "slope", "n_points"],
+                    slopes_table(rows))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TAG_TABLES, ClusterPartition, rng_for
+from .design import TAG_TABLES, ClusterPartition, incidence, rng_for
 from .estimators import EstimateReport, effective_grid
 from .geometry import InterferenceBudget, PremetricSpace
 from .oracle import enumerate_assignments
@@ -37,6 +37,7 @@ class SaturationTables:
     marg: np.ndarray                # n x S, P(s_tilde_i = s)
     pairs: np.ndarray               # (P, 2) unit ids with i <= j
     joint: np.ndarray               # (P, S, S), P(s_tilde_i = s, s_tilde_j = t)
+    incidence: np.ndarray           # S x n x C, cluster c meets N(i, grid[k])
     p: float
     method: str                     # "exact" | "mc"
     mc_draws: int | None = None
@@ -51,15 +52,9 @@ class SaturationTables:
         return self.grid.size
 
 
-def cluster_incidence_stack(space: PremetricSpace, partition: ClusterPartition,
-                            grid: np.ndarray) -> np.ndarray:
-    """S x n x C booleans: cluster c meets N(i, grid[k])."""
-    P = partition.indicator()
-    return np.stack([(space.neighborhood_matrix(s) @ P) > 0 for s in grid])
-
-
 def stilde_indices(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Saturation-size grid index per (draw, unit) for assignments B (m x C).
+    """Saturation-size grid index per (draw, unit) for assignments B (m x C),
+    from the S x n x C incidence stack G of `SaturationTables.incidence`.
 
     A neighborhood is pure when its clusters are all treated or all
     untreated; purity is monotone down the grid, so the index is the last
@@ -98,7 +93,7 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
     grid_eff = effective_grid(space, grid)
-    G = cluster_incidence_stack(space, partition, grid_eff)
+    G = np.stack([incidence(space, partition, s).incidence for s in grid_eff])
     S = grid_eff.size
     n = space.n
     pairs = interacting_pairs(G[-1])
@@ -127,8 +122,8 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
             code = idx[:, i] * S + idx[:, j]
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
     return SaturationTables(grid=grid_eff, marg=marg, pairs=pairs, joint=joint,
-                            p=float(p), method=method, mc_draws=draws_used,
-                            seed=seed_used)
+                            incidence=G, p=float(p), method=method,
+                            mc_draws=draws_used, seed=seed_used)
 
 
 def objective_kernel(grid: np.ndarray, budget: InterferenceBudget) -> np.ndarray:

@@ -146,6 +146,50 @@ class TestEstimateCommand:
                   str(tmp_path / "clusters.csv"), "--estimator", "ols",
                   "--h", "1.0"])
 
+    def _estimate_with_outcomes(self, tmp_path, outcome_rows):
+        pop = tmp_path / "pop.csv"
+        write_population(pop, np.array([[0.0], [1.0]]))
+        (tmp_path / "outcomes.csv").write_text("unit_id,Y,d\n" + outcome_rows)
+        (tmp_path / "clusters.csv").write_text("unit_id,cluster_id\n0,0\n1,1\n")
+        main(["estimate", "--population", str(pop), "--outcomes",
+              str(tmp_path / "outcomes.csv"), "--clusters",
+              str(tmp_path / "clusters.csv"), "--estimator", "ht",
+              "--h", "1.0"])
+
+    def test_non_binary_treatment_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="d values other than 0 and 1"):
+            self._estimate_with_outcomes(tmp_path, "0,1.0,2\n1,2.0,0\n")
+
+    def test_repeated_unit_id_rejected(self, tmp_path):
+        # unit 0 twice, unit 1 missing
+        with pytest.raises(SystemExit, match="unit_id 0 more than once"):
+            self._estimate_with_outcomes(tmp_path, "0,1.0,1\n0,2.0,0\n")
+
+    def test_mixed_cluster_treatment_rejected(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        write_population(pop, np.array([[0.0], [1.0]]))
+        (tmp_path / "outcomes.csv").write_text("unit_id,Y,d\n0,1.0,1\n1,2.0,0\n")
+        (tmp_path / "clusters.csv").write_text("unit_id,cluster_id\n0,0\n1,0\n")
+        with pytest.raises(SystemExit, match="not constant within cluster 0"):
+            main(["estimate", "--population", str(pop), "--outcomes",
+                  str(tmp_path / "outcomes.csv"), "--clusters",
+                  str(tmp_path / "clusters.csv"), "--estimator", "ht",
+                  "--h", "1.0"])
+
+
+class TestInvalidPopulation:
+    @pytest.mark.parametrize("text, reason", [
+        ("unit_id,x1\n0,0.0\n1,nan\n", "coordinates must be finite"),
+        ("unit_id,x1\n0,1.0\n1,1.0\n", "duplicate coordinates"),
+        ("i,j,dist\n0,1,1.0\n1,0,0.0\n", "off-diagonal distances"),
+    ], ids=["non_finite", "duplicate", "zero_distance"])
+    def test_geometry_error_exits_with_message(self, tmp_path, text, reason):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(text)
+        with pytest.raises(SystemExit, match=f"pop.csv: {reason}"):
+            main(["design", "--population", str(pop), "--out",
+                  str(tmp_path / "out")])
+
 
 class TestOwWeightsCommand:
     def test_outputs_and_descent(self, tmp_path):

@@ -5,7 +5,8 @@ import spillscale as ss
 from spillscale import harness
 from spillscale.design import (draw_treatments, extend_uniform_overlap,
                                incidence, scaling_clusters, singleton_partition)
-from spillscale.estimators import (DrawBlock, EstimatorUndefinedError, exposure,
+from spillscale.estimators import (DesignContext, DrawBlock,
+                                   EstimatorUndefinedError, exposure,
                                    hajek, hajek_weights, ipw_ht, ols,
                                    ols_weights, saturation,
                                    saturation_indicators, shrinkage,
@@ -280,6 +281,53 @@ class TestSaturation:
         matched = np.searchsorted(fine.grid, coarse.s_tilde)
         assert np.all(fine.s_tilde >= coarse.s_tilde - 1e-12)
         assert matched.min() >= 0
+
+
+class TestPurityOnClusterIncidence:
+    """The core reads purity off the cluster incidence; the unit-level
+    `saturation_indicators` is the reference it must reproduce."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        space, _, _ = harness.build_population(120, 5)
+        return space
+
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_matches_unit_level_reference(self, population, design):
+        space = population
+        h_rule = ss.scaling_rule(space.n, 1.0)
+        part = harness.make_partition(space, design, h_rule)
+        sizes = (0.5 * space.saturation_floor(), h_rule,
+                 2.0 * space.size_of_radius(space.dist.max()))
+        # 20 seeded draws, plus the two constant ones: above the diameter
+        # only those have pure neighborhoods
+        bits = [draw_treatments(part, 0.5, seed).b for seed in range(20)]
+        bits += [np.ones(part.n_clusters, dtype=np.int8),
+                 np.zeros(part.n_clusters, dtype=np.int8)]
+        for h in sizes:
+            ctx = DesignContext(space, part, h, 0.5)
+            for b in bits:
+                d = b[part.assignment]
+                sat, dis = DrawBlock(ctx, D=d, B=b).pure
+                want_sat, want_dis = saturation_indicators(space, d, h)
+                assert np.array_equal(sat[:, 0], want_sat)
+                assert np.array_equal(dis[:, 0], want_dis)
+
+
+class TestMixedClusterTreatment:
+    def test_purity_estimators_reject_mixed_d(self):
+        # single-draw functions need d constant within each cluster
+        space = line_space(4)
+        part = scaling_clusters(space, 100.0)      # one cluster of 4 units
+        d, Y = np.array([1, 0, 1, 1]), np.linspace(0.0, 1.0, 4)
+        for call in (lambda: ipw_ht(Y, d, space, part, 1.0, 0.5),
+                     lambda: hajek(Y, d, space, part, 1.0, 0.5),
+                     lambda: hajek_weights(d, space, part, 1.0, 0.5),
+                     lambda: variance_ci(Y, d, d.astype(float), 0.0, space,
+                                         part, 1.0, 1.0, 0.5,
+                                         estimator="hajek")):
+            with pytest.raises(ValueError, match="not constant within cluster 0"):
+                call()
 
 
 class TestVarianceCi:

@@ -121,8 +121,7 @@ class TestAssembleObjective:
         w = rng.uniform(size=n * S)
 
         enum = enumerate_assignments(part, p)
-        G = owopt.cluster_incidence_stack(space, part, tab.grid)
-        idx = stilde_indices(G, enum.assignments)
+        idx = stilde_indices(tab.incidence, enum.assignments)
         kern = objective_kernel(tab.grid, budget)
         direct = 0.0
         for a, prob in enumerate(enum.probs):
@@ -263,8 +262,7 @@ class TestOwEstimate:
                       warm_start=ipw_weight_table(tab, 4.0, p).W)
         ow.grid = tab.grid
         enum = enumerate_assignments(part, p)
-        G = owopt.cluster_incidence_stack(space, part, tab.grid)
-        idx = stilde_indices(G, enum.assignments)
+        idx = stilde_indices(tab.incidence, enum.assignments)
         for i in range(space.n):
             d_i = enum.assignments[:, part.assignment[i]].astype(float)
             w_i = ow.W[i, idx[:, i]]
