@@ -31,8 +31,17 @@ def _write(path: Path, text: str):
         fh.write(text)
 
 
+def _repeated(values):
+    """First value listed more than once in a sorted sequence, else None."""
+    return next((a for a, b in zip(values, values[1:]) if a == b), None)
+
+
 def load_population(path):
-    """Population CSV: either unit_id,x1..xq coordinates or i,j,dist table."""
+    """Population CSV: either unit_id,x1..xq coordinates or i,j,dist table.
+
+    Returns the space and its sorted unit ids; unit k of the space is the
+    k-th id, and the other loaders and outputs key units by these ids.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip().lower() for h in next(reader)]
@@ -40,26 +49,56 @@ def load_population(path):
     try:
         if header[:1] == ["unit_id"] and len(header) >= 2:
             body.sort(key=lambda r: int(r[0]))
+            ids = [int(r[0]) for r in body]
+            repeated = _repeated(ids)
+            if repeated is not None:
+                raise SystemExit(f"{path} lists unit_id {repeated} more than once")
             coords = np.array([[float(v) for v in row[1:]] for row in body])
-            return build_space(coords)
+            return build_space(coords), ids
         if header == ["i", "j", "dist"]:
-            ids = sorted({int(r[0]) for r in body} | {int(r[1]) for r in body})
+            pairs = sorted((int(i), int(j)) for i, j, _ in body)
+            repeated = _repeated(pairs)
+            if repeated is not None:
+                raise SystemExit(f"{path} lists pair {repeated} more than once")
+            ids = sorted({u for pair in pairs for u in pair})
             remap = {u: k for k, u in enumerate(ids)}
+            given = np.eye(len(ids), dtype=bool)
             dist = np.zeros((len(ids), len(ids)))
             for i, j, d in body:
-                dist[remap[int(i)], remap[int(j)]] = float(d)
-            return build_space_from_dist(dist)
+                a, b = remap[int(i)], remap[int(j)]
+                given[a, b] = True
+                dist[a, b] = float(d)
+            if not given.all():
+                a, b = np.argwhere(~given)[0]
+                raise SystemExit(f"{path} has no distance for pair "
+                                 f"({ids[a]}, {ids[b]})")
+            return build_space_from_dist(dist), ids
     except GeometryError as exc:
         raise SystemExit(f"invalid population in {path}: {exc}") from None
     raise SystemExit(f"unrecognized population header in {path}: {header}")
 
 
-def load_clusters(path, n):
-    assignment = np.full(n, -1, dtype=np.int64)
+def _unit_index(path, ids, rows):
+    """Positions of the rows' unit ids in the population, or SystemExit."""
+    index = {u: k for k, u in enumerate(ids)}
+    unknown = next((u for u in rows if u not in index), None)
+    if unknown is not None:
+        raise SystemExit(f"{path} lists unit_id {unknown}, which is not in "
+                         f"the population")
+    repeated = _repeated(sorted(rows))
+    if repeated is not None:
+        raise SystemExit(f"{path} lists unit_id {repeated} more than once; "
+                         f"each of the {len(ids)} units needs one row")
+    return np.array([index[u] for u in rows], dtype=np.int64)
+
+
+def load_clusters(path, ids):
+    """clusters.csv (unit_id, cluster_id), keyed by the population's ids."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            assignment[int(row["unit_id"])] = int(row["cluster_id"])
+        rows = [(int(r["unit_id"]), int(r["cluster_id"]))
+                for r in csv.DictReader(fh)]
+    assignment = np.full(len(ids), -1, dtype=np.int64)
+    assignment[_unit_index(path, ids, [u for u, _ in rows])] = [c for _, c in rows]
     if np.any(assignment < 0):
         raise SystemExit(f"{path} does not assign every unit a cluster")
     n_clusters = int(assignment.max()) + 1
@@ -70,7 +109,9 @@ def load_clusters(path, n):
                             seeds=[int(c[0]) for c in clusters], g=0.0)
 
 
-def load_outcomes(path, n):
+def load_outcomes(path, ids):
+    """Outcomes CSV (Y, d, optional unit_id keyed by the population's ids)."""
+    n = len(ids)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         cols = {name.strip().lower(): name for name in reader.fieldnames}
@@ -80,12 +121,8 @@ def load_outcomes(path, n):
     if len(rows) != n:
         raise SystemExit(f"{path} has {len(rows)} rows for {n} units")
     if "unit_id" in cols:
-        rows.sort(key=lambda r: int(r[cols["unit_id"]]))
-        ids = [int(r[cols["unit_id"]]) for r in rows]
-        repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
-        if repeated:
-            raise SystemExit(f"{path} lists unit_id {repeated[0]} more than "
-                             f"once; each of the {n} units needs one row")
+        pos = _unit_index(path, ids, [int(r[cols["unit_id"]]) for r in rows])
+        rows = [rows[k] for k in np.argsort(pos)]
     Y = np.array([float(r[cols["y"]]) for r in rows])
     if not np.all(np.isfinite(Y)):
         raise SystemExit(f"{path} has non-finite Y values")
@@ -96,7 +133,7 @@ def load_outcomes(path, n):
 
 
 def cmd_design(args):
-    space = load_population(args.population)
+    space, ids = load_population(args.population)
     h = scaling_rule(space.n, args.eta, args.c0)
     partition = scaling_clusters(space, h)
     draw = draw_treatments(partition, args.p, args.seed)
@@ -104,23 +141,23 @@ def cmd_design(args):
     out = Path(args.out)
     _write(out / "clusters.csv", harness.csv_text(
         ["unit_id", "cluster_id"],
-        [(i, int(partition.assignment[i])) for i in range(space.n)]))
-    inc_rows = [("phi", i, int(counts.phi[i])) for i in range(space.n)]
+        [(u, int(partition.assignment[i])) for i, u in enumerate(ids)]))
+    inc_rows = [("phi", u, int(counts.phi[i])) for i, u in enumerate(ids)]
     inc_rows += [("gamma", c, int(counts.gamma[c]))
                  for c in range(partition.n_clusters)]
     _write(out / "incidence.csv",
            harness.csv_text(["kind", "id", "value"], inc_rows))
     _write(out / "treatments.csv", harness.csv_text(
-        ["unit_id", "d"], [(i, int(draw.d[i])) for i in range(space.n)]))
+        ["unit_id", "d"], [(u, int(draw.d[i])) for i, u in enumerate(ids)]))
     print(f"n={space.n} clusters={partition.n_clusters} h={h:.6g} "
           f"phi_max={counts.phi_max} seed={args.seed}")
     return 0
 
 
 def cmd_estimate(args):
-    space = load_population(args.population)
-    partition = load_clusters(args.clusters, space.n)
-    Y, d = load_outcomes(args.outcomes, space.n)
+    space, ids = load_population(args.population)
+    partition = load_clusters(args.clusters, ids)
+    Y, d = load_outcomes(args.outcomes, ids)
     try:
         b = cluster_bits(partition, d)
     except ValueError as exc:
@@ -150,8 +187,8 @@ def cmd_estimate(args):
 
 
 def cmd_ow_weights(args):
-    space = load_population(args.population)
-    partition = load_clusters(args.clusters, space.n)
+    space, ids = load_population(args.population)
+    partition = load_clusters(args.clusters, ids)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
     grid = ([float(v) for v in args.grid.split(",") if v.strip()]
             if args.grid else owopt.default_ow_grid(h))
@@ -160,8 +197,8 @@ def cmd_ow_weights(args):
         space, partition, grid, args.p, budget, h, method=args.method,
         mc_draws=args.mc_draws, seed=args.seed)
     out = Path(args.out)
-    rows = [(i, f"{tables.grid[s]:.12g}", f"{ow.W[i, s]:.12g}")
-            for i in range(space.n) for s in range(tables.grid.size)]
+    rows = [(u, f"{tables.grid[s]:.12g}", f"{ow.W[i, s]:.12g}")
+            for i, u in enumerate(ids) for s in range(tables.grid.size)]
     _write(out / "weights.csv", harness.csv_text(["unit_id", "s", "w"], rows))
     _write(out / "qp_report.csv", harness.csv_text(
         ["objective", "kkt_residual", "iterations", "converged",
@@ -174,8 +211,8 @@ def cmd_ow_weights(args):
 
 
 def cmd_oracle(args):
-    space = load_population(args.population)
-    partition = load_clusters(args.clusters, space.n)
+    space, ids = load_population(args.population)
+    partition = load_clusters(args.clusters, ids)
     outcomes = make_sim_dgp(space, args.seed)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
     if args.dump_matrices:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PremetricSpace, greedy_set_cover
+from .geometry import PremetricSpace, bool_matmul, greedy_set_cover
 
 # spawn-key purpose tags; keep streams for different uses disjoint even when
 # integer seeds collide (e.g. population seed base+n vs replicate seed base+r)
@@ -131,7 +131,7 @@ def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> Incidenc
     """Exact phi/gamma counts by direct intersection tests."""
     M = space.neighborhood_matrix(s)
     P = partition.indicator()
-    inc = (M @ P) > 0                      # cluster c meets N(i, s)
+    inc = bool_matmul(M, P)                # cluster c meets N(i, s)
     return IncidenceCounts(phi=inc.sum(axis=1), gamma=inc.sum(axis=0),
                            incidence=inc, s=float(s))
 

@@ -27,7 +27,7 @@ from scipy.stats import norm
 
 from . import design
 from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
-from .geometry import PremetricSpace
+from .geometry import PremetricSpace, bool_matmul
 from .outcomes import GuessMatrix
 
 
@@ -364,7 +364,7 @@ def dependency_graph(space: PremetricSpace, partition: ClusterPartition,
         raise ValueError("epsilon must lie in (0, 2*eta/3)")
     s_dep = float(h) ** (1.0 + epsilon)
     inc = design.incidence(space, partition, s_dep).incidence
-    return (inc @ inc.T) > 0
+    return bool_matmul(inc, inc.T)
 
 
 def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,

@@ -177,6 +177,18 @@ class GeometryAudit:
         return self.passes
 
 
+def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product: out[i, j] = any_k (a[i, k] and b[k, j]).
+
+    Runs as a float32 BLAS product, where numpy's boolean `@` runs a generic
+    loop.  The result is exact at every size and under any BLAS kernel or
+    thread count: every term is 0 or 1, so a sum with a term equal to 1 is
+    at least 1 however it is rounded, and a sum with none is exactly 0.
+    Only the `> 0` test is exact; the float sums are not counts.
+    """
+    return (np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)) > 0
+
+
 def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
     """Greedy s-cover of the `members` mask by neighborhoods of its own units.
 
@@ -209,7 +221,7 @@ def greedy_packing(candidates: np.ndarray, in_nbhd: np.ndarray) -> list:
     cand = np.flatnonzero(candidates)
     conflict = in_nbhd[cand][:, cand]
     # pair conflict: exists i among candidates with both a, b in N(i, s)
-    pair_conflict = conflict.T @ conflict > 0
+    pair_conflict = bool_matmul(conflict.T, conflict)
     blocked = np.zeros(len(cand), dtype=bool)
     packed = []
     for k in range(len(cand)):

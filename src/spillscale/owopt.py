@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import TAG_TABLES, ClusterPartition, incidence, rng_for
 from .estimators import EstimateReport, effective_grid
-from .geometry import InterferenceBudget, PremetricSpace
+from .geometry import InterferenceBudget, PremetricSpace, bool_matmul
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
@@ -76,7 +76,7 @@ def stilde_indices(G: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def interacting_pairs(G_max: np.ndarray) -> np.ndarray:
     """Unit pairs (i <= j, self included) sharing a cluster at the top size."""
-    share = (G_max @ G_max.T) > 0
+    share = bool_matmul(G_max, G_max.T)
     iu = np.triu_indices_from(share)
     keep = share[iu]
     return np.column_stack([iu[0][keep], iu[1][keep]])

@@ -191,6 +191,140 @@ class TestInvalidPopulation:
                   str(tmp_path / "out")])
 
 
+def write_population_ids(path, coords, ids):
+    """Coordinate CSV keyed by the given unit ids, rows in reverse order."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["unit_id"] + [f"x{k+1}" for k in range(coords.shape[1])])
+        for u, row in reversed(list(zip(ids, coords))):
+            w.writerow([u] + [f"{v:.10g}" for v in row])
+
+
+class TestUnitIdRoundTrip:
+    """Population ids 1001, 1003, ... survive design -> estimate/oracle."""
+
+    IDS = [1001 + 2 * k for k in range(40)]
+
+    @pytest.fixture()
+    def designed(self, tmp_path, population_csv):
+        path, space = population_csv
+        pop = tmp_path / "pop_ids.csv"
+        write_population_ids(pop, space.coords, self.IDS)
+        outs = {}
+        for name, src in (("pos", path), ("ids", pop)):
+            outs[name] = tmp_path / f"design_{name}"
+            assert main(["design", "--population", str(src), "--seed", "3",
+                         "--out", str(outs[name])]) == 0
+        return path, pop, space, outs
+
+    def test_design_writes_population_ids(self, designed):
+        # the same rows as with positional ids, the unit ids relabelled
+        _, _, _, outs = designed
+        relabel = {str(k): str(u) for k, u in enumerate(self.IDS)}
+        for name, key in (("clusters.csv", "unit_id"),
+                          ("treatments.csv", "unit_id"), ("incidence.csv", "id")):
+            want = read_csv(outs["pos"] / name)
+            for row in want:
+                if row.get("kind", "phi") == "phi":
+                    row[key] = relabel[row[key]]
+            assert read_csv(outs["ids"] / name) == want
+
+    def test_oracle_reads_clusters_keyed_by_population_ids(
+            self, designed, tmp_path, capsys):
+        path, pop, _, outs = designed
+        clu = tmp_path / "clusters_ids.csv"
+        clu.write_text("unit_id,cluster_id\n" + "".join(
+            f"{self.IDS[int(r['unit_id'])]},{r['cluster_id']}\n"
+            for r in reversed(read_csv(outs["pos"] / "clusters.csv"))))
+        printed = []
+        for src, clusters in ((path, outs["pos"] / "clusters.csv"), (pop, clu)):
+            capsys.readouterr()
+            assert main(["oracle", "--population", str(src), "--clusters",
+                         str(clusters), "--h", "3.0"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("estimator", ["ht", "hajek", "ols"])
+    def test_estimate_reads_its_own_outputs(self, designed, tmp_path, estimator):
+        path, pop, space, outs = designed
+        outcomes = ss.make_sim_dgp(space, 5)
+        for src, name, ids in ((path, "pos", range(space.n)), (pop, "ids", self.IDS)):
+            treat = read_csv(outs[name] / "treatments.csv")
+            d = np.array([int(r["d"]) for r in treat])
+            Y = ss.realize(outcomes, d)
+            ocsv = tmp_path / f"outcomes_{name}.csv"
+            ocsv.write_text("unit_id,Y,d\n" + "".join(
+                f"{u},{y:.12g},{di}\n"
+                for u, y, di in reversed(list(zip(ids, Y, d)))))
+            assert [int(r["unit_id"]) for r in treat] == list(ids)
+            assert main(["estimate", "--population", str(src), "--outcomes",
+                         str(ocsv), "--clusters", str(outs[name] / "clusters.csv"),
+                         "--estimator", estimator,
+                         "--out", str(tmp_path / f"est_{name}.csv")]) == 0
+        assert (tmp_path / "est_pos.csv").read_bytes() == \
+            (tmp_path / "est_ids.csv").read_bytes()
+
+    def test_clusters_unknown_or_repeated_id_rejected(self, designed, tmp_path):
+        _, pop, _, outs = designed
+        rows = (outs["ids"] / "clusters.csv").read_text().splitlines()
+        cases = {"unknown": rows[:-1] + ["7,0"],
+                 "repeated": rows[:-1] + [rows[1]]}
+        for case, lines in cases.items():
+            clu = tmp_path / f"clusters_{case}.csv"
+            clu.write_text("\n".join(lines) + "\n")
+            want = "unit_id 7, which is not" if case == "unknown" else \
+                f"unit_id {self.IDS[0]} more than once"
+            with pytest.raises(SystemExit, match=f"clusters_{case}.csv.*{want}"):
+                main(["oracle", "--population", str(pop), "--clusters",
+                      str(clu), "--h", "3.0"])
+
+    def test_outcomes_unknown_id_rejected(self, designed, tmp_path):
+        _, pop, _, outs = designed
+        ocsv = tmp_path / "outcomes.csv"
+        ocsv.write_text("unit_id,Y,d\n" + "".join(
+            f"{u},1.0,0\n" for u in [0] + self.IDS[1:]))
+        with pytest.raises(SystemExit,
+                           match="outcomes.csv lists unit_id 0, which is not"):
+            main(["estimate", "--population", str(pop), "--outcomes", str(ocsv),
+                  "--clusters", str(outs["ids"] / "clusters.csv"),
+                  "--estimator", "ht"])
+
+    def test_population_repeated_id_rejected(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        pop.write_text("unit_id,x1\n5,0.0\n6,1.0\n5,2.0\n")
+        with pytest.raises(SystemExit, match="pop.csv lists unit_id 5 more than once"):
+            main(["design", "--population", str(pop), "--out",
+                  str(tmp_path / "out")])
+
+
+class TestDistanceTable:
+    """The i,j,dist loader names a missing or repeated pair."""
+
+    def _design(self, tmp_path, text):
+        pop = tmp_path / "dist.csv"
+        pop.write_text("i,j,dist\n" + text)
+        return main(["design", "--population", str(pop), "--out",
+                     str(tmp_path / "out")])
+
+    def test_missing_pair_named(self, tmp_path):
+        with pytest.raises(SystemExit,
+                           match=r"dist.csv has no distance for pair \(12, 10\)"):
+            self._design(tmp_path, "10,11,1.0\n11,10,1.0\n10,12,2.0\n"
+                                   "12,11,1.5\n11,12,1.5\n")
+
+    def test_repeated_pair_named(self, tmp_path):
+        with pytest.raises(SystemExit,
+                           match=r"dist.csv lists pair \(0, 1\) more than once"):
+            self._design(tmp_path, "0,1,1.0\n1,0,1.0\n0,1,3.0\n")
+
+    def test_complete_table_keeps_ids(self, tmp_path):
+        rows = [(10, 11, 1.0), (11, 10, 1.0), (10, 12, 2.0), (12, 10, 2.5),
+                (11, 12, 1.5), (12, 11, 1.5)]
+        assert self._design(tmp_path, "".join(f"{i},{j},{d}\n" for i, j, d in rows)) == 0
+        clusters = read_csv(tmp_path / "out" / "clusters.csv")
+        assert [r["unit_id"] for r in clusters] == ["10", "11", "12"]
+
+
 class TestOwWeightsCommand:
     def test_outputs_and_descent(self, tmp_path):
         space, _, _ = harness.build_population(12, 3)

@@ -6,6 +6,9 @@ from spillscale.design import (cluster_distances, draw_treatments,
                                extend_uniform_overlap, greedy_cover,
                                incidence, scaling_clusters, scaling_rule,
                                singleton_partition)
+from spillscale.estimators import dependency_graph
+from spillscale.harness import build_population
+from spillscale.owopt import interacting_pairs
 
 from conftest import line_space
 
@@ -111,6 +114,50 @@ class TestIncidence:
             assert counts.phi.sum() == counts.gamma.sum()
             assert counts.phi.min() >= 1
             assert counts.gamma.max() <= space.n
+
+
+class TestNeighborhoodProductsAgainstSets:
+    """The boolean products of incidence, dependency graph and interacting
+    pairs, against the set relations they stand for."""
+
+    @pytest.fixture(scope="class", params=["scaling_clusters", "singleton"])
+    def instance(self, request):
+        space, _, _ = build_population(120, 4)
+        h = scaling_rule(space.n, 1.0)
+        part = (scaling_clusters(space, h) if request.param == "scaling_clusters"
+                else singleton_partition(space.n))
+        return space, part, h
+
+    @staticmethod
+    def cluster_sets(space, part, s):
+        """Cluster ids meeting N(i, s), one set per unit."""
+        return [{int(part.assignment[j]) for j in space.neighborhood(i, s)}
+                for i in range(space.n)]
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_incidence(self, instance, scale):
+        space, part, h = instance
+        sets = self.cluster_sets(space, part, scale * h)
+        want = np.array([[c in row for c in range(part.n_clusters)]
+                         for row in sets])
+        counts = incidence(space, part, scale * h)
+        assert np.array_equal(counts.incidence, want)
+        assert counts.phi.tolist() == [len(row) for row in sets]
+
+    def test_dependency_graph(self, instance):
+        space, part, h = instance
+        sets = self.cluster_sets(space, part, h ** 1.1)
+        want = np.array([[bool(a & b) for b in sets] for a in sets])
+        assert np.array_equal(dependency_graph(space, part, h, 1.0, 0.1), want)
+
+    def test_interacting_pairs(self, instance):
+        space, part, h = instance
+        top = 2.0 * h
+        sets = self.cluster_sets(space, part, top)
+        want = [[i, j] for i in range(space.n) for j in range(i, space.n)
+                if sets[i] & sets[j]]
+        pairs = interacting_pairs(incidence(space, part, top).incidence)
+        assert pairs.tolist() == want
 
 
 class TestExtendUniformOverlap:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import spillscale as ss
+from spillscale.design import TAG_COORDS, rng_for, scaling_rule
 from spillscale.geometry import (GeometryError, audit_geometry,
-                                 audit_interference, build_space,
+                                 audit_interference, bool_matmul, build_space,
                                  build_space_from_dist,
                                  fit_interference_constant, greedy_packing,
-                                 greedy_set_cover)
+                                 greedy_set_cover, uniform_disk)
 
 from conftest import line_space
 
@@ -89,6 +90,47 @@ class TestNeighborhood:
             assert set(space.neighborhood(i, s)) == direct
 
 
+def int_product(a, b):
+    """Integer reference for bool_matmul: no float rounding anywhere."""
+    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+
+
+class TestBoolMatmul:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_integer_product(self, seed):
+        rng = np.random.default_rng(seed)
+        m, k, n = rng.integers(0, 40, size=3)
+        density = rng.choice([0.0, 0.01, 0.1, 0.5, 0.9, 1.0])
+        a = rng.uniform(size=(m, k)) < density
+        b = rng.uniform(size=(k, n)) < density
+        out = bool_matmul(a, b)
+        assert out.dtype == bool and out.shape == (m, n)
+        assert np.array_equal(out, int_product(a, b))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0),
+                                       (0, 0, 0)], ids=str)
+    def test_empty(self, shape):
+        m, k, n = shape
+        out = bool_matmul(np.ones((m, k), dtype=bool), np.ones((k, n), dtype=bool))
+        assert out.shape == (m, n) and not out.any()
+
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_constant_inputs(self, fill):
+        a = np.full((7, 300), fill)
+        b = np.full((300, 5), fill)
+        assert np.array_equal(bool_matmul(a, b), np.full((7, 5), fill))
+
+    def test_single_true_term_among_a_million(self):
+        k = 10 ** 6
+        a = np.zeros((2, k), dtype=bool)
+        b = np.zeros((k, 2), dtype=bool)
+        a[0, 765_431] = b[765_431, 1] = True
+        a[1, 12] = True                      # b[12] is false: no true term
+        out = bool_matmul(a, b)
+        assert out.tolist() == [[False, True], [False, False]]
+        assert np.array_equal(out, int_product(a, b))
+
+
 class TestAudits:
     def test_line_density_constant(self):
         # 20 points, unit spacing, s = 4 covers 4 on each side: |N| = 9
@@ -125,6 +167,17 @@ class TestAudits:
             pack = greedy_packing(members, M)
             inside = M[np.ix_(np.flatnonzero(members), pack)]
             assert inside.sum(axis=1).max() <= 1
+
+    def test_design_scale_constants_golden(self):
+        # the design-scale audit (n = 600, seed 7); values recorded from the
+        # boolean-matmul packing before it ran through bool_matmul
+        n = 600
+        space = build_space(uniform_disk(n, rng_for(7 + n, TAG_COORDS)))
+        h = scaling_rule(n, 1.0)
+        audit = audit_geometry(space, sorted({h, *np.geomspace(1.0, 50.0, 6)}),
+                               max_units=30)
+        assert (audit.k3_hat, audit.k4_hat, audit.k5_hat) == \
+            (4.0, 1.0456395525912727, 8.0)
 
     def test_passes_thresholds(self):
         space = line_space(20)
