@@ -36,6 +36,16 @@ def _repeated(values):
     return next((a for a, b in zip(values, values[1:]) if a == b), None)
 
 
+def _number(path, column, text, kind):
+    """kind(text) for one CSV cell (kind is int or float), or SystemExit
+    naming the file, the column and the bad value."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise SystemExit(f"{path}: {column} value {text!r} is not {noun}") from None
+
+
 def load_population(path):
     """Population CSV: either unit_id,x1..xq coordinates or i,j,dist table.
 
@@ -44,19 +54,28 @@ def load_population(path):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader)]
+        header = [h.strip().lower() for h in next(reader, [])]
         body = [row for row in reader if row]
+    ragged = next((row for row in body if len(row) != len(header)), None)
+    if ragged is not None:
+        raise SystemExit(f"{path}: row {ragged} has {len(ragged)} fields "
+                         f"for the {len(header)} columns {header}")
     try:
         if header[:1] == ["unit_id"] and len(header) >= 2:
-            body.sort(key=lambda r: int(r[0]))
-            ids = [int(r[0]) for r in body]
+            body = sorted(([_number(path, "unit_id", row[0], int)]
+                           + [_number(path, col, v, float)
+                              for col, v in zip(header[1:], row[1:])]
+                           for row in body), key=lambda row: row[0])
+            ids = [row[0] for row in body]
             repeated = _repeated(ids)
             if repeated is not None:
                 raise SystemExit(f"{path} lists unit_id {repeated} more than once")
-            coords = np.array([[float(v) for v in row[1:]] for row in body])
+            coords = np.array([row[1:] for row in body], dtype=float)
             return build_space(coords), ids
         if header == ["i", "j", "dist"]:
-            pairs = sorted((int(i), int(j)) for i, j, _ in body)
+            body = [(_number(path, "i", i, int), _number(path, "j", j, int),
+                     _number(path, "dist", d, float)) for i, j, d in body]
+            pairs = sorted((i, j) for i, j, _ in body)
             repeated = _repeated(pairs)
             if repeated is not None:
                 raise SystemExit(f"{path} lists pair {repeated} more than once")
@@ -65,9 +84,9 @@ def load_population(path):
             given = np.eye(len(ids), dtype=bool)
             dist = np.zeros((len(ids), len(ids)))
             for i, j, d in body:
-                a, b = remap[int(i)], remap[int(j)]
+                a, b = remap[i], remap[j]
                 given[a, b] = True
-                dist[a, b] = float(d)
+                dist[a, b] = d
             if not given.all():
                 a, b = np.argwhere(~given)[0]
                 raise SystemExit(f"{path} has no distance for pair "
@@ -95,8 +114,12 @@ def _unit_index(path, ids, rows):
 def load_clusters(path, ids):
     """clusters.csv (unit_id, cluster_id), keyed by the population's ids."""
     with open(path, newline="") as fh:
-        rows = [(int(r["unit_id"]), int(r["cluster_id"]))
-                for r in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        if not {"unit_id", "cluster_id"} <= set(reader.fieldnames or ()):
+            raise SystemExit(f"{path} must have unit_id and cluster_id columns")
+        rows = [tuple(_number(path, col, r[col], int)
+                      for col in ("unit_id", "cluster_id"))
+                for r in reader]
     assignment = np.full(len(ids), -1, dtype=np.int64)
     assignment[_unit_index(path, ids, [u for u, _ in rows])] = [c for _, c in rows]
     if np.any(assignment < 0):
@@ -114,19 +137,23 @@ def load_outcomes(path, ids):
     n = len(ids)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        cols = {name.strip().lower(): name for name in reader.fieldnames}
+        cols = {name.strip().lower(): name for name in reader.fieldnames or ()}
         if "y" not in cols or "d" not in cols:
             raise SystemExit(f"{path} must have Y and d columns")
         rows = list(reader)
     if len(rows) != n:
         raise SystemExit(f"{path} has {len(rows)} rows for {n} units")
+
+    def column(key, kind):
+        return [_number(path, cols[key], r[cols[key]], kind) for r in rows]
+
     if "unit_id" in cols:
-        pos = _unit_index(path, ids, [int(r[cols["unit_id"]]) for r in rows])
+        pos = _unit_index(path, ids, column("unit_id", int))
         rows = [rows[k] for k in np.argsort(pos)]
-    Y = np.array([float(r[cols["y"]]) for r in rows])
+    Y = np.array(column("y", float))
     if not np.all(np.isfinite(Y)):
         raise SystemExit(f"{path} has non-finite Y values")
-    d = np.array([int(r[cols["d"]]) for r in rows])
+    d = np.array(column("d", int))
     if not np.isin(d, (0, 1)).all():
         raise SystemExit(f"{path} has d values other than 0 and 1")
     return Y, d.astype(np.int8)
@@ -290,9 +317,16 @@ def cmd_replicate(args):
     _write(out / "results.csv", harness.results_csv(rows))
     _write(out / "slopes.csv", harness.slopes_csv(rows))
     for row in rows:
+        qp = row.ow_table
+        trace = "" if qp is None else \
+            f" qp_iters={qp.iterations} kkt={qp.kkt_residual:.3g}"
         print(f"n={row.n} design={row.design} est={row.estimator} "
               f"rmse={row.rmse:.6g} bias={row.bias:.6g} "
-              f"fail={row.fail_rate:.4g} [{row.seconds:.2f}s]")
+              f"fail={row.fail_rate:.4g}{trace} [{row.seconds:.2f}s]")
+        if qp is not None and not qp.converged:
+            print(f"warning: OW weights for n={row.n} design={row.design} did "
+                  f"not converge (qp_iters={qp.iterations}, "
+                  f"kkt={qp.kkt_residual:.3g})", file=sys.stderr)
     if args.assertion:
         slopes = harness.slopes_table(rows)
         if not all(_check_assertion(rows, slopes, e) for e in args.assertion):

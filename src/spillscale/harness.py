@@ -79,8 +79,10 @@ class ResultRow:
     rmse: float
     coverage: float | None
     seconds: float
+    ow_table: owopt.OwWeightTable | None = None     # the QP solve, OW rows only
 
-    # seconds is wall clock and would break byte-for-byte reruns
+    # seconds is wall clock and would break byte-for-byte reruns; the QP
+    # trace is stdout-only too
     CSV_COLUMNS = ("n", "design", "estimator", "reps_ok", "fail_rate",
                    "mean_est", "bias", "rmse", "coverage")
 
@@ -131,6 +133,7 @@ class CellResult:
     covers: dict                    # name -> (reps,) bool array (ci estimators)
     theta: float
     seconds: float
+    ow_table: owopt.OwWeightTable | None = None     # iterations, KKT residual
 
 
 def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
@@ -151,6 +154,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     core = [name for name in estimators if name != "ow"]
     need_ci = [name for name in core if name in ("hajek", "ols")]
 
+    ow_table = None
     if "ow" in estimators:
         budget = sim_budget(outcomes, space, eta,
                             s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
@@ -181,7 +185,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
 
     return CellResult(estimates=estimates, covers=covers,
                       theta=outcomes.theta,
-                      seconds=time.perf_counter() - t0)
+                      seconds=time.perf_counter() - t0, ow_table=ow_table)
 
 
 def summarize(cell: CellResult, n: int, design: str, reps: int) -> list:
@@ -200,7 +204,8 @@ def summarize(cell: CellResult, n: int, design: str, reps: int) -> list:
                               reps_ok=reps_ok,
                               fail_rate=float(1.0 - reps_ok / reps),
                               mean_est=mean_est, bias=bias, rmse=rmse,
-                              coverage=coverage, seconds=cell.seconds))
+                              coverage=coverage, seconds=cell.seconds,
+                              ow_table=cell.ow_table if name == "ow" else None))
     return rows
 
 

@@ -115,11 +115,13 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
     for lo in range(0, B_all.shape[0], _CHUNK):
         B = B_all[lo:lo + _CHUNK]
         w = weights_all[lo:lo + _CHUNK]
-        idx = stilde_indices(G, B)
+        # unit-major rows: each unit's draws are one contiguous run
+        idx = np.ascontiguousarray(stilde_indices(G, B).T)
+        hi = idx * S
         for i in range(n):
-            marg[i] += np.bincount(idx[:, i], weights=w, minlength=S)
-        for r, (i, j) in enumerate(pairs):
-            code = idx[:, i] * S + idx[:, j]
+            marg[i] += np.bincount(idx[i], weights=w, minlength=S)
+        for r, (i, j) in enumerate(pairs.tolist()):
+            code = hi[i] + idx[j]
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
     return SaturationTables(grid=grid_eff, marg=marg, pairs=pairs, joint=joint,
                             incidence=G, p=float(p), method=method,
@@ -200,21 +202,22 @@ def project_rows(V: np.ndarray, M: np.ndarray, r: float) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     n, S = V.shape
     beta = np.where(M > 0, V / np.where(M > 0, M, 1.0), -np.inf)
-    order = np.argsort(-beta, axis=1)
-    beta_s = np.take_along_axis(beta, order, axis=1)
-    mv_s = np.take_along_axis(M * V, order, axis=1)
-    mm_s = np.take_along_axis(M * M, order, axis=1)
+    rows = np.arange(n)
+    flat = np.argsort(-beta, axis=1) + S * rows[:, None]
+    beta_s = beta.ravel()[flat]
+    mv_s = (M * V).ravel()[flat]
+    mm_s = (M * M).ravel()[flat]
     cum_mv = np.cumsum(mv_s, axis=1)
     cum_mm = np.cumsum(mm_s, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam_k = (cum_mv - r) / cum_mm
-    upper = beta_s
+    # the mass sum_s m_s max(0, v_s - lam m_s) falls as lam grows, so lam
+    # lies on the first segment whose own solution is at or above the next
+    # breakpoint; the last segment's lower end is -inf
     lower = np.concatenate([beta_s[:, 1:], np.full((n, 1), -np.inf)], axis=1)
-    # boundary slack: a coordinate exactly at its breakpoint clips to zero
-    # either way, so accepting both adjacent segments is harmless
-    valid = (lam_k <= upper + 1e-12) & (lam_k >= lower - 1e-12) & (cum_mm > 0)
+    valid = (lam_k >= lower) & (cum_mm > 0)
     first = np.argmax(valid, axis=1)
-    lam = lam_k[np.arange(n), first]
+    lam = lam_k[rows, first]
     return np.maximum(0.0, V - lam[:, None] * M)
 
 
@@ -327,73 +330,78 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     Qt = Q / np.outer(sd, sd)
     mt = (marg.reshape(-1) / sd).reshape(n, S)
 
-    def f_w(wv):
-        return float(wv @ (Q @ wv))
-
     def proj_x(xv):
         return project_rows(xv.reshape(n, S), mt, r).reshape(-1)
 
     lmax = _power_lmax(Qt)
     step = 1.0 / max(2.0 * lmax, 1e-30)
 
-    def residual_x(xv):
-        g = 2.0 * (Qt @ xv)
-        return float(np.max(np.abs(xv - proj_x(xv - step * g))) / step)
+    def residual_x(xv, qv):
+        return float(np.max(np.abs(xv - proj_x(xv - step * 2.0 * qv))) / step)
 
+    # one matvec per iteration: qx = Qt @ x is carried, the momentum point's
+    # product follows by linearity, and x @ qx is the objective w'Qw
     x = proj_x(start.reshape(-1) * sd)
-    best_x = x.copy()
-    best_f = f_w(best_x / sd)
-    y = x.copy()
+    qx = Qt @ x
+    best_x = x
+    best_f = float(x @ qx)
+    y, qy = x, qx
     t = 1.0
     it = 0
-    res = residual_x(x)
+    res = residual_x(x, qx)
     while res > tol and it < max_iter:
         it += 1
-        x_new = proj_x(y - step * 2.0 * (Qt @ y))
+        x_new = proj_x(y - step * 2.0 * qy)
+        qx_new = Qt @ x_new
         if (y - x_new) @ (x_new - x) > 0.0:   # momentum points uphill
-            y = x_new.copy()
+            y, qy = x_new, qx_new
             t = 1.0
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * (x_new - x)
+            qy = qx_new + beta * (qx_new - qx)
             t = t_new
-        x = x_new
-        f_new = f_w(x_new / sd)
+        x, qx = x_new, qx_new
+        f_new = float(x @ qx)
         if f_new < best_f:
             best_f = f_new
-            best_x = x_new.copy()
+            best_x = x
         if it % 50 == 0:
-            res = residual_x(x)
+            res = residual_x(x, qx)
             if res > tol and it % 1000 == 0:
                 # projected step identifies the active face; refine on it
-                x_probe = proj_x(x - step * 2.0 * (Qt @ x))
+                x_probe = proj_x(x - step * 2.0 * qx)
                 cand = _active_set_polish(Qt, mt, r, x_probe, S)
                 if cand is not None:
-                    f_cand = f_w(cand / sd)
+                    q_cand = Qt @ cand
+                    f_cand = float(cand @ q_cand)
                     if f_cand <= best_f + 1e-12 * abs(best_f):
-                        cand_res = residual_x(cand)
+                        cand_res = residual_x(cand, q_cand)
                         if cand_res < res:
-                            x = cand
-                            y = cand.copy()
+                            x, qx = cand, q_cand
+                            y, qy = cand, q_cand
                             t = 1.0
                             res = cand_res
                         if f_cand < best_f:
                             best_f = f_cand
-                            best_x = cand.copy()
+                            best_x = cand
     # monotone tail from the best point: plain projected-gradient descent,
     # so the returned objective never exceeds the warm start's
-    if f_w(x / sd) > best_f:
-        x = best_x.copy()
-        res = residual_x(x)
+    if x @ qx > best_f:
+        x = best_x
+        qx = Qt @ x
+        res = residual_x(x, qx)
     while res > tol and it < max_iter:
         it += 1
-        x = proj_x(x - step * 2.0 * (Qt @ x))
+        x = proj_x(x - step * 2.0 * qx)
+        qx = Qt @ x
         if it % 50 == 0:
-            res = residual_x(x)
-    res = residual_x(x)
+            res = residual_x(x, qx)
+    res = residual_x(x, qx)
     w = x / sd
     return OwWeightTable(W=w.reshape(n, S), grid=None,
-                         objective_value=f_w(w), iterations=it,
+                         objective_value=float(w @ (Q @ w)), iterations=it,
                          kkt_residual=res, converged=res <= tol, p=float(p))
 
 

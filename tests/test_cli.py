@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale import harness
+from spillscale import harness, owopt
 from spillscale.cli import main
 
 
@@ -189,6 +192,74 @@ class TestInvalidPopulation:
         with pytest.raises(SystemExit, match=f"pop.csv: {reason}"):
             main(["design", "--population", str(pop), "--out",
                   str(tmp_path / "out")])
+
+
+class TestBadNumbers:
+    """A cell that does not parse as a number exits with a message naming
+    the file, the column and the value, not a traceback."""
+
+    FILES = {"pop.csv": "unit_id,x1\n0,0.0\n1,1.0\n",
+             "clusters.csv": "unit_id,cluster_id\n0,0\n1,1\n",
+             "outcomes.csv": "unit_id,Y,d\n0,1.0,1\n1,2.0,0\n"}
+
+    def _estimate(self, tmp_path, files):
+        """estimate on FILES, with the given files' texts replaced."""
+        for fname, text in {**self.FILES, **files}.items():
+            (tmp_path / fname).write_text(text)
+        return main(["estimate", "--population", str(tmp_path / "pop.csv"),
+                     "--outcomes", str(tmp_path / "outcomes.csv"),
+                     "--clusters", str(tmp_path / "clusters.csv"),
+                     "--estimator", "ht", "--h", "1.0"])
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("pop.csv", "\n1,1.0", "\na,1.0", "pop.csv: unit_id value 'a' is not an integer"),
+        ("pop.csv", "1,1.0", "1,east", "pop.csv: x1 value 'east' is not a number"),
+        ("clusters.csv", "\n1,1", "\n1.5,1", "clusters.csv: unit_id value '1.5' is not an integer"),
+        ("clusters.csv", "1,1", "1,x", "clusters.csv: cluster_id value 'x' is not an integer"),
+        ("outcomes.csv", "\n1,2.0", "\nb,2.0", "outcomes.csv: unit_id value 'b' is not an integer"),
+        ("outcomes.csv", "1.0,1\n", "1.0,1.0\n", "outcomes.csv: d value '1.0' is not an integer"),
+        ("outcomes.csv", "2.0,0", "high,0", "outcomes.csv: Y value 'high' is not a number"),
+    ], ids=["population_unit_id", "population_coordinate", "clusters_unit_id",
+            "clusters_cluster_id", "outcomes_unit_id", "outcomes_d", "outcomes_y"])
+    def test_named_in_message(self, tmp_path, name, old, new, message):
+        assert old in self.FILES[name]
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            self._estimate(tmp_path, {name: self.FILES[name].replace(old, new, 1)})
+
+    @pytest.mark.parametrize("text, message", [
+        ("i,j,dist\n0,1,1.0\n1,0,far\n", "dist value 'far' is not a number"),
+        ("i,j,dist\n0,1,1.0\nk,0,1.0\n", "i value 'k' is not an integer"),
+        ("unit_id,x1,x2\n0,0.0,0.0\n1,1.0\n", "row ['1', '1.0'] has 2 fields for the 3 columns"),
+    ], ids=["distance", "distance_unit", "ragged_row"])
+    def test_population_tables(self, tmp_path, text, message):
+        pop = tmp_path / "pop.csv"
+        pop.write_text(text)
+        with pytest.raises(SystemExit, match=re.escape(f"pop.csv: {message}")):
+            main(["design", "--population", str(pop), "--out",
+                  str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("pop.csv", "", "unrecognized population header in {path}: []"),
+        ("clusters.csv", "unit,cluster_id\n0,0\n1,1\n",
+         "{path} must have unit_id and cluster_id columns"),
+        ("outcomes.csv", "", "{path} must have Y and d columns"),
+    ], ids=["empty_population", "clusters_column", "empty_outcomes"])
+    def test_missing_header_named(self, tmp_path, name, text, message):
+        with pytest.raises(SystemExit,
+                           match=re.escape(message.format(path=tmp_path / name))):
+            self._estimate(tmp_path, {name: text})
+
+    def test_process_exits_one_without_traceback(self, tmp_path):
+        pop = tmp_path / "pop.csv"
+        pop.write_text("unit_id,x1\n0,0.0\na,1.0\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spillscale.cli", "design", "--population",
+             str(pop), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == f"{pop}: unit_id value 'a' is not an integer"
 
 
 def write_population_ids(path, coords, ids):
@@ -446,3 +517,32 @@ class TestReplicateCommand:
                    str(tmp_path / "z"),
                    "--assert", "rmse:ht:scaling_clusters:30 < 0"])
         assert rc == 3
+
+    def test_ow_qp_trace_and_non_convergence_warning(self, tmp_path, capsys,
+                                                     monkeypatch):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 20\ndesigns = scaling_clusters\n"
+                       "estimators = ht, ow\nreps = 10\nbase_seed = 3\n"
+                       "ow_mc_draws = 2000\n")
+
+        def replicate(out):
+            assert main(["replicate", "--config", str(cfg), "--out",
+                         str(tmp_path / out)]) == 0
+            return capsys.readouterr()
+
+        run = replicate("a")
+        lines = run.out.splitlines()
+        assert [" qp_iters=" in ln and " kkt=" in ln for ln in lines] == \
+            ["est=ow" in ln for ln in lines] == [False, True]
+        assert run.err == ""
+        header = (tmp_path / "a/results.csv").read_text().splitlines()[0]
+        assert header == ",".join(harness.ResultRow.CSV_COLUMNS)
+
+        solve = owopt.solve_qp
+        monkeypatch.setattr(owopt, "solve_qp",
+                            lambda *a, **k: solve(*a, **{**k, "max_iter": 1}))
+        run = replicate("b")
+        assert run.err.startswith("warning: OW weights for n=20 "
+                                  "design=scaling_clusters did not converge "
+                                  "(qp_iters=1, kkt=")
+        assert " qp_iters=1 kkt=" in run.out

@@ -3,10 +3,12 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness, owopt
-from spillscale.design import (draw_treatments, scaling_clusters,
+from spillscale.design import (TAG_TABLES, draw_treatments, rng_for,
+                               scaling_clusters, scaling_rule,
                                singleton_partition)
 from spillscale.estimators import ipw_ht, saturation
 from spillscale.oracle import enumerate_assignments
+from spillscale.outcomes import sim_budget
 from spillscale.owopt import (assemble_objective, ipw_weight_table,
                               objective_kernel, ow_estimate, project_rows,
                               saturation_tables, solve_qp, stilde_indices)
@@ -78,6 +80,36 @@ class TestSaturationTables:
         assert np.max(np.abs(exact.marg - mc.marg)) < 0.01
         assert np.max(np.abs(exact.joint - mc.joint)) < 0.01
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_tables_match_plain_pair_counts(self, method):
+        # independent of the table loop's bincounts: one weighted sum per
+        # (unit, size) and per (pair, size, size) over the same draws;
+        # 20000 draws span two table chunks
+        space, part = four_cluster_line()
+        p, draws, seed = 0.3, 20_000, 4
+        tab = saturation_tables(space, part, [2.0, 4.0], p, method=method,
+                                mc_draws=draws, seed=seed)
+        if method == "exact":
+            enum = enumerate_assignments(part, p)
+            B, w = enum.assignments, enum.probs
+        else:
+            u = rng_for(seed, TAG_TABLES).uniform(size=(draws, part.n_clusters))
+            B, w = (u < p).astype(np.int8), np.full(draws, 1.0 / draws)
+        idx = stilde_indices(tab.incidence, B)
+        S = tab.n_sizes
+        assert S == 3
+        at = [[idx[:, i] == s for s in range(S)] for i in range(space.n)]
+        for i in range(space.n):
+            for s in range(S):
+                assert tab.marg[i, s] == pytest.approx(
+                    w[at[i][s]].sum(), rel=1e-10, abs=1e-15)
+        assert len(tab.pairs) > space.n         # off-diagonal pairs present
+        for r, (i, j) in enumerate(tab.pairs):
+            for s in range(S):
+                for t in range(S):
+                    assert tab.joint[r, s, t] == pytest.approx(
+                        w[at[i][s] & at[j][t]].sum(), rel=1e-10, abs=1e-15)
+
     def test_exact_cutoff(self):
         space = line_space(21, spacing=3.0)
         part = singleton_partition(21)
@@ -132,6 +164,26 @@ class TestAssembleObjective:
         assert float(w @ Q @ w) == pytest.approx(direct, abs=1e-10)
 
 
+def bisection_projection(v, m, r):
+    """One row of project_rows by bisection on its multiplier lam: the mass
+    sum_s m_s max(0, v_s - lam m_s) is nonincreasing in lam."""
+    def mass(lam):
+        return float(np.sum(m * np.maximum(0.0, v - lam * m)))
+
+    lo, hi = -1.0, 1.0
+    while mass(lo) < r:
+        lo *= 2.0
+    while mass(hi) > r:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mass(mid) > r:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(0.0, v - 0.5 * (lo + hi) * m)
+
+
 class TestProjection:
     def test_satisfies_constraints(self):
         rng = np.random.default_rng(1)
@@ -156,6 +208,22 @@ class TestProjection:
             cand = np.abs(rng.normal(size=(3, 4)))
             cand *= (r / (cand * M).sum(axis=1))[:, None]
             assert np.linalg.norm(cand - V) >= np.linalg.norm(W - V) - 1e-9
+
+    @pytest.mark.parametrize("r", [0.5, 1e-6, 1e-12])
+    def test_matches_bisection(self, r):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            M = rng.uniform(0.01, 1.0, size=(6, 9))
+            M[rng.uniform(size=M.shape) < 0.25] = 0.0       # free coordinates
+            M[:, 0] = np.maximum(M[:, 0], 0.05)             # a feasible row
+            V = rng.normal(size=(6, 9))
+            V[1, :4] = 0.7 * M[1, :4]                       # four tied breakpoints
+            V[2] = -0.3 * M[2]                              # every breakpoint tied
+            V[3, ::2] = 1.1 * M[3, ::2]
+            W = project_rows(V, M, r)
+            want = np.array([bisection_projection(v, m, r) for v, m in zip(V, M)])
+            np.testing.assert_allclose(W, want, rtol=0, atol=1e-14)
+            np.testing.assert_allclose((W * M).sum(axis=1), r, rtol=1e-9, atol=1e-14)
 
 
 class TestSolveQp:
@@ -205,6 +273,32 @@ class TestSolveQp:
         # segments (the constraints are separable across units)
         best, _ = bruteforce_polytope_min(Q, tab.marg, p, n, start.W)
         assert abs(ow.objective_value - best) <= 1e-4
+
+
+class TestQpTrajectoryGolden:
+    """The seed-7 replicate cells at n = 40 and 60 with ow_mc_draws = 20000.
+
+    Iteration counts and objectives were recorded from the solver that ran
+    two matvecs per iteration; the one-matvec loop must stop at the same
+    iteration with the same objective to 12 digits.
+    """
+
+    PINS = {40: (2000, 218.88976954775939), 60: (2000, 191.45859302295844)}
+
+    @pytest.mark.parametrize("n", sorted(PINS))
+    def test_iterations_and_objective_pinned(self, n):
+        space, outcomes, _ = harness.build_population(n, 7 + n)
+        h = scaling_rule(n, 1.0, 1.0)
+        part = scaling_clusters(space, h)
+        budget = sim_budget(outcomes, space, 1.0,
+                            s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
+        _, start, ow = owopt.optimize_weights(
+            space, part, owopt.default_ow_grid(h), 0.5, budget, h,
+            method="mc", mc_draws=20_000, seed=7 + n)
+        iterations, objective = self.PINS[n]
+        assert ow.iterations == iterations
+        assert ow.objective_value == pytest.approx(objective, rel=1e-12)
+        assert ow.converged and ow.objective_value < start.objective_value
 
 
 class TestIpwWeightTable:
