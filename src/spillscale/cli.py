@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,23 @@ def _write(path: Path, text: str):
 def _repeated(values):
     """First value listed more than once in a sorted sequence, else None."""
     return next((a for a, b in zip(values, values[1:]) if a == b), None)
+
+
+def _checked(kind, ok, what):
+    """argparse type: kind(text), rejected (exit 2) unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names it in "invalid ... value"
+    return parse
+
+
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_level = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_count = _checked(int, lambda v: v > 0, "a positive integer")
 
 
 def _number(path, column, text, kind):
@@ -255,11 +273,9 @@ def cmd_oracle(args):
     enum = oracle.enumerate_assignments(partition, args.p)
     ctx = DesignContext(space, partition, h, args.p, args.eta)
 
-    def run(b):
-        d = np.asarray(b)[partition.assignment]
-        est = getattr(DrawBlock(ctx, realize(outcomes, d), d, b),
-                      args.estimator)[0]
-        return None if np.isnan(est) else est
+    def run(B):
+        Y = realize(outcomes, B[:, partition.assignment].T)
+        return getattr(DrawBlock(ctx, Y, B=B.T), args.estimator)
 
     res = oracle.exact_expectation(run, enum)
     print(f"estimator={args.estimator} n={space.n} C={partition.n_clusters} "
@@ -340,9 +356,9 @@ def build_parser():
 
     d = sub.add_parser("design", help="build a scaling-clusters partition")
     d.add_argument("--population", required=True)
-    d.add_argument("--eta", type=float, default=1.0)
-    d.add_argument("--c0", type=float, default=1.0)
-    d.add_argument("--p", type=float, default=0.5)
+    d.add_argument("--eta", type=_positive, default=1.0)
+    d.add_argument("--c0", type=_positive, default=1.0)
+    d.add_argument("--p", type=_probability, default=0.5)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_design)
@@ -353,11 +369,11 @@ def build_parser():
     e.add_argument("--clusters", required=True)
     e.add_argument("--estimator", required=True,
                    choices=["ht", "hajek", "ols", "shrink"])
-    e.add_argument("--eta", type=float, default=1.0)
-    e.add_argument("--c0", type=float, default=1.0)
-    e.add_argument("--h", type=float, default=None)
-    e.add_argument("--p", type=float, default=0.5)
-    e.add_argument("--ci-level", type=float, default=0.95, dest="ci_level")
+    e.add_argument("--eta", type=_positive, default=1.0)
+    e.add_argument("--c0", type=_positive, default=1.0)
+    e.add_argument("--h", type=_positive, default=None)
+    e.add_argument("--p", type=_probability, default=0.5)
+    e.add_argument("--ci-level", type=_level, default=0.95, dest="ci_level")
     e.add_argument("--guess-seed", type=int, default=0, dest="guess_seed")
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_estimate)
@@ -365,16 +381,16 @@ def build_parser():
     w = sub.add_parser("ow-weights", help="solve the optimal weighting program")
     w.add_argument("--population", required=True)
     w.add_argument("--clusters", required=True)
-    w.add_argument("--eta", type=float, required=True)
-    w.add_argument("--k1", type=float, required=True)
-    w.add_argument("--ybar", type=float, required=True)
-    w.add_argument("--p", type=float, default=0.5)
-    w.add_argument("--h", type=float, default=None)
-    w.add_argument("--c0", type=float, default=1.0)
+    w.add_argument("--eta", type=_positive, required=True)
+    w.add_argument("--k1", type=_positive, required=True)
+    w.add_argument("--ybar", type=_positive, required=True)
+    w.add_argument("--p", type=_probability, default=0.5)
+    w.add_argument("--h", type=_positive, default=None)
+    w.add_argument("--c0", type=_positive, default=1.0)
     w.add_argument("--grid", default=None,
                    help="comma-separated sizes; default h*2^(-5..2)")
     w.add_argument("--method", choices=["exact", "mc"], default="mc")
-    w.add_argument("--mc-draws", type=int, default=100_000, dest="mc_draws")
+    w.add_argument("--mc-draws", type=_count, default=100_000, dest="mc_draws")
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_ow_weights)
@@ -383,10 +399,10 @@ def build_parser():
     o.add_argument("--population", required=True)
     o.add_argument("--clusters", required=True)
     o.add_argument("--estimator", default="ht", choices=["ht", "hajek"])
-    o.add_argument("--p", type=float, default=0.5)
-    o.add_argument("--eta", type=float, default=1.0)
-    o.add_argument("--c0", type=float, default=1.0)
-    o.add_argument("--h", type=float, default=None)
+    o.add_argument("--p", type=_probability, default=0.5)
+    o.add_argument("--eta", type=_positive, default=1.0)
+    o.add_argument("--c0", type=_positive, default=1.0)
+    o.add_argument("--h", type=_positive, default=None)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--dump-matrices", default=None, dest="dump_matrices")
     o.set_defaults(func=cmd_oracle)
@@ -403,7 +419,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except oracle.EnumerationError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

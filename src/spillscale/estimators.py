@@ -34,8 +34,6 @@ from .outcomes import GuessMatrix
 class EstimatorUndefinedError(RuntimeError):
     """Draw on which the estimator is undefined; callers record a failure."""
 
-    undefined_draw = True
-
     def __init__(self, reason: str, message: str = ""):
         self.reason = reason
         super().__init__(message or reason)

@@ -21,7 +21,8 @@ from .design import (TAG_COORDS, TAG_TREAT, ClusterPartition, rng_for,
                      scaling_clusters, scaling_rule, singleton_partition)
 from .estimators import DesignContext, DrawBlock, half_width
 from .geometry import PremetricSpace, build_space, uniform_disk
-from .outcomes import GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp, sim_budget
+from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
+                       realize, sim_budget)
 
 DESIGNS = ("scaling_clusters", "iid")
 ESTIMATORS = ("ht", "hajek", "ols", "shrink", "ow")
@@ -42,7 +43,7 @@ class ExperimentConfig:
     p: float = 0.5
     reps: int = 2000
     base_seed: int = 0
-    grid_factors: list = field(default_factory=lambda: [2.0 ** k for k in range(-5, 3)])
+    grid_factors: tuple = owopt.OW_GRID_FACTORS
     ci_level: float = 0.95
     epsilon: float = 0.1
     ow_max_n: int = 120
@@ -64,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError("eta and c0 must be positive")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("ci_level must be in (0, 1)")
+        if not self.grid_factors or min(self.grid_factors) <= 0:
+            raise ConfigError("grid_factors must be nonempty and positive")
         return self
 
 
@@ -138,7 +141,8 @@ class CellResult:
 
 def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     estimators, ci_level=0.95, epsilon=0.1, eta=1.0,
-                    ow_mc_draws=100_000, grid_factors=None) -> CellResult:
+                    ow_mc_draws=100_000,
+                    grid_factors=owopt.OW_GRID_FACTORS) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
     Replicate r uses treatment seed base_seed + r.  Estimator failures
@@ -147,7 +151,6 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     """
     t0 = time.perf_counter()
     n = space.n
-    eps_b0 = outcomes.eps + outcomes.beta0
     ctx = DesignContext(space, partition, h, p, eta, epsilon)
     if "ols" in estimators or "shrink" in estimators:
         ctx.extended        # built first, so HT and Hajek reuse its base counts
@@ -158,8 +161,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     if "ow" in estimators:
         budget = sim_budget(outcomes, space, eta,
                             s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
-        grid = ([h * f for f in grid_factors] if grid_factors
-                else owopt.default_ow_grid(h))
+        grid = [h * f for f in grid_factors]
         tables, _, ow_table = owopt.optimize_weights(
             space, partition, grid, p, budget, h, method="mc",
             mc_draws=ow_mc_draws, seed=base_seed + n)
@@ -171,7 +173,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         seeds = range(base_seed + lo, base_seed + min(lo + BLOCK, reps))
         B = draw_bits_batch(partition.n_clusters, p, list(seeds))
         D = B[:, partition.assignment].T.astype(np.float64)     # n x m
-        Y = outcomes.A @ D + eps_b0[:, None]
+        Y = realize(outcomes, D)
         block = DrawBlock(ctx, Y, D, B.T, guess=guess)
         sl = slice(lo, lo + D.shape[1])
         for name in core:
@@ -279,7 +281,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 if key == "n_list":
                     kwargs[key] = [int(v) for v in items]
                 elif key == "grid_factors":
-                    kwargs[key] = [float(v) for v in items]
+                    kwargs[key] = tuple(float(v) for v in items)
                 else:
                     kwargs[key] = items
             elif key in _INT_FIELDS:

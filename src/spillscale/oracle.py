@@ -15,6 +15,7 @@ import numpy as np
 from .design import ClusterPartition
 
 MAX_EXACT_CLUSTERS = 20
+BLOCK = 4096                    # assignments per call of an expectation's fn
 
 
 class EnumerationError(ValueError):
@@ -42,7 +43,8 @@ def enumerate_assignments(partition: ClusterPartition, p: float) -> AssignmentEn
     C = partition.n_clusters
     if C > MAX_EXACT_CLUSTERS:
         raise EnumerationError(
-            f"exact enumeration needs C <= {MAX_EXACT_CLUSTERS}, got {C}")
+            f"exact enumeration needs C <= {MAX_EXACT_CLUSTERS} clusters, "
+            f"got C = {C}")
     codes = np.arange(2 ** C, dtype=np.int64)
     bits = ((codes[:, None] >> np.arange(C)) & 1).astype(np.int8)
     k = bits.sum(axis=1).astype(float)
@@ -60,27 +62,22 @@ class ExactExpectation:
 
 
 def exact_expectation(fn, enumeration: AssignmentEnumeration) -> ExactExpectation:
-    """E[fn(b)] by direct summation; partial fns are handled by conditioning.
+    """E[fn(B)] by direct summation over every assignment.
 
-    fn may signal an undefined draw by returning None or raising an
-    exception carrying ``undefined_draw = True`` (the estimator errors do);
-    the result is then the conditional expectation plus P(defined).
+    fn is called once per block of BLOCK consecutive rows of
+    ``enumeration.assignments``: it maps an m x C int8 block to an (m,)
+    array, NaN where it is undefined (the signal `DrawBlock` gives).  The
+    result is the expectation conditional on fn being defined, plus
+    P(defined).
     """
-    total = 0.0
-    mass = 0.0
-    for b, w in zip(enumeration.assignments, enumeration.probs):
-        try:
-            value = fn(b)
-        except Exception as exc:  # noqa: BLE001 - only undefined-draw errors pass
-            if getattr(exc, "undefined_draw", False):
-                value = None
-            else:
-                raise
-        if value is None:
-            continue
-        total += w * float(value)
-        mass += w
+    values = np.hstack([fn(enumeration.assignments[lo:lo + BLOCK])
+                        for lo in range(0, enumeration.count, BLOCK)])
+    if values.shape != (enumeration.count,):
+        raise ValueError(f"fn gave values of shape {values.shape} for "
+                         f"{enumeration.count} assignments")
+    ok = ~np.isnan(values)
+    mass = float(enumeration.probs[ok].sum())
     if mass == 0.0:
         raise ValueError("fn undefined on every assignment")
-    return ExactExpectation(mean=total / mass, p_defined=mass)
-
+    return ExactExpectation(mean=float(enumeration.probs[ok] @ values[ok]) / mass,
+                            p_defined=mass)

@@ -117,13 +117,17 @@ def make_guess(space: PremetricSpace, seed: int, scale: float = 1.1,
 
 
 def realize(outcomes, d) -> np.ndarray:
-    """Outcome vector under the full treatment assignment d."""
+    """Outcome vector under the full treatment assignment d; for a linear
+    model d may also be an n x m block, one assignment per column."""
     d = np.asarray(d)
-    if d.shape != (outcomes.n,):
-        raise ValueError(f"treatment vector must have shape ({outcomes.n},)")
-    if isinstance(outcomes, LinearOutcomes):
-        return outcomes.beta0 + outcomes.A @ d.astype(float) + outcomes.eps
-    return outcomes(d)
+    linear = isinstance(outcomes, LinearOutcomes)
+    if d.shape[:1] != (outcomes.n,) or d.ndim > (2 if linear else 1):
+        raise ValueError(f"treatment must have shape ({outcomes.n},), or "
+                         f"({outcomes.n}, m) for a linear model")
+    if not linear:
+        return outcomes(d)
+    Ad = outcomes.A @ d.astype(float, copy=False)
+    return (Ad.T + (outcomes.eps + outcomes.beta0)).T    # offset of each row
 
 
 def age(outcomes) -> float:

@@ -22,6 +22,7 @@ from .geometry import InterferenceBudget, PremetricSpace, bool_matmul
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
+OW_GRID_FACTORS = tuple(2.0 ** k for k in range(-5, 3))     # default grid / h
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +429,7 @@ def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
 
 def default_ow_grid(h: float) -> list:
     """Size grid h * 2**k for k = -5..2 (the floor is added downstream)."""
-    return [float(h) * 2.0 ** k for k in range(-5, 3)]
+    return [float(h) * f for f in OW_GRID_FACTORS]
 
 
 def ow_estimates(weights: OwWeightTable, idx, D, Y) -> np.ndarray:

@@ -27,6 +27,11 @@ def small_exact_instance():
     raise RuntimeError("no size parameter yields 6 clusters on this population")
 
 
+def per_row(fn):
+    """Block form of a one-assignment closure, for `exact_expectation`."""
+    return lambda B: np.array([fn(b) for b in B], dtype=float)
+
+
 def line_space(n, spacing=1.0):
     """Collinear points in R^1 with the given spacing."""
     return ss.build_space(np.arange(n, dtype=float).reshape(-1, 1) * spacing)

@@ -23,7 +23,7 @@ from spillscale.geometry import audit_geometry, fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize, sim_budget
 
-from conftest import bruteforce_polytope_min
+from conftest import bruteforce_polytope_min, per_row
 
 pytestmark = pytest.mark.acceptance
 
@@ -82,7 +82,7 @@ class TestCriterion1And2Oracle:
             return float(np.sum(y1 * sat / p ** phi
                                 - y0 * dis / (1 - p) ** phi) / 10)
 
-        got = exact_expectation(pure_outcome_sum, enum).mean
+        got = exact_expectation(per_row(pure_outcome_sum), enum).mean
         elapsed = time.perf_counter() - t0
         err = abs(got - outcomes.theta)
         ok = err <= 1e-10 and elapsed < 1.0
@@ -101,7 +101,7 @@ class TestCriterion1And2Oracle:
             Y = realize(outcomes, d)
             return ss.ipw_ht(Y, d, space, part, g, p).estimate
 
-        mean = exact_expectation(ht, enum).mean
+        mean = exact_expectation(per_row(ht), enum).mean
         k1 = fit_interference_constant(
             outcomes.A, space, 1.0,
             s_grid=sorted({g, *np.geomspace(0.5, 20.0, 10)}))

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale import harness, owopt
-from spillscale.cli import main
+from spillscale import harness, oracle, owopt
+from spillscale.cli import load_population, main
+from spillscale.estimators import EstimatorUndefinedError
+from spillscale.oracle import enumerate_assignments
 
 
 def write_population(path, coords):
@@ -474,6 +476,132 @@ class TestOracleCommand:
         A = np.loadtxt(dump / "A.csv", delimiter=",")
         assert A.shape == (6, 6)
         assert A.sum() / 6 == pytest.approx(2.0, abs=1e-9)
+
+
+class TestOracleBlocks:
+    """`oracle` sums the batched estimator core over blocks of assignments."""
+
+    @staticmethod
+    def _write(tmp_path, space_coords, assignment):
+        pop, clu = tmp_path / "pop.csv", tmp_path / "clusters.csv"
+        write_population(pop, space_coords)
+        clu.write_text("unit_id,cluster_id\n" + "".join(
+            f"{i},{c}\n" for i, c in enumerate(assignment)))
+        return pop, clu
+
+    @staticmethod
+    def _recorded(monkeypatch, on_block=None):
+        """The full-precision results of every exact_expectation call."""
+        results = []
+        exact = oracle.exact_expectation
+
+        def recording(fn, enum):
+            def block_fn(B):
+                if on_block is not None:
+                    on_block(B)
+                return fn(B)
+            results.append(exact(block_fn, enum))
+            return results[-1]
+
+        monkeypatch.setattr(oracle, "exact_expectation", recording)
+        return results
+
+    @pytest.mark.parametrize("estimator", ["ht", "hajek"])
+    def test_matches_per_assignment_reference(self, tmp_path, capsys,
+                                              monkeypatch, estimator):
+        space0, _, _ = harness.build_population(30, 4)
+        part = ss.scaling_clusters(space0, 4.0)
+        pop, clu = self._write(tmp_path, space0.coords, part.assignment)
+        space, _ = load_population(pop)
+        h, p, seed = 3.0, 0.4, 3
+        outcomes = ss.make_sim_dgp(space, seed)
+        single = {"ht": ss.ipw_ht, "hajek": ss.hajek}[estimator]
+        enum = enumerate_assignments(part, p)
+        total = mass = 0.0
+        for b, w in zip(enum.assignments, enum.probs):
+            d = b[part.assignment]
+            try:
+                est = single(ss.realize(outcomes, d), d, space, part, h, p)
+            except EstimatorUndefinedError:
+                continue
+            total += w * est.estimate
+            mass += w
+
+        results = self._recorded(monkeypatch)
+        assert main(["oracle", "--population", str(pop), "--clusters",
+                     str(clu), "--estimator", estimator, "--p", str(p),
+                     "--h", str(h), "--seed", str(seed)]) == 0
+        [res] = results
+        assert part.n_clusters == 8
+        assert (mass < 1.0 - 1e-9) == (estimator == "hajek")
+        assert res.p_defined == pytest.approx(mass, rel=1e-12)
+        assert res.mean == pytest.approx(total / mass, rel=1e-12)
+        assert (f"exact_mean={res.mean:.12g} p_defined={res.p_defined:.12g}"
+                in capsys.readouterr().out)
+
+    def test_completes_at_the_cap(self, tmp_path, capsys, monkeypatch):
+        # 20 singleton clusters: 2**20 assignments, one call per block
+        C = oracle.MAX_EXACT_CLUSTERS
+        pop, clu = self._write(tmp_path, 3.0 * np.arange(C)[:, None], range(C))
+        blocks = []
+        results = self._recorded(monkeypatch, lambda B: blocks.append(B.shape))
+        assert main(["oracle", "--population", str(pop), "--clusters",
+                     str(clu), "--h", "1.0"]) == 0
+        assert blocks == [(oracle.BLOCK, C)] * (2 ** C // oracle.BLOCK)
+        assert results[0].p_defined == pytest.approx(1.0, rel=1e-12)
+        assert f"C={C} " in capsys.readouterr().out
+
+
+class TestArgumentRanges:
+    """Out-of-range numbers stop at parsing (exit 2); a partition too large
+    to enumerate exits 1 with a message naming C and the cap."""
+
+    @staticmethod
+    def _argv(tmp_path, command, n=2):
+        files = {"pop": "unit_id,x1\n" + "".join(f"{i},{3.0 * i}\n" for i in range(n)),
+                 "clusters": "unit_id,cluster_id\n" + "".join(
+                     f"{i},{i}\n" for i in range(n)),
+                 "outcomes": "unit_id,Y,d\n" + "".join(
+                     f"{i},{i + 1.0},{i % 2}\n" for i in range(n))}
+        path = {}
+        for name, text in files.items():
+            path[name] = str(tmp_path / f"{name}.csv")
+            (tmp_path / f"{name}.csv").write_text(text)
+        out = str(tmp_path / "out")
+        rest = {"design": ["--out", out],
+                "estimate": ["--outcomes", path["outcomes"], "--clusters",
+                             path["clusters"], "--estimator", "hajek"],
+                "ow-weights": ["--clusters", path["clusters"], "--eta", "1.0",
+                               "--k1", "1.0", "--ybar", "2.0",
+                               "--mc-draws", "200", "--out", out],
+                "oracle": ["--clusters", path["clusters"], "--h", "1.0"]}
+        return [command, "--population", path["pop"]] + rest[command]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("estimate", "--p", "1.5"),
+        ("estimate", "--ci-level", "1.5"),
+        ("design", "--p", "1.5"),
+        ("design", "--c0", "-1"),
+        ("estimate", "--h", "-1"),
+        ("estimate", "--eta", "0"),
+        ("ow-weights", "--eta", "-1"),
+        ("oracle", "--p", "0"),
+    ], ids=["estimate_p", "estimate_ci_level", "design_p", "design_c0",
+            "estimate_h", "estimate_eta", "ow_weights_eta", "oracle_p"])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(tmp_path, command) + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value} is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("oracle", []), ("ow-weights", ["--method", "exact"])],
+        ids=["oracle", "ow_weights_exact"])
+    def test_too_many_clusters_exits_1(self, tmp_path, command, extra):
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{command}: exact enumeration needs C <= 20 clusters, "
+                f"got C = 60")):
+            main(self._argv(tmp_path, command, n=60) + extra)
 
 
 CONFIG = """

@@ -15,7 +15,7 @@ from spillscale.geometry import fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize
 
-from conftest import line_space
+from conftest import line_space, per_row
 
 
 def saturated_outcome_sum(outcomes, space, partition, h, p):
@@ -60,7 +60,7 @@ class TestIpwHt:
         space, outcomes, _, part, g = small_exact_instance
         enum = enumerate_assignments(part, 0.5)
         fn = saturated_outcome_sum(outcomes, space, part, g, 0.5)
-        res = exact_expectation(fn, enum)
+        res = exact_expectation(per_row(fn), enum)
         assert res.p_defined == pytest.approx(1.0, abs=1e-12)
         assert res.mean == pytest.approx(outcomes.theta, abs=1e-10)
 
@@ -75,7 +75,7 @@ class TestIpwHt:
             Y = realize(outcomes, d)
             return ipw_ht(Y, d, space, part, g, p).estimate
 
-        mean = exact_expectation(ht, enum).mean
+        mean = exact_expectation(per_row(ht), enum).mean
         k1 = fit_interference_constant(
             outcomes.A, space, 1.0, s_grid=sorted({g, 1.0, 2.0, 5.0, 10.0}))
         bound = 2 * k1 * g ** -1.0 / (p * (1 - p)) ** counts.phi_max

@@ -79,6 +79,21 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(outcomes, np.zeros(29, dtype=int))
 
+    def test_block_is_one_assignment_per_column(self):
+        _, outcomes, _ = harness.build_population(30, 2)
+        outcomes = make_linear(outcomes.A, outcomes.eps, beta0=1.5)
+        D = (np.random.default_rng(3).uniform(size=(30, 7)) < 0.5).astype(np.int8)
+        Y = realize(outcomes, D)
+        assert Y.shape == (30, 7)
+        for k in range(7):
+            assert np.allclose(Y[:, k], realize(outcomes, D[:, k]),
+                               rtol=1e-14, atol=1e-14)
+
+    def test_block_needs_a_linear_model(self):
+        oracle = ss.OutcomeOracle(n=3, evaluator=lambda d: d * 2.0)
+        with pytest.raises(ValueError, match=r"\(3, m\) for a linear model"):
+            realize(oracle, np.ones((3, 2), dtype=int))
+
 
 class TestAge:
     def test_zero_matrix(self):
