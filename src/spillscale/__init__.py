@@ -6,8 +6,8 @@ from .design import (ClusterPartition, DesignDraw, ExtendedNeighborhoods,
                      greedy_cover, incidence, scaling_clusters, scaling_rule,
                      singleton_partition)
 from .estimators import (EstimateReport, EstimatorUndefinedError,
-                         ExposureVector, SaturationProfile, exposure, hajek,
-                         ipw_ht, ols, saturation, shrinkage, variance_ci)
+                         ExposureVector, exposure, hajek, ipw_ht, ols,
+                         shrinkage, variance_ci)
 from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
                        audit_geometry, audit_interference, build_space,
                        build_space_from_dist, uniform_disk)

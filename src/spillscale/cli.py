@@ -20,7 +20,8 @@ import numpy as np
 from . import harness, oracle, owopt
 from .design import (ClusterPartition, cluster_bits, draw_treatments,
                      incidence, scaling_clusters, scaling_rule)
-from .estimators import UNDEFINED, DesignContext, DrawBlock, interval
+from .estimators import (UNDEFINED, DesignContext, DrawBlock, check_hac_window,
+                         interval)
 from .geometry import (GeometryError, InterferenceBudget, build_space,
                        build_space_from_dist)
 from .outcomes import make_guess, make_sim_dgp, realize
@@ -52,6 +53,17 @@ _probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _level = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _count = _checked(int, lambda v: v > 0, "a positive integer")
+
+
+def _sizes(text):
+    """argparse type: comma-separated sizes, rejected (exit 2) unless each
+    is a positive finite number."""
+    try:
+        return [_positive(v) for v in text.split(",") if v.strip()]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"{text} is not a comma-separated list of positive finite "
+            f"numbers") from None
 
 
 def _number(path, column, text, kind):
@@ -200,6 +212,14 @@ def cmd_design(args):
 
 
 def cmd_estimate(args):
+    want_ci = args.estimator in ("hajek", "ols") and args.ci_level > 0
+    if want_ci:
+        try:
+            check_hac_window(args.eta)
+        except ValueError as exc:
+            print(f"estimate: {exc}; raise --eta, or pass --ci-level 0 to "
+                  f"skip the interval", file=sys.stderr)
+            return 2
     space, ids = load_population(args.population)
     partition = load_clusters(args.clusters, ids)
     Y, d = load_outcomes(args.outcomes, ids)
@@ -217,7 +237,7 @@ def cmd_estimate(args):
     flags = []
     if np.isnan(estimate):
         estimate, flags = "", [UNDEFINED[args.estimator][0]]
-    elif args.estimator in ("hajek", "ols") and args.ci_level > 0:
+    elif want_ci:
         vr = interval(estimate, block.variance(args.estimator)[0], args.ci_level)
         var, (_, lo, hi) = vr.variance_hat, vr.ci
         flags = ["variance_truncated"] if vr.truncated else []
@@ -235,8 +255,7 @@ def cmd_ow_weights(args):
     space, ids = load_population(args.population)
     partition = load_clusters(args.clusters, ids)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
-    grid = ([float(v) for v in args.grid.split(",") if v.strip()]
-            if args.grid else owopt.default_ow_grid(h))
+    grid = args.grid or owopt.default_ow_grid(h)
     budget = InterferenceBudget(eta=args.eta, k1=args.k1, ybar=args.ybar)
     tables, start, ow = owopt.optimize_weights(
         space, partition, grid, args.p, budget, h, method=args.method,
@@ -387,7 +406,7 @@ def build_parser():
     w.add_argument("--p", type=_probability, default=0.5)
     w.add_argument("--h", type=_positive, default=None)
     w.add_argument("--c0", type=_positive, default=1.0)
-    w.add_argument("--grid", default=None,
+    w.add_argument("--grid", type=_sizes, default=None,
                    help="comma-separated sizes; default h*2^(-5..2)")
     w.add_argument("--method", choices=["exact", "mc"], default="mc")
     w.add_argument("--mc-draws", type=_count, default=100_000, dest="mc_draws")

@@ -30,6 +30,8 @@ from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
 from .geometry import PremetricSpace, bool_matmul
 from .outcomes import GuessMatrix
 
+HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
+
 
 class EstimatorUndefinedError(RuntimeError):
     """Draw on which the estimator is undefined; callers record a failure."""
@@ -53,15 +55,6 @@ class ExposureVector:
 
     T: np.ndarray
     phi_used: int
-
-
-@dataclass(frozen=True)
-class SaturationProfile:
-    """Largest grid size at which each unit's neighborhood is pure."""
-
-    grid: np.ndarray                # ascending, grid[0] is the floor s0
-    s_tilde: np.ndarray
-    idx: np.ndarray                 # index of s_tilde in grid
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,9 @@ class DesignContext:
     command; nothing is cached across contexts."""
 
     def __init__(self, space: PremetricSpace, partition: ClusterPartition,
-                 h, p: float, eta: float = 1.0, epsilon: float = 0.1):
+                 h, p: float, eta: float = 1.0):
         self.space, self.partition = space, partition
-        self.h, self.p, self.eta, self.epsilon = h, p, eta, epsilon
+        self.h, self.p, self.eta = h, p, eta
 
     @cached_property
     def extended(self) -> ExtendedNeighborhoods:
@@ -107,8 +100,7 @@ class DesignContext:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        return dependency_graph(self.space, self.partition, self.h, self.eta,
-                                self.epsilon)
+        return dependency_graph(self.space, self.partition, self.h, self.eta)
 
 
 class DrawBlock:
@@ -243,14 +235,6 @@ def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:
                           truncated=bool(sigma2 < 0.0))
 
 
-def saturation_indicators(space: PremetricSpace, d, h) -> tuple[np.ndarray, np.ndarray]:
-    """(saturated, dissaturated) flags of each unit's size-h neighborhood,
-    unit by unit: the partition-free reference for `DrawBlock.pure`."""
-    M = space.neighborhood_matrix(h).astype(np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    return M @ (1.0 - d) == 0.0, M @ d == 0.0
-
-
 def _pure_comparison(name, Y, d, space, partition, h, p) -> EstimateReport:
     """One draw of "ht" or "hajek", with the purity counts behind it."""
     block = DrawBlock(DesignContext(space, partition, h, p), Y,
@@ -339,36 +323,29 @@ def effective_grid(space: PremetricSpace, grid) -> np.ndarray:
     return np.concatenate([[s0], grid[grid > s0]])
 
 
-def saturation(space: PremetricSpace, d, grid) -> SaturationProfile:
-    """Largest grid size whose neighborhood is fully treated or untreated."""
-    grid_eff = effective_grid(space, grid)
-    idx = np.zeros(space.n, dtype=np.int64)
-    alive = np.ones(space.n, dtype=bool)   # purity is monotone down the grid
-    for k, s in enumerate(grid_eff):
-        sat, dis = saturation_indicators(space, d, s)
-        alive &= sat | dis
-        idx[alive] = k
-    return SaturationProfile(grid=grid_eff, s_tilde=grid_eff[idx], idx=idx)
+def check_hac_window(eta: float):
+    """Raise ValueError unless HAC_EPSILON lies in (0, 2*eta/3), i.e. eta >
+    0.15: the window in which the inflation keeps the variance estimator
+    consistent even for slow decay (eta < 1)."""
+    if not 0.0 < HAC_EPSILON < 2.0 * eta / 3.0:
+        raise ValueError(f"HAC intervals need eta > {1.5 * HAC_EPSILON:g} "
+                         f"(epsilon = {HAC_EPSILON:g} must lie in "
+                         f"(0, 2*eta/3)), got eta = {eta:g}")
 
 
 def dependency_graph(space: PremetricSpace, partition: ClusterPartition,
-                     h, eta: float, epsilon: float = 0.1) -> np.ndarray:
-    """Pairs whose size-h**(1+eps) neighborhoods share a cluster.
-
-    The inflation keeps the variance estimator consistent even for slow
-    decay (eta < 1); epsilon must lie in (0, 2*eta/3).
-    """
-    if not 0.0 < epsilon < 2.0 * eta / 3.0:
-        raise ValueError("epsilon must lie in (0, 2*eta/3)")
-    s_dep = float(h) ** (1.0 + epsilon)
+                     h, eta: float) -> np.ndarray:
+    """Pairs whose size-h**(1 + HAC_EPSILON) neighborhoods share a cluster."""
+    check_hac_window(eta)
+    s_dep = float(h) ** (1.0 + HAC_EPSILON)
     inc = design.incidence(space, partition, s_dep).incidence
     return bool_matmul(inc, inc.T)
 
 
 def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,
                 partition: ClusterPartition, h, eta: float, p: float,
-                level: float = 0.95, weights=None, estimator: str = None,
-                epsilon: float = 0.1) -> VarianceResult:
+                level: float = 0.95, weights=None,
+                estimator: str = None) -> VarianceResult:
     """Spatial HAC variance and normal confidence interval.
 
     sigma2 = sum over dependent pairs of e_i e_j with
@@ -379,7 +356,7 @@ def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,
     """
     if weights is None and estimator not in ("hajek", "ols"):
         raise ValueError("pass weights or estimator in {'hajek','ols'}")
-    block = DrawBlock(DesignContext(space, partition, h, p, eta, epsilon),
+    block = DrawBlock(DesignContext(space, partition, h, p, eta),
                       Y, B=design.cluster_bits(partition, d), T=T)
     if weights is None:
         weights = _one_draw(getattr(block, f"{estimator}_weights"), estimator)

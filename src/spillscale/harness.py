@@ -19,7 +19,7 @@ import numpy as np
 from . import owopt
 from .design import (TAG_COORDS, TAG_TREAT, ClusterPartition, rng_for,
                      scaling_clusters, scaling_rule, singleton_partition)
-from .estimators import DesignContext, DrawBlock, half_width
+from .estimators import DesignContext, DrawBlock, check_hac_window, half_width
 from .geometry import PremetricSpace, build_space, uniform_disk
 from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
                        realize, sim_budget)
@@ -43,12 +43,9 @@ class ExperimentConfig:
     p: float = 0.5
     reps: int = 2000
     base_seed: int = 0
-    grid_factors: tuple = owopt.OW_GRID_FACTORS
     ci_level: float = 0.95
-    epsilon: float = 0.1
     ow_max_n: int = 120
     ow_mc_draws: int = 100_000
-    h_fixed: float | None = None
 
     def validate(self):
         if not self.n_list or any(int(n) < 2 for n in self.n_list):
@@ -65,8 +62,12 @@ class ExperimentConfig:
             raise ConfigError("eta and c0 must be positive")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError("ci_level must be in (0, 1)")
-        if not self.grid_factors or min(self.grid_factors) <= 0:
-            raise ConfigError("grid_factors must be nonempty and positive")
+        if {"hajek", "ols"} & set(self.estimators):
+            try:
+                check_hac_window(self.eta)
+            except ValueError as exc:
+                raise ConfigError(f"{exc}; the hajek and ols rows need "
+                                  f"their intervals") from None
         return self
 
 
@@ -140,9 +141,8 @@ class CellResult:
 
 
 def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
-                    estimators, ci_level=0.95, epsilon=0.1, eta=1.0,
-                    ow_mc_draws=100_000,
-                    grid_factors=owopt.OW_GRID_FACTORS) -> CellResult:
+                    estimators, ci_level=0.95, eta=1.0,
+                    ow_mc_draws=100_000) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
     Replicate r uses treatment seed base_seed + r.  Estimator failures
@@ -151,7 +151,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     """
     t0 = time.perf_counter()
     n = space.n
-    ctx = DesignContext(space, partition, h, p, eta, epsilon)
+    ctx = DesignContext(space, partition, h, p, eta)
     if "ols" in estimators or "shrink" in estimators:
         ctx.extended        # built first, so HT and Hajek reuse its base counts
     core = [name for name in estimators if name != "ow"]
@@ -161,10 +161,9 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     if "ow" in estimators:
         budget = sim_budget(outcomes, space, eta,
                             s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
-        grid = [h * f for f in grid_factors]
         tables, _, ow_table = owopt.optimize_weights(
-            space, partition, grid, p, budget, h, method="mc",
-            mc_draws=ow_mc_draws, seed=base_seed + n)
+            space, partition, owopt.default_ow_grid(h), p, budget, h,
+            method="mc", mc_draws=ow_mc_draws, seed=base_seed + n)
 
     estimates = {name: np.full(reps, np.nan) for name in estimators}
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
@@ -217,8 +216,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     rows = []
     for n in [int(v) for v in config.n_list]:
         space, outcomes, guess = build_population(n, config.base_seed + n)
-        h = config.h_fixed if config.h_fixed is not None else scaling_rule(
-            n, config.eta, config.c0)
+        h = scaling_rule(n, config.eta, config.c0)
         for design in config.designs:
             partition = make_partition(space, design, h)
             names = [e for e in config.estimators
@@ -228,9 +226,7 @@ def run_experiment(config: ExperimentConfig) -> list:
             cell = simulate_design(
                 space, outcomes, guess, partition, h, config.p, config.reps,
                 config.base_seed, names, ci_level=config.ci_level,
-                epsilon=config.epsilon, eta=config.eta,
-                ow_mc_draws=config.ow_mc_draws,
-                grid_factors=config.grid_factors)
+                eta=config.eta, ow_mc_draws=config.ow_mc_draws)
             rows.extend(summarize(cell, n, design, config.reps))
     return rows
 
@@ -258,9 +254,9 @@ def slopes_table(rows: list) -> list:
 
 # --- config file parsing (key = value, lists comma-separated) ---------------
 
-_LIST_FIELDS = {"n_list", "designs", "estimators", "grid_factors"}
+_LIST_FIELDS = {"n_list", "designs", "estimators"}
 _INT_FIELDS = {"reps", "base_seed", "ow_max_n", "ow_mc_draws"}
-_FLOAT_FIELDS = {"eta", "c0", "p", "ci_level", "epsilon", "h_fixed"}
+_FLOAT_FIELDS = {"eta", "c0", "p", "ci_level"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -278,12 +274,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             if key in _LIST_FIELDS:
                 items = [v.strip() for v in value.split(",") if v.strip()]
-                if key == "n_list":
-                    kwargs[key] = [int(v) for v in items]
-                elif key == "grid_factors":
-                    kwargs[key] = tuple(float(v) for v in items)
-                else:
-                    kwargs[key] = items
+                kwargs[key] = [int(v) for v in items] if key == "n_list" else items
             elif key in _INT_FIELDS:
                 kwargs[key] = int(value)
             elif key in _FLOAT_FIELDS:

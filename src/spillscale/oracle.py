@@ -46,7 +46,9 @@ def enumerate_assignments(partition: ClusterPartition, p: float) -> AssignmentEn
             f"exact enumeration needs C <= {MAX_EXACT_CLUSTERS} clusters, "
             f"got C = {C}")
     codes = np.arange(2 ** C, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(C)) & 1).astype(np.int8)
+    bits = np.empty((codes.size, C), dtype=np.int8)
+    for c in range(C):      # column by column: no 2**C x C int64 intermediate
+        bits[:, c] = (codes >> c) & 1
     k = bits.sum(axis=1).astype(float)
     # log-space keeps tiny probabilities stable before the final exp
     probs = np.exp(k * np.log(p) + (C - k) * np.log1p(-p))

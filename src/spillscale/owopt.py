@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TAG_TABLES, ClusterPartition, incidence, rng_for
+from .design import (TAG_TABLES, ClusterPartition, cluster_bits, incidence,
+                     rng_for)
 from .estimators import EstimateReport, effective_grid
 from .geometry import InterferenceBudget, PremetricSpace, bool_matmul
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
-OW_GRID_FACTORS = tuple(2.0 ** k for k in range(-5, 3))     # default grid / h
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +429,7 @@ def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
 
 def default_ow_grid(h: float) -> list:
     """Size grid h * 2**k for k = -5..2 (the floor is added downstream)."""
-    return [float(h) * f for f in OW_GRID_FACTORS]
+    return [float(h) * 2.0 ** k for k in range(-5, 3)]
 
 
 def ow_estimates(weights: OwWeightTable, idx, D, Y) -> np.ndarray:
@@ -440,14 +440,18 @@ def ow_estimates(weights: OwWeightTable, idx, D, Y) -> np.ndarray:
     return np.einsum("im,im->m", w_real, Y)
 
 
-def ow_estimate(Y, d, profile, weights: OwWeightTable) -> EstimateReport:
-    """Weighted outcome sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i."""
-    if weights.grid is None or profile.grid.size != weights.grid.size or \
-            not np.allclose(profile.grid, weights.grid):
-        raise ValueError("saturation profile and weight table use different grids")
+def ow_estimate(Y, d, partition: ClusterPartition, tables: SaturationTables,
+                weights: OwWeightTable) -> EstimateReport:
+    """Weighted outcome sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i of one
+    draw: the m = 1 case of `ow_estimates`, with the saturation sizes read
+    off the tables' incidence.  d must be constant within each cluster."""
+    if weights.grid is None or tables.grid.size != weights.grid.size or \
+            not np.allclose(tables.grid, weights.grid):
+        raise ValueError("saturation tables and weight table use different grids")
+    idx = stilde_indices(tables.incidence, cluster_bits(partition, d)[None, :])
     Y = np.asarray(Y, dtype=float)[:, None]
     d = np.asarray(d, dtype=float)[:, None]
-    est = ow_estimates(weights, profile.idx[None, :], d, Y)[0]
+    est = ow_estimates(weights, idx, d, Y)[0]
     return EstimateReport(estimate=float(est), estimator="ow",
                           params={"grid_size": int(weights.grid.size)},
                           diagnostics={"objective": weights.objective_value})

@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import spillscale as ss
 from spillscale import harness
+from spillscale.estimators import effective_grid
+from spillscale.geometry import PremetricSpace
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +76,39 @@ def bruteforce_polytope_min(Q, marg, p, n, start_W, grid_points=1001,
         if not improved:
             break
     return best, W
+
+
+# --- unit-level saturation: the partition-free purity reference -------------
+# A neighborhood is pure when every unit in it is treated, or none is.  The
+# package reads purity off the cluster incidence instead (`DrawBlock.pure`,
+# `owopt.stilde_indices`); the two agree whenever d is constant within each
+# cluster, which the tests check against this reference.
+
+
+@dataclass(frozen=True)
+class SaturationProfile:
+    """Largest grid size at which each unit's neighborhood is pure."""
+
+    grid: np.ndarray                # ascending, grid[0] is the floor s0
+    s_tilde: np.ndarray
+    idx: np.ndarray                 # index of s_tilde in grid
+
+
+def saturation_indicators(space: PremetricSpace, d, h) -> tuple[np.ndarray, np.ndarray]:
+    """(saturated, dissaturated) flags of each unit's size-h neighborhood,
+    unit by unit: the partition-free reference for `DrawBlock.pure`."""
+    M = space.neighborhood_matrix(h).astype(np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    return M @ (1.0 - d) == 0.0, M @ d == 0.0
+
+
+def saturation(space: PremetricSpace, d, grid) -> SaturationProfile:
+    """Largest grid size whose neighborhood is fully treated or untreated."""
+    grid_eff = effective_grid(space, grid)
+    idx = np.zeros(space.n, dtype=np.int64)
+    alive = np.ones(space.n, dtype=bool)   # purity is monotone down the grid
+    for k, s in enumerate(grid_eff):
+        sat, dis = saturation_indicators(space, d, s)
+        alive &= sat | dis
+        idx[alive] = k
+    return SaturationProfile(grid=grid_eff, s_tilde=grid_eff[idx], idx=idx)

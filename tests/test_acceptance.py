@@ -18,12 +18,11 @@ import spillscale as ss
 from spillscale import harness, owopt
 from spillscale.cli import main as cli_main
 from spillscale.design import incidence, scaling_clusters, scaling_rule
-from spillscale.estimators import saturation_indicators
 from spillscale.geometry import audit_geometry, fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize, sim_budget
 
-from conftest import bruteforce_polytope_min, per_row
+from conftest import bruteforce_polytope_min, per_row, saturation_indicators
 
 pytestmark = pytest.mark.acceptance
 

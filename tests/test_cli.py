@@ -120,6 +120,23 @@ class TestEstimateCommand:
         if estimator in ("hajek", "ols"):
             assert float(row["ci_lo"]) <= want <= float(row["ci_hi"])
 
+    @pytest.mark.parametrize("estimator", ["hajek", "ols"])
+    def test_eta_below_hac_window_exits_2(self, tmp_path, population_csv,
+                                          capsys, estimator):
+        # the HAC epsilon 0.1 needs eta > 0.15; the interval is optional
+        pop, ocsv, ccsv, *_ = self._realized_data(tmp_path, population_csv)
+        argv = ["estimate", "--population", str(pop), "--outcomes", str(ocsv),
+                "--clusters", str(ccsv), "--estimator", estimator,
+                "--eta", "0.1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--eta" in captured.err and "eta > 0.15" in captured.err
+        assert "--ci-level 0" in captured.err
+        assert main(argv + ["--ci-level", "0"]) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["estimator"] == estimator and row["var_hat"] == ""
+
     def test_failure_recorded_not_raised(self, tmp_path):
         # single cluster, all treated: Hajek's dissaturated group is empty
         coords = np.array([[0.0], [1.0]])
@@ -586,11 +603,15 @@ class TestArgumentRanges:
         ("estimate", "--eta", "0"),
         ("ow-weights", "--eta", "-1"),
         ("oracle", "--p", "0"),
+        ("ow-weights", "--grid", "1,x"),
+        ("ow-weights", "--grid", "-1,2"),
     ], ids=["estimate_p", "estimate_ci_level", "design_p", "design_c0",
-            "estimate_h", "estimate_eta", "ow_weights_eta", "oracle_p"])
+            "estimate_h", "estimate_eta", "ow_weights_eta", "oracle_p",
+            "ow_weights_grid_not_a_number", "ow_weights_grid_negative"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, flag, value):
+        # flag=value, so that a value starting with "-" is not read as a flag
         with pytest.raises(SystemExit) as exc:
-            main(self._argv(tmp_path, command) + [flag, value])
+            main(self._argv(tmp_path, command) + [f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {value} is not" in capsys.readouterr().err
 
@@ -633,6 +654,17 @@ class TestReplicateCommand:
         rc = main(["replicate", "--config", str(cfg), "--out",
                    str(tmp_path / "x")])
         assert rc == 2
+
+    def test_eta_below_hac_window_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 30\nestimators = ht, hajek\neta = 0.1\n"
+                       "reps = 5\n")
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "x")])
+        assert rc == 2
+        assert "config error: HAC intervals need eta > 0.15" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_assertion_exit_codes(self, tmp_path):
         cfg = tmp_path / "config.txt"

@@ -148,7 +148,7 @@ class TestNeighborhoodProductsAgainstSets:
         space, part, h = instance
         sets = self.cluster_sets(space, part, h ** 1.1)
         want = np.array([[bool(a & b) for b in sets] for a in sets])
-        assert np.array_equal(dependency_graph(space, part, h, 1.0, 0.1), want)
+        assert np.array_equal(dependency_graph(space, part, h, 1.0), want)
 
     def test_interacting_pairs(self, instance):
         space, part, h = instance

@@ -3,19 +3,21 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness
-from spillscale.design import (draw_treatments, extend_uniform_overlap,
-                               incidence, scaling_clusters, singleton_partition)
-from spillscale.estimators import (DesignContext, DrawBlock,
-                                   EstimatorUndefinedError, exposure,
-                                   hajek, hajek_weights, ipw_ht, ols,
-                                   ols_weights, saturation,
-                                   saturation_indicators, shrinkage,
-                                   variance_ci)
+from spillscale.design import (cluster_bits, draw_treatments,
+                               extend_uniform_overlap, incidence,
+                               scaling_clusters, singleton_partition)
+from spillscale.estimators import (HAC_EPSILON, DesignContext, DrawBlock,
+                                   EstimatorUndefinedError, check_hac_window,
+                                   exposure, hajek, hajek_weights, ipw_ht, ols,
+                                   ols_weights, shrinkage, variance_ci)
 from spillscale.geometry import fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize
+from spillscale.owopt import (default_ow_grid, ipw_weight_table, ow_estimate,
+                              saturation_tables, stilde_indices)
 
-from conftest import line_space, per_row
+from conftest import (SaturationProfile, line_space, per_row, saturation,
+                      saturation_indicators)
 
 
 def saturated_outcome_sum(outcomes, space, partition, h, p):
@@ -242,17 +244,30 @@ class TestShrinkage:
             shrinkage(np.ones(4), T, draw.d, guess)
 
 
+def stilde_profile(space, part, d, grid) -> SaturationProfile:
+    """Saturation sizes of one draw as `ow_estimate` reads them: the tables'
+    effective grid and incidence stack, then `stilde_indices`."""
+    tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
+    idx = stilde_indices(tables.incidence, cluster_bits(part, d)[None, :])[0]
+    return SaturationProfile(grid=tables.grid, s_tilde=tables.grid[idx], idx=idx)
+
+
 class TestSaturation:
+    """Saturation sizes from the cluster incidence; on singleton clusters
+    cluster purity and unit purity coincide."""
+
     def test_everyone_treated_hits_grid_top(self):
         space = line_space(5)
-        prof = saturation(space, np.ones(5, dtype=int), [1.0, 2.0, 8.0])
+        prof = stilde_profile(space, singleton_partition(5),
+                              np.ones(5, dtype=int), [1.0, 2.0, 8.0])
         assert np.all(prof.s_tilde == 8.0)
 
     def test_untreated_neighbor_caps_the_size(self):
         # q=1: radius equals the size; unit 0's nearest neighbor sits at 3,
         # so the largest grid size excluding it is 2.5
         space = ss.build_space(np.array([[0.0], [3.0], [4.0]]))
-        prof = saturation(space, np.array([1, 0, 1]), [2.5, 3.5])
+        prof = stilde_profile(space, singleton_partition(3),
+                              np.array([1, 0, 1]), [2.5, 3.5])
         assert prof.s_tilde[0] == pytest.approx(2.5)
         # unit 2's untreated neighbor is at distance 1: only the floor is pure
         assert prof.s_tilde[2] == prof.grid[0]
@@ -262,13 +277,13 @@ class TestSaturation:
         part = scaling_clusters(space, 100.0)
         for seed in range(3):
             d = draw_treatments(part, 0.5, seed).d
-            prof = saturation(space, d, [1.0, 4.0, 9.0])
+            prof = stilde_profile(space, part, d, [1.0, 4.0, 9.0])
             assert np.all(prof.s_tilde == 9.0)
 
     def test_floor_is_always_defined(self):
         space = line_space(4, spacing=2.0)
         d = np.array([1, 0, 1, 0])
-        prof = saturation(space, d, [10.0])
+        prof = stilde_profile(space, singleton_partition(4), d, [10.0])
         assert prof.grid[0] > 0
         assert np.all(prof.s_tilde >= prof.grid[0])
 
@@ -276,8 +291,9 @@ class TestSaturation:
         rng = np.random.default_rng(8)
         space = ss.build_space(rng.uniform(0, 10, size=(20, 2)))
         d = (rng.uniform(size=20) < 0.5).astype(int)
-        coarse = saturation(space, d, [2.0, 8.0])
-        fine = saturation(space, d, [1.0, 2.0, 4.0, 8.0, 16.0])
+        part = singleton_partition(20)
+        coarse = stilde_profile(space, part, d, [2.0, 8.0])
+        fine = stilde_profile(space, part, d, [1.0, 2.0, 4.0, 8.0, 16.0])
         matched = np.searchsorted(fine.grid, coarse.s_tilde)
         assert np.all(fine.s_tilde >= coarse.s_tilde - 1e-12)
         assert matched.min() >= 0
@@ -285,7 +301,8 @@ class TestSaturation:
 
 class TestPurityOnClusterIncidence:
     """The core reads purity off the cluster incidence; the unit-level
-    `saturation_indicators` is the reference it must reproduce."""
+    `saturation_indicators` and `saturation` in conftest are the reference
+    it must reproduce."""
 
     @pytest.fixture(scope="class")
     def population(self):
@@ -313,6 +330,24 @@ class TestPurityOnClusterIncidence:
                 assert np.array_equal(sat[:, 0], want_sat)
                 assert np.array_equal(dis[:, 0], want_dis)
 
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_stilde_matches_unit_level_reference(self, population, design):
+        # every level of OW's default grid, floor included, on the same
+        # draws as above
+        space = population
+        h_rule = ss.scaling_rule(space.n, 1.0)
+        part = harness.make_partition(space, design, h_rule)
+        grid = default_ow_grid(h_rule)
+        tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
+        B = np.array([draw_treatments(part, 0.5, seed).b for seed in range(20)]
+                     + [np.ones(part.n_clusters, dtype=np.int8),
+                        np.zeros(part.n_clusters, dtype=np.int8)])
+        idx = stilde_indices(tables.incidence, B)
+        for b, got in zip(B, idx):
+            want = saturation(space, b[part.assignment], grid)
+            assert np.array_equal(tables.grid, want.grid)
+            assert np.array_equal(got, want.idx)
+
 
 class TestMixedClusterTreatment:
     def test_purity_estimators_reject_mixed_d(self):
@@ -320,12 +355,15 @@ class TestMixedClusterTreatment:
         space = line_space(4)
         part = scaling_clusters(space, 100.0)      # one cluster of 4 units
         d, Y = np.array([1, 0, 1, 1]), np.linspace(0.0, 1.0, 4)
+        tables = saturation_tables(space, part, [1.0], 0.5, method="exact")
+        weights = ipw_weight_table(tables, 1.0, 0.5)
         for call in (lambda: ipw_ht(Y, d, space, part, 1.0, 0.5),
                      lambda: hajek(Y, d, space, part, 1.0, 0.5),
                      lambda: hajek_weights(d, space, part, 1.0, 0.5),
                      lambda: variance_ci(Y, d, d.astype(float), 0.0, space,
                                          part, 1.0, 1.0, 0.5,
-                                         estimator="hajek")):
+                                         estimator="hajek"),
+                     lambda: ow_estimate(Y, d, part, tables, weights)):
             with pytest.raises(ValueError, match="not constant within cluster 0"):
                 call()
 
@@ -378,6 +416,14 @@ class TestVarianceCi:
         with pytest.raises(ValueError, match="epsilon"):
             variance_ci(np.ones(4), np.ones(4, dtype=int), np.ones(4), 0.0,
                         space, part, 1.0, 0.1, 0.5, weights=np.ones(4) / 4)
+
+    def test_hac_window_boundary(self):
+        # epsilon < 2*eta/3 is eta > 1.5 * epsilon = 0.15, strictly
+        assert HAC_EPSILON == 0.1
+        for eta in (0.1, 0.15):
+            with pytest.raises(ValueError, match=r"need eta > 0\.15"):
+                check_hac_window(eta)
+        check_hac_window(0.1501)
 
     def test_estimator_name_required_without_weights(self):
         space = line_space(4, spacing=3.0)

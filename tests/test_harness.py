@@ -23,7 +23,7 @@ class TestBatchedEngineMatchesReference:
         ext = ss.extend_uniform_overlap(space, part, h)
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
-        _, _, ow_tab = owopt.optimize_weights(
+        tables, _, ow_tab = owopt.optimize_weights(
             space, part, owopt.default_ow_grid(h), 0.5, budget, h,
             method="mc", mc_draws=10_000, seed=base_seed + n)
         for r in range(reps):
@@ -41,9 +41,9 @@ class TestBatchedEngineMatchesReference:
                 assert cell.estimates["hajek"][r] == pytest.approx(ref, abs=1e-10)
             except EstimatorUndefinedError:
                 assert np.isnan(cell.estimates["hajek"][r])
-            prof = ss.saturation(space, draw.d, ow_tab.grid)
             assert cell.estimates["ow"][r] == pytest.approx(
-                owopt.ow_estimate(Y, draw.d, prof, ow_tab).estimate, abs=1e-10)
+                owopt.ow_estimate(Y, draw.d, part, tables, ow_tab).estimate,
+                abs=1e-10)
 
     def test_ci_coverage_flags_match(self):
         n, base_seed, reps = 40, 77, 25

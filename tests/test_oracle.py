@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,19 @@ class TestEnumerate:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             enumerate_assignments(singleton_partition(2), 1.0)
+
+    def test_peak_memory_at_the_cap(self):
+        # the 2**20 x 20 int8 bits take 21 MB; a 2**C x C int64
+        # intermediate alone would take 168 MB
+        tracemalloc.start()
+        try:
+            enum = enumerate_assignments(singleton_partition(20), 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert enum.assignments.shape == (2 ** 20, 20)
+        assert enum.assignments.dtype == np.int8
+        assert peak < 100e6
 
 
 def codes(B):

@@ -6,14 +6,14 @@ from spillscale import harness, owopt
 from spillscale.design import (TAG_TABLES, draw_treatments, rng_for,
                                scaling_clusters, scaling_rule,
                                singleton_partition)
-from spillscale.estimators import ipw_ht, saturation
+from spillscale.estimators import ipw_ht
 from spillscale.oracle import enumerate_assignments
 from spillscale.outcomes import sim_budget
 from spillscale.owopt import (assemble_objective, ipw_weight_table,
                               objective_kernel, ow_estimate, project_rows,
                               saturation_tables, solve_qp, stilde_indices)
 
-from conftest import bruteforce_polytope_min, line_space
+from conftest import bruteforce_polytope_min, line_space, saturation
 
 
 def four_cluster_line():
@@ -317,8 +317,7 @@ class TestIpwWeightTable:
         for seed in range(12):
             draw = draw_treatments(part, 0.5, seed)
             Y = ss.realize(outcomes, draw.d)
-            prof = saturation(space, draw.d, tab.grid)
-            got = ow_estimate(Y, draw.d, prof, start).estimate
+            got = ow_estimate(Y, draw.d, part, tab, start).estimate
             want = ipw_ht(Y, draw.d, space, part, g, 0.5).estimate
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -330,8 +329,7 @@ class TestOwEstimate:
         start = ipw_weight_table(tab, g, 0.5)
         start.grid = tab.grid
         draw = draw_treatments(part, 0.5, 0)
-        prof = saturation(space, draw.d, tab.grid)
-        rep = ow_estimate(np.zeros(space.n), draw.d, prof, start)
+        rep = ow_estimate(np.zeros(space.n), draw.d, part, tab, start)
         assert rep.estimate == 0.0
 
     def test_grid_mismatch_rejected(self, small_exact_instance):
@@ -340,9 +338,35 @@ class TestOwEstimate:
         start = ipw_weight_table(tab, g, 0.5)
         start.grid = tab.grid
         draw = draw_treatments(part, 0.5, 0)
-        prof = saturation(space, draw.d, [g, 3 * g])
+        wider = saturation_tables(space, part, [g, 3 * g], 0.5, method="exact")
         with pytest.raises(ValueError, match="grid"):
-            ow_estimate(np.zeros(space.n), draw.d, prof, start)
+            ow_estimate(np.zeros(space.n), draw.d, part, wider, start)
+
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_matches_unit_level_reference(self, design):
+        # the sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i with s_tilde read
+        # unit by unit off the conftest reference, equal to the last bit;
+        # distinct positive weights make every unit's size enter the sum
+        n = 60
+        space, outcomes, _ = harness.build_population(n, 7 + n)
+        h = scaling_rule(n, 1.0)
+        part = harness.make_partition(space, design, h)
+        tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
+                                mc_draws=1)
+        W = np.random.default_rng(3).uniform(0.5, 1.5, size=tab.marg.shape)
+        weights = owopt.OwWeightTable(W=W, grid=tab.grid, objective_value=0.0,
+                                      iterations=0, kkt_residual=0.0,
+                                      converged=True, p=0.5)
+        for seed in range(40):
+            draw = draw_treatments(part, 0.5, seed)
+            Y = ss.realize(outcomes, draw.d)
+            idx = saturation(space, draw.d, tab.grid).idx
+            want = np.sum((2.0 * draw.d - 1.0) * W[np.arange(n), idx] * Y)
+            got = ow_estimate(Y, draw.d, part, tab, weights).estimate
+            assert got == pytest.approx(want, rel=1e-13)
+            assert got == owopt.ow_estimates(
+                weights, idx[None, :], draw.d.astype(float)[:, None],
+                Y[:, None])[0]
 
     def test_weight_expectation_identity(self):
         # E[omega_i | d_i = 1] = 1/(p n), checked by full enumeration at the
