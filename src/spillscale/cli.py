@@ -21,7 +21,7 @@ from . import harness, oracle, owopt
 from .design import (ClusterPartition, cluster_bits, draw_treatments,
                      incidence, scaling_clusters, scaling_rule)
 from .estimators import (UNDEFINED, DesignContext, DrawBlock, check_hac_window,
-                         interval)
+                         effective_grid, interval)
 from .geometry import (GeometryError, InterferenceBudget, build_space,
                        build_space_from_dist)
 from .outcomes import make_guess, make_sim_dgp, realize
@@ -256,6 +256,12 @@ def cmd_ow_weights(args):
     partition = load_clusters(args.clusters, ids)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
     grid = args.grid or owopt.default_ow_grid(h)
+    # the IPW warm start needs a grid size >= h, checked as in ipw_weight_table
+    top = effective_grid(space, grid)[-1]
+    if top < float(h) * (1.0 - 1e-12):
+        print(f"ow-weights: --grid must reach the estimator size h = {h:g}, "
+              f"but its largest size is {top:g}", file=sys.stderr)
+        return 2
     budget = InterferenceBudget(eta=args.eta, k1=args.k1, ybar=args.ybar)
     tables, start, ow = owopt.optimize_weights(
         space, partition, grid, args.p, budget, h, method=args.method,
@@ -355,6 +361,8 @@ def cmd_replicate(args):
         qp = row.ow_table
         trace = "" if qp is None else \
             f" qp_iters={qp.iterations} kkt={qp.kkt_residual:.3g}"
+        if row.hac_clipped is not None:
+            trace += f" hac_clipped={row.hac_clipped}"
         print(f"n={row.n} design={row.design} est={row.estimator} "
               f"rmse={row.rmse:.6g} bias={row.bias:.6g} "
               f"fail={row.fail_rate:.4g}{trace} [{row.seconds:.2f}s]")

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import design
 from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
@@ -223,8 +223,13 @@ def _one_draw(values, name: str) -> np.ndarray:
 
 
 def half_width(sigma2, level: float):
-    """Normal interval half-width z * sqrt(sigma2), negative sums clipped."""
-    return norm.ppf(0.5 + level / 2.0) * np.sqrt(np.maximum(sigma2, 0.0))
+    """Normal interval half-width z * sqrt(sigma2), negative sums clipped.
+
+    z is the standard normal quantile at 0.5 + level/2, from the standard
+    library's `NormalDist.inv_cdf` (Wichura's AS241 algorithm).
+    """
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    return z * np.sqrt(np.maximum(sigma2, 0.0))
 
 
 def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:

@@ -84,9 +84,10 @@ class ResultRow:
     coverage: float | None
     seconds: float
     ow_table: owopt.OwWeightTable | None = None     # the QP solve, OW rows only
+    hac_clipped: int | None = None  # negative HAC sums clipped, hajek/ols rows
 
     # seconds is wall clock and would break byte-for-byte reruns; the QP
-    # trace is stdout-only too
+    # trace and the clip count are stdout-only too
     CSV_COLUMNS = ("n", "design", "estimator", "reps_ok", "fail_rate",
                    "mean_est", "bias", "rmse", "coverage")
 
@@ -135,6 +136,7 @@ class CellResult:
 
     estimates: dict                 # name -> (reps,) float, NaN on failure
     covers: dict                    # name -> (reps,) bool array (ci estimators)
+    hac_clipped: dict               # name -> draws whose HAC sum was < 0
     theta: float
     seconds: float
     ow_table: owopt.OwWeightTable | None = None     # iterations, KKT residual
@@ -167,6 +169,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
 
     estimates = {name: np.full(reps, np.nan) for name in estimators}
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
+    clipped = dict.fromkeys(need_ci, 0)
 
     for lo in range(0, reps, BLOCK):
         seeds = range(base_seed + lo, base_seed + min(lo + BLOCK, reps))
@@ -178,14 +181,16 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         for name in core:
             estimates[name][sl] = getattr(block, name)
         for name in need_ci:
-            half = half_width(block.variance(name), ci_level)
+            sigma2 = block.variance(name)
+            clipped[name] += int((sigma2 < 0.0).sum())
+            half = half_width(sigma2, ci_level)
             covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
         if "ow" in estimators:
             idx = owopt.stilde_indices(tables.incidence, B)
             estimates["ow"][sl] = owopt.ow_estimates(ow_table, idx, D, Y)
 
     return CellResult(estimates=estimates, covers=covers,
-                      theta=outcomes.theta,
+                      hac_clipped=clipped, theta=outcomes.theta,
                       seconds=time.perf_counter() - t0, ow_table=ow_table)
 
 
@@ -206,7 +211,8 @@ def summarize(cell: CellResult, n: int, design: str, reps: int) -> list:
                               fail_rate=float(1.0 - reps_ok / reps),
                               mean_est=mean_est, bias=bias, rmse=rmse,
                               coverage=coverage, seconds=cell.seconds,
-                              ow_table=cell.ow_table if name == "ow" else None))
+                              ow_table=cell.ow_table if name == "ow" else None,
+                              hac_clipped=cell.hac_clipped.get(name)))
     return rows
 
 

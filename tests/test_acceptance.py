@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import spillscale as ss
 from spillscale import harness, owopt

@@ -438,6 +438,29 @@ class TestOwWeightsCommand:
         weights = read_csv(out / "weights.csv")
         assert all(float(r["w"]) >= 0 for r in weights)
 
+    def test_grid_below_h_exits_2(self, tmp_path, capsys):
+        # the IPW warm start needs a grid size >= h; h is known only once the
+        # population is loaded, so this is checked after --grid is parsed
+        pop, clu = tmp_path / "pop.csv", tmp_path / "clusters.csv"
+        write_population(pop, np.arange(4.0)[:, None])
+        clu.write_text("unit_id,cluster_id\n0,0\n1,1\n2,2\n3,3\n")
+
+        def ow_weights(grid, out):
+            return main(["ow-weights", "--population", str(pop), "--clusters",
+                         str(clu), "--eta", "1", "--k1", "1", "--ybar", "1",
+                         "--h", "5", "--grid", grid, "--mc-draws", "200",
+                         "--out", str(tmp_path / out)])
+
+        assert ow_weights("4", "short") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ow-weights: --grid must reach the "
+                                       "estimator size h = 5,")
+        assert not (tmp_path / "short").exists()
+        # the same 1e-12 relative slack as owopt.ipw_weight_table
+        assert ow_weights(f"4,{5 * (1 - 1e-13)!r}", "reaches") == 0
+        assert (tmp_path / "reaches/weights.csv").exists()
+
 
 class TestOracleCommand:
     def test_exact_mean_printed(self, tmp_path, capsys):
@@ -678,6 +701,20 @@ class TestReplicateCommand:
                    "--assert", "rmse:ht:scaling_clusters:30 < 0"])
         assert rc == 3
 
+    def test_hac_clip_counts_printed(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(CONFIG.replace("ht, ols", "ht, hajek, ols"))
+        assert main(["replicate", "--config", str(cfg), "--out",
+                     str(tmp_path / "a")]) == 0
+        lines = {re.search(r"est=(\w+)", ln)[1]: ln
+                 for ln in capsys.readouterr().out.splitlines()}
+        for row in harness.run_experiment(harness.parse_config(cfg.read_text())):
+            line = lines[row.estimator]
+            assert ("hac_clipped=" in line) is (row.hac_clipped is not None)
+            assert f" hac_clipped={row.hac_clipped} " in line or \
+                row.estimator == "ht"
+        assert "hac_clipped" not in (tmp_path / "a/results.csv").read_text()
+
     def test_ow_qp_trace_and_non_convergence_warning(self, tmp_path, capsys,
                                                      monkeypatch):
         cfg = tmp_path / "config.txt"
@@ -706,3 +743,62 @@ class TestReplicateCommand:
                                   "design=scaling_clusters did not converge "
                                   "(qp_iters=1, kkt=")
         assert " qp_iters=1 kkt=" in run.out
+
+
+# Runs in a child process in which every scipy import raises: the package
+# and each command must need numpy only.
+NUMPY_ONLY = r"""
+import sys
+sys.modules["scipy"] = None
+
+import spillscale, spillscale.cli
+from pathlib import Path
+import numpy as np
+from spillscale import harness, outcomes
+
+def scipy_keys():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+
+assert scipy_keys() == ["scipy"] and sys.modules["scipy"] is None, scipy_keys()
+
+work = Path(sys.argv[1])
+main = spillscale.cli.main
+space, dgp, _ = harness.build_population(24, 12)
+pop = work / "pop.csv"
+pop.write_text("unit_id,x1,x2\n" + "".join(
+    f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(space.coords.tolist())))
+assert main(["design", "--population", str(pop), "--seed", "3",
+             "--out", str(work / "design")]) == 0
+clusters = str(work / "design" / "clusters.csv")
+rows = (work / "design" / "treatments.csv").read_text().split()[1:]
+d = np.array([int(r.split(",")[1]) for r in rows], dtype=np.int8)
+Y = outcomes.realize(dgp, d)
+(work / "outcomes.csv").write_text("unit_id,Y,d\n" + "".join(
+    f"{i},{y!r},{b}\n" for i, (y, b) in enumerate(zip(Y.tolist(), d))))
+assert main(["estimate", "--population", str(pop), "--outcomes",
+             str(work / "outcomes.csv"), "--clusters", clusters,
+             "--estimator", "hajek", "--ci-level", "0.9",
+             "--out", str(work / "estimate.csv")]) == 0
+row = (work / "estimate.csv").read_text().split()[1].split(",")
+assert row[3] and row[4], row       # the interval went through half_width
+assert main(["oracle", "--population", str(pop), "--clusters", clusters,
+             "--estimator", "hajek"]) == 0
+assert main(["ow-weights", "--population", str(pop), "--clusters", clusters,
+             "--eta", "1", "--k1", "1", "--ybar", "2", "--mc-draws", "200",
+             "--out", str(work / "ow")]) == 0
+(work / "config.txt").write_text(
+    "n_list = 20, 30\nestimators = ht, hajek, ols, shrink\nreps = 20\n")
+assert main(["replicate", "--config", str(work / "config.txt"),
+             "--out", str(work / "replicate")]) == 0
+assert scipy_keys() == ["scipy"], scipy_keys()
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_and_commands_without_scipy(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY, str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr

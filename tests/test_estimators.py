@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from spillscale.design import (cluster_bits, draw_treatments,
                                scaling_clusters, singleton_partition)
 from spillscale.estimators import (HAC_EPSILON, DesignContext, DrawBlock,
                                    EstimatorUndefinedError, check_hac_window,
-                                   exposure, hajek, hajek_weights, ipw_ht, ols,
-                                   ols_weights, shrinkage, variance_ci)
+                                   exposure, hajek, hajek_weights, half_width,
+                                   interval, ipw_ht, ols, ols_weights,
+                                   shrinkage, variance_ci)
 from spillscale.geometry import fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize
@@ -431,6 +434,36 @@ class TestVarianceCi:
         with pytest.raises(ValueError, match="weights or estimator"):
             variance_ci(np.ones(4), np.ones(4, dtype=int), np.ones(4), 0.0,
                         space, part, 1.0, 1.0, 0.5)
+
+
+class TestNormalQuantile:
+    # ndtri(0.5 + level/2) from scipy 1.17.1 (scipy.special.ndtri, Cephes),
+    # printed with repr
+    NDTRI = {0.5: 0.6744897501960817, 0.8: 1.2815515655446004,
+             0.9: 1.6448536269514722, 0.95: 1.959963984540054,
+             0.99: 2.5758293035489004, 0.999: 3.2905267314919255}
+    # NormalDist.inv_cdf (AS241) is 0, 2, 3, 2, 1 and 0 ulp from these
+    ULPS = 3
+
+    @pytest.mark.parametrize("level", sorted(NDTRI))
+    def test_half_width_is_the_normal_quantile(self, level):
+        want = self.NDTRI[level]
+        z = float(half_width(1.0, level))
+        assert abs(z - want) <= self.ULPS * math.ulp(want)
+
+    @pytest.mark.parametrize("sigma2", [-0.5, -1e-300, -0.0, 0.0, 5e-324, 0.3])
+    def test_interval_symmetric_and_truncated_below_zero(self, sigma2):
+        est = 1.7
+        res = interval(est, sigma2, 0.9)
+        level, lo, hi = res.ci
+        assert level == 0.9
+        assert hi - est == pytest.approx(est - lo, rel=0.0, abs=1e-15)
+        assert res.truncated is (sigma2 < 0.0)
+        assert res.variance_hat == max(sigma2, 0.0)
+        if res.truncated:
+            assert lo == hi == est
+        assert hi - lo == pytest.approx(2.0 * float(half_width(sigma2, 0.9)),
+                                        rel=0.0, abs=1e-15)
 
 
 class TestEmpCov:

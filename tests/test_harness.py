@@ -3,7 +3,8 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness, owopt
-from spillscale.estimators import (EstimatorUndefinedError, exposure,
+from spillscale.estimators import (DesignContext, DrawBlock,
+                                   EstimatorUndefinedError, exposure,
                                    variance_ci)
 from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
                                 rate_slope, results_csv, run_experiment,
@@ -62,6 +63,28 @@ class TestBatchedEngineMatchesReference:
                               estimator="ols")
             covered = res.ci[1] <= outcomes.theta <= res.ci[2]
             assert bool(cell.covers["ols"][r]) == covered
+
+    def test_hac_clip_counts(self):
+        # negative HAC sums are clipped to zero-width intervals; the cell
+        # counts them per estimator and the CSV does not carry the count
+        n, base_seed, reps = 60, 5, 200
+        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        h = ss.scaling_rule(n, 1.0)
+        part = ss.scaling_clusters(space, h)
+        cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
+                               base_seed, ["ht", "hajek", "ols"])
+        ctx = DesignContext(space, part, h, 0.5, 1.0)
+        want = {"hajek": 0, "ols": 0}
+        for r in range(reps):
+            draw = ss.draw_treatments(part, 0.5, base_seed + r)
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d, draw.b)
+            for name in want:
+                want[name] += int(block.variance(name)[0] < 0.0)
+        assert cell.hac_clipped == want
+        assert min(want.values()) > 0
+        rows = harness.summarize(cell, n, "scaling_clusters", reps)
+        assert {r.estimator: r.hac_clipped for r in rows} == {"ht": None, **want}
+        assert "hac_clipped" not in results_csv(rows)
 
 
 class TestDeterminism:
