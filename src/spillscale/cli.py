@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import operator
+import re
 import sys
 from pathlib import Path
 
@@ -256,9 +258,8 @@ def cmd_ow_weights(args):
     partition = load_clusters(args.clusters, ids)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
     grid = args.grid or owopt.default_ow_grid(h)
-    # the IPW warm start needs a grid size >= h, checked as in ipw_weight_table
     top = effective_grid(space, grid)[-1]
-    if top < float(h) * (1.0 - 1e-12):
+    if not owopt.reaches_h(top, h):
         print(f"ow-weights: --grid must reach the estimator size h = {h:g}, "
               f"but its largest size is {top:g}", file=sys.stderr)
         return 2
@@ -310,41 +311,46 @@ def cmd_oracle(args):
     return 0
 
 
-def _metric_value(rows, slopes, token):
-    parts = token.split(":")
-    metric = parts[0]
-    if metric == "slope":
-        est, design = parts[1], parts[2]
-        for e, dsg, slope, _ in slopes:
-            if e == est and dsg == design:
-                return slope
-        raise SystemExit(f"no slope for {token}")
-    est, design = parts[1], parts[2]
-    n = int(parts[3]) if len(parts) > 3 else None
-    for r in rows:
-        if r.estimator == est and r.design == design and (n is None or r.n == n):
-            return getattr(r, metric)
-    raise SystemExit(f"no result row matches {token}")
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_METRICS = ("slope",) + harness.ResultRow.CSV_COLUMNS[3:]   # the numeric columns
 
 
-def _check_assertion(rows, slopes, expr):
-    for op in ("<=", ">=", "<", ">"):
-        if op in expr:
-            lhs, rhs = (s.strip() for s in expr.split(op, 1))
-            break
-    else:
-        raise SystemExit(f"assertion {expr!r} needs an operator <,<=,>,>=")
+def _operand(token):
+    """float(token), or (token, metric, estimator, design, n or None) for a
+    result token metric:estimator:design[:n]; ArgumentTypeError otherwise."""
+    try:
+        return float(token)
+    except ValueError:
+        m = re.fullmatch(r"(\w+):(\w+):(\w+)(?::(\d+))?", token) or [None] * 5
+    if m[1] in _METRICS and m[2] in harness.ESTIMATORS and \
+            m[3] in harness.DESIGNS and not (m[1] == "slope" and m[4]) and \
+            (m[1] != "coverage" or m[2] in ("hajek", "ols")):
+        return token, m[1], m[2], m[3], m[4] and int(m[4])
+    raise argparse.ArgumentTypeError(
+        f"{token!r} is not a number or metric:estimator:design[:n] (metric in "
+        f"{', '.join(_METRICS)}; slope takes no n, coverage only hajek, ols)")
 
-    def value(tok):
-        try:
-            return float(tok)
-        except ValueError:
-            return _metric_value(rows, slopes, tok)
 
-    a, b = value(lhs), value(rhs)
-    ok = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
-    print(f"assert {expr}: {a:.6g} {op} {b:.6g} -> {'pass' if ok else 'FAIL'}")
-    return ok
+def _assertion(text):
+    """argparse type for --assert 'lhs op rhs': (text, op, lhs, rhs)."""
+    op = next((op for op in _OPS if op in text), None)
+    if op is None:
+        raise argparse.ArgumentTypeError(f"{text!r} needs an operator <, <=, >, >=")
+    return text, op, *(_operand(side.strip()) for side in text.split(op, 1))
+
+
+def _value(rows, side):
+    """The number an operand stands for; NaN for a row without it."""
+    if isinstance(side, float):
+        return side
+    token, metric, est, design, n = side
+    series = [r for r in rows if (r.estimator, r.design) == (est, design)
+              and n in (None, r.n)]
+    if len({r.n for r in series}) < (3 if metric == "slope" else 1):
+        raise SystemExit(f"no result matches {token}")
+    value = harness.rate_slope(series) if metric == "slope" else \
+        getattr(series[0], metric)
+    return math.nan if value is None else value
 
 
 def cmd_replicate(args):
@@ -370,11 +376,12 @@ def cmd_replicate(args):
             print(f"warning: OW weights for n={row.n} design={row.design} did "
                   f"not converge (qp_iters={qp.iterations}, "
                   f"kkt={qp.kkt_residual:.3g})", file=sys.stderr)
-    if args.assertion:
-        slopes = harness.slopes_table(rows)
-        if not all(_check_assertion(rows, slopes, e) for e in args.assertion):
-            return 3
-    return 0
+    passed = []
+    for text, op, *sides in args.assertion:
+        a, b = (_value(rows, side) for side in sides)
+        passed.append(_OPS[op](a, b))
+        print(f"assert {text}: {a:.6g} {op} {b:.6g} -> {'pass' if passed[-1] else 'FAIL'}")
+    return 0 if all(passed) else 3
 
 
 def build_parser():
@@ -438,6 +445,7 @@ def build_parser():
     r.add_argument("--config", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--assert", action="append", default=[], dest="assertion",
+                   type=_assertion,
                    help="e.g. 'rmse:shrink:scaling_clusters:900 < "
                         "rmse:ols:scaling_clusters:900'")
     r.set_defaults(func=cmd_replicate)

@@ -111,7 +111,7 @@ def singleton_partition(n: int) -> ClusterPartition:
 
 @dataclass
 class IncidenceCounts:
-    """Cluster/neighborhood intersection counts at one size s."""
+    """Incidence at one size s; the one reader of purity and shared clusters."""
 
     phi: np.ndarray                 # per unit: clusters meeting N(i, s)
     gamma: np.ndarray               # per cluster: neighborhoods meeting it
@@ -125,6 +125,18 @@ class IncidenceCounts:
     @property
     def sum_gamma_sq(self) -> float:
         return float(np.sum(self.gamma.astype(float) ** 2))
+
+    def treated(self, B) -> np.ndarray:
+        """n x m treated clusters meeting each N(i, s), for C x m bits B."""
+        return self.incidence.astype(np.float64) @ B
+
+    def pure(self, treated) -> tuple[np.ndarray, np.ndarray]:
+        """(saturated, dissaturated) from `treated`: all or none treated."""
+        return treated == self.phi[:, None], treated == 0.0
+
+    def shared(self) -> np.ndarray:
+        """n x n: N(i, s) and N(j, s) meet a common cluster."""
+        return bool_matmul(self.incidence, self.incidence.T)
 
 
 def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> IncidenceCounts:

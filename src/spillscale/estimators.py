@@ -27,7 +27,7 @@ import numpy as np
 
 from . import design
 from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
-from .geometry import PremetricSpace, bool_matmul
+from .geometry import PremetricSpace
 from .outcomes import GuessMatrix
 
 HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
@@ -124,12 +124,12 @@ class DrawBlock:
     @cached_property
     def treated(self) -> np.ndarray:
         """Treated clusters among the phi meeting each size-h neighborhood."""
-        return self.ctx.counts.incidence.astype(np.float64) @ self.B
+        return self.ctx.counts.treated(self.B)
 
     @cached_property
     def pure(self) -> tuple[np.ndarray, np.ndarray]:
         """(saturated, dissaturated): all or none of those clusters treated."""
-        return self.treated == self.ctx.counts.phi[:, None], self.treated == 0.0
+        return self.ctx.counts.pure(self.treated)
 
     @cached_property
     def ipw(self) -> tuple[np.ndarray, np.ndarray]:
@@ -343,8 +343,7 @@ def dependency_graph(space: PremetricSpace, partition: ClusterPartition,
     """Pairs whose size-h**(1 + HAC_EPSILON) neighborhoods share a cluster."""
     check_hac_window(eta)
     s_dep = float(h) ** (1.0 + HAC_EPSILON)
-    inc = design.incidence(space, partition, s_dep).incidence
-    return bool_matmul(inc, inc.T)
+    return design.incidence(space, partition, s_dep).shared()
 
 
 def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,

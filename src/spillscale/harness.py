@@ -54,14 +54,13 @@ class ExperimentConfig:
             raise ConfigError(f"designs must be a nonempty subset of {DESIGNS}")
         if not self.estimators or any(e not in ESTIMATORS for e in self.estimators):
             raise ConfigError(f"estimators must be a nonempty subset of {ESTIMATORS}")
-        if not 0.0 < self.p < 1.0:
-            raise ConfigError("p must be in (0, 1)")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
-        if self.eta <= 0 or self.c0 <= 0:
-            raise ConfigError("eta and c0 must be positive")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError("ci_level must be in (0, 1)")
+        for key, lo, hi in (("p", 0, 1), ("ci_level", 0, 1), ("eta", 0, np.inf),
+                            ("c0", 0, np.inf)):
+            if not lo < getattr(self, key) < hi:
+                raise ConfigError(f"{key} must be in ({lo}, {hi})")
+        for key, low in (("reps", 1), ("ow_mc_draws", 1), ("base_seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}")
         if {"hajek", "ols"} & set(self.estimators):
             try:
                 check_hac_window(self.eta)
@@ -186,7 +185,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
             half = half_width(sigma2, ci_level)
             covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
         if "ow" in estimators:
-            idx = owopt.stilde_indices(tables.incidence, B)
+            idx = owopt.stilde_indices(tables.levels, block.B)
             estimates["ow"][sl] = owopt.ow_estimates(ow_table, idx, D, Y)
 
     return CellResult(estimates=estimates, covers=covers,

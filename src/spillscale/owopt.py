@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (TAG_TABLES, ClusterPartition, cluster_bits, incidence,
-                     rng_for)
-from .estimators import EstimateReport, effective_grid
-from .geometry import InterferenceBudget, PremetricSpace, bool_matmul
+from .design import (TAG_TABLES, ClusterPartition, IncidenceCounts,
+                     cluster_bits, incidence, rng_for)
+from .estimators import EstimateReport, _cols, effective_grid
+from .geometry import InterferenceBudget, PremetricSpace
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
@@ -38,11 +38,7 @@ class SaturationTables:
     marg: np.ndarray                # n x S, P(s_tilde_i = s)
     pairs: np.ndarray               # (P, 2) unit ids with i <= j
     joint: np.ndarray               # (P, S, S), P(s_tilde_i = s, s_tilde_j = t)
-    incidence: np.ndarray           # S x n x C, cluster c meets N(i, grid[k])
-    p: float
-    method: str                     # "exact" | "mc"
-    mc_draws: int | None = None
-    seed: int | None = None
+    levels: list                    # IncidenceCounts at each grid size
 
     @property
     def n(self) -> int:
@@ -53,34 +49,23 @@ class SaturationTables:
         return self.grid.size
 
 
-def stilde_indices(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Saturation-size grid index per (draw, unit) for assignments B (m x C),
-    from the S x n x C incidence stack G of `SaturationTables.incidence`.
-
-    A neighborhood is pure when its clusters are all treated or all
-    untreated; purity is monotone down the grid, so the index is the last
-    level before the first impure one.
-    """
-    m = B.shape[0]
-    n = G.shape[1]
-    idx = np.zeros((m, n), dtype=np.int64)
-    alive = np.ones((m, n), dtype=bool)
-    Bf = B.astype(np.float64)
-    for k in range(G.shape[0]):
-        counts = Bf @ G[k].T.astype(np.float64)      # treated clusters met
-        phi_k = G[k].sum(axis=1).astype(np.float64)
-        pure = (counts == 0.0) | (counts == phi_k[None, :])
-        alive &= pure
+def stilde_indices(levels: list, B) -> np.ndarray:
+    """Saturation-size grid index per unit and draw (n x m) for C x m bits B
+    and the grid sizes' incidence `levels`: purity is monotone down the grid,
+    so the index is the last level before the first impure one."""
+    B = np.asarray(B, dtype=np.float64)
+    idx = np.zeros((levels[0].phi.size, B.shape[1]), dtype=np.int64)
+    alive = np.ones(idx.shape, dtype=bool)
+    for k, level in enumerate(levels):
+        sat, dis = level.pure(level.treated(B))
+        alive &= sat | dis
         idx[alive] = k
     return idx
 
 
-def interacting_pairs(G_max: np.ndarray) -> np.ndarray:
-    """Unit pairs (i <= j, self included) sharing a cluster at the top size."""
-    share = bool_matmul(G_max, G_max.T)
-    iu = np.triu_indices_from(share)
-    keep = share[iu]
-    return np.column_stack([iu[0][keep], iu[1][keep]])
+def interacting_pairs(top: IncidenceCounts) -> np.ndarray:
+    """Unit pairs i <= j (self included, row-major) meeting a common cluster."""
+    return np.argwhere(np.triu(top.shared()))
 
 
 def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
@@ -94,39 +79,33 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
     grid_eff = effective_grid(space, grid)
-    G = np.stack([incidence(space, partition, s).incidence for s in grid_eff])
+    levels = [incidence(space, partition, s) for s in grid_eff]
     S = grid_eff.size
-    n = space.n
-    pairs = interacting_pairs(G[-1])
+    pairs = interacting_pairs(levels[-1])
 
     if method == "exact":
         enum = enumerate_assignments(partition, p)
         B_all, weights_all = enum.assignments, enum.probs
-        draws_used, seed_used = None, None
     elif method == "mc":
         gen = rng_for(seed, TAG_TABLES)
         B_all = (gen.uniform(size=(mc_draws, partition.n_clusters)) < p).astype(np.int8)
         weights_all = np.full(mc_draws, 1.0 / mc_draws)
-        draws_used, seed_used = int(mc_draws), int(seed)
     else:
         raise ValueError("method must be 'exact' or 'mc'")
 
-    marg = np.zeros((n, S))
     joint = np.zeros((len(pairs), S, S))
     for lo in range(0, B_all.shape[0], _CHUNK):
-        B = B_all[lo:lo + _CHUNK]
         w = weights_all[lo:lo + _CHUNK]
         # unit-major rows: each unit's draws are one contiguous run
-        idx = np.ascontiguousarray(stilde_indices(G, B).T)
+        idx = stilde_indices(levels, B_all[lo:lo + _CHUNK].T)
         hi = idx * S
-        for i in range(n):
-            marg[i] += np.bincount(idx[i], weights=w, minlength=S)
         for r, (i, j) in enumerate(pairs.tolist()):
             code = hi[i] + idx[j]
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
+    # i is in N(i, s): each unit's marginal is its self-pair joint's diagonal
+    marg = joint[pairs[:, 0] == pairs[:, 1]][:, np.arange(S), np.arange(S)]
     return SaturationTables(grid=grid_eff, marg=marg, pairs=pairs, joint=joint,
-                            incidence=G, p=float(p), method=method,
-                            mc_draws=draws_used, seed=seed_used)
+                            levels=levels)
 
 
 def objective_kernel(grid: np.ndarray, budget: InterferenceBudget) -> np.ndarray:
@@ -171,6 +150,11 @@ class OwWeightTable:
         return float(np.max(np.abs(lhs - 1.0 / (self.p * n))))
 
 
+def reaches_h(sizes, h):
+    """Whether each size is at least the estimator size h, to 1e-12 relative."""
+    return np.asarray(sizes) >= float(h) * (1.0 - 1e-12)
+
+
 def ipw_weight_table(tables: SaturationTables, h, p: float) -> OwWeightTable:
     """Inverse-probability weights expressed over the saturation grid.
 
@@ -179,7 +163,7 @@ def ipw_weight_table(tables: SaturationTables, h, p: float) -> OwWeightTable:
     feasible warm start; at p = 1/2 it reproduces the Horvitz-Thompson
     estimator draw for draw.
     """
-    mask = tables.grid >= float(h) * (1.0 - 1e-12)
+    mask = reaches_h(tables.grid, h)
     if not mask.any():
         raise ValueError("grid must reach the estimator size h")
     cover = (tables.marg * mask).sum(axis=1)
@@ -433,10 +417,9 @@ def default_ow_grid(h: float) -> list:
 
 
 def ow_estimates(weights: OwWeightTable, idx, D, Y) -> np.ndarray:
-    """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i per draw; idx is m x n grid
-    indices, D and Y are n x m."""
-    rows = np.arange(weights.W.shape[0])[None, :]
-    w_real = (2.0 * D - 1.0) * weights.W[rows, idx].T
+    """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i per draw; idx, D, Y are n x m."""
+    rows = np.arange(weights.W.shape[0])[:, None]
+    w_real = (2.0 * D - 1.0) * weights.W[rows, idx]
     return np.einsum("im,im->m", w_real, Y)
 
 
@@ -444,14 +427,12 @@ def ow_estimate(Y, d, partition: ClusterPartition, tables: SaturationTables,
                 weights: OwWeightTable) -> EstimateReport:
     """Weighted outcome sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i of one
     draw: the m = 1 case of `ow_estimates`, with the saturation sizes read
-    off the tables' incidence.  d must be constant within each cluster."""
+    off the tables' levels.  d must be constant within each cluster."""
     if weights.grid is None or tables.grid.size != weights.grid.size or \
             not np.allclose(tables.grid, weights.grid):
         raise ValueError("saturation tables and weight table use different grids")
-    idx = stilde_indices(tables.incidence, cluster_bits(partition, d)[None, :])
-    Y = np.asarray(Y, dtype=float)[:, None]
-    d = np.asarray(d, dtype=float)[:, None]
-    est = ow_estimates(weights, idx, d, Y)[0]
+    idx = stilde_indices(tables.levels, cluster_bits(partition, d)[:, None])
+    est = ow_estimates(weights, idx, _cols(d), _cols(Y))[0]
     return EstimateReport(estimate=float(est), estimator="ow",
                           params={"grid_size": int(weights.grid.size)},
                           diagnostics={"objective": weights.objective_value})

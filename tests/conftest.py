@@ -80,9 +80,10 @@ def bruteforce_polytope_min(Q, marg, p, n, start_W, grid_points=1001,
 
 # --- unit-level saturation: the partition-free purity reference -------------
 # A neighborhood is pure when every unit in it is treated, or none is.  The
-# package reads purity off the cluster incidence instead (`DrawBlock.pure`,
-# `owopt.stilde_indices`); the two agree whenever d is constant within each
-# cluster, which the tests check against this reference.
+# package reads purity off the cluster incidence instead, in one place
+# (`IncidenceCounts.pure`, which `DrawBlock.pure` and `owopt.stilde_indices`
+# call); the two agree whenever d is constant within each cluster, which the
+# tests check against this reference.
 
 
 @dataclass(frozen=True)

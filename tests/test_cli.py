@@ -689,6 +689,41 @@ class TestReplicateCommand:
             capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text, extra", [
+        ("ow_mc_draws = 0", "ow_mc_draws must be >= 1"),
+        ("base_seed = -1", "base_seed must be >= 0"),
+    ], ids=["ow_mc_draws", "base_seed"])
+    def test_config_range_exits_2(self, tmp_path, capsys, text, extra):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 20\nestimators = ht, ow\nreps = 5\n" + text)
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "x")])
+        assert rc == 2
+        assert f"config error: {extra}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("assertion, message", [
+        *(pytest.param(f"{token} < 1", f"{token!r} is not a number", id=token)
+          for token in (
+              "rmse:ht", "slope:ht", "rmse:ht:scaling_clusters:x",
+              "bogus:ht:scaling_clusters", "coverage:ht:scaling_clusters:30",
+              "ow_table:ht:scaling_clusters:30",
+              "rmse:bogus:scaling_clusters:30", "rmse:ht:bogus_design:30",
+              "slope:ht:scaling_clusters:30")),
+        pytest.param("rmse:ht:iid:30", "'rmse:ht:iid:30' needs an operator",
+                     id="no_operator"),
+    ])
+    def test_bad_assertion_exits_2_before_running(self, tmp_path, capsys,
+                                                  assertion, message):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "--config", str(cfg), "--out",
+                  str(tmp_path / "x"), "--assert", assertion])
+        assert exc.value.code == 2
+        assert f"argument --assert: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_assertion_exit_codes(self, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text(CONFIG)
@@ -700,6 +735,28 @@ class TestReplicateCommand:
                    str(tmp_path / "z"),
                    "--assert", "rmse:ht:scaling_clusters:30 < 0"])
         assert rc == 3
+
+    def test_assertion_forms(self, tmp_path, capsys):
+        # a slope reads the slopes.csv series, n is optional, a failing
+        # assertion does not hide the ones after it
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 20, 25, 30\nestimators = ht, hajek\n"
+                       "reps = 10\nbase_seed = 5\n")
+        asserts = ["slope:ht:scaling_clusters > -100", "1 > 2",
+                   "coverage:hajek:scaling_clusters:30 >= 0",
+                   "rmse:ht:scaling_clusters <= rmse:ht:scaling_clusters:20"]
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "a")]
+                  + [arg for text in asserts for arg in ("--assert", text)])
+        assert rc == 3
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("assert ")]
+        assert [ln.rsplit(" ", 1)[1] for ln in lines] == \
+            ["pass", "FAIL", "pass", "pass"]
+        (slope,) = [r for r in read_csv(tmp_path / "a/slopes.csv")
+                    if r["estimator"] == "ht"]
+        assert lines[0].startswith(f"assert {asserts[0]}: "
+                                   f"{float(slope['slope']):.6g} > -100 ")
 
     def test_hac_clip_counts_printed(self, tmp_path, capsys):
         cfg = tmp_path / "config.txt"

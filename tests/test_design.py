@@ -10,7 +10,7 @@ from spillscale.estimators import dependency_graph
 from spillscale.harness import build_population
 from spillscale.owopt import interacting_pairs
 
-from conftest import line_space
+from conftest import line_space, saturation_indicators
 
 
 class TestScalingRule:
@@ -156,8 +156,54 @@ class TestNeighborhoodProductsAgainstSets:
         sets = self.cluster_sets(space, part, top)
         want = [[i, j] for i in range(space.n) for j in range(i, space.n)
                 if sets[i] & sets[j]]
-        pairs = interacting_pairs(incidence(space, part, top).incidence)
+        pairs = interacting_pairs(incidence(space, part, top))
         assert pairs.tolist() == want
+
+
+class TestIncidenceCounts:
+    """`treated`, `pure` and `shared`, the one reading of purity and of
+    shared clusters, against independent references."""
+
+    @pytest.fixture(scope="class", params=["scaling_clusters", "singleton"])
+    def instance(self, request):
+        space, _, _ = build_population(120, 4)
+        h = scaling_rule(space.n, 1.0)
+        part = (scaling_clusters(space, h) if request.param == "scaling_clusters"
+                else singleton_partition(space.n))
+        B = (np.random.default_rng(17).uniform(size=(part.n_clusters, 30))
+             < 0.5).astype(np.int8)
+        # the constant draws, where every neighborhood is pure
+        B[:, 0], B[:, 1] = 1, 0
+        return space, part, h, B
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_treated_is_the_integer_count(self, instance, scale):
+        space, part, h, B = instance
+        counts = incidence(space, part, scale * h)
+        got = counts.treated(B.astype(np.float64))
+        want = counts.incidence.astype(np.int64) @ B.astype(np.int64)
+        assert got.dtype == np.float64 and got.shape == (space.n, B.shape[1])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_pure_matches_unit_level_reference(self, instance, scale):
+        space, part, h, B = instance
+        counts = incidence(space, part, scale * h)
+        sat, dis = counts.pure(counts.treated(B.astype(np.float64)))
+        for k in range(B.shape[1]):
+            want_sat, want_dis = saturation_indicators(
+                space, B[part.assignment, k], scale * h)
+            assert np.array_equal(sat[:, k], want_sat)
+            assert np.array_equal(dis[:, k], want_dis)
+        assert sat[:, 0].all() and dis[:, 1].all()
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_shared_matches_set_relations(self, instance, scale):
+        space, part, h, _ = instance
+        sets = TestNeighborhoodProductsAgainstSets.cluster_sets(
+            space, part, scale * h)
+        want = np.array([[bool(a & b) for b in sets] for a in sets])
+        assert np.array_equal(incidence(space, part, scale * h).shared(), want)
 
 
 class TestExtendUniformOverlap:

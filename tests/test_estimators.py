@@ -249,9 +249,9 @@ class TestShrinkage:
 
 def stilde_profile(space, part, d, grid) -> SaturationProfile:
     """Saturation sizes of one draw as `ow_estimate` reads them: the tables'
-    effective grid and incidence stack, then `stilde_indices`."""
+    effective grid and incidence levels, then `stilde_indices`."""
     tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
-    idx = stilde_indices(tables.incidence, cluster_bits(part, d)[None, :])[0]
+    idx = stilde_indices(tables.levels, cluster_bits(part, d)[:, None])[:, 0]
     return SaturationProfile(grid=tables.grid, s_tilde=tables.grid[idx], idx=idx)
 
 
@@ -313,6 +313,23 @@ class TestPurityOnClusterIncidence:
         return space
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_stilde_reaches_h_where_drawblock_is_pure(self, population, design):
+        # OW's saturation size reaches h exactly on the units that HT and
+        # Hajek count as saturated or dissaturated at h
+        space = population
+        h = ss.scaling_rule(space.n, 1.0)
+        part = harness.make_partition(space, design, h)
+        tables = saturation_tables(space, part, default_ow_grid(h), 0.5,
+                                   mc_draws=1)
+        (k_h,) = np.flatnonzero(tables.grid == h)
+        B = np.array([draw_treatments(part, 0.5, seed).b
+                      for seed in range(40)]).T
+        idx = stilde_indices(tables.levels, B)
+        sat, dis = DrawBlock(DesignContext(space, part, h, 0.5), B=B).pure
+        assert np.array_equal(idx >= k_h, sat | dis)
+        assert 0 < (idx >= k_h).sum() < idx.size
+
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_matches_unit_level_reference(self, population, design):
         space = population
         h_rule = ss.scaling_rule(space.n, 1.0)
@@ -345,8 +362,8 @@ class TestPurityOnClusterIncidence:
         B = np.array([draw_treatments(part, 0.5, seed).b for seed in range(20)]
                      + [np.ones(part.n_clusters, dtype=np.int8),
                         np.zeros(part.n_clusters, dtype=np.int8)])
-        idx = stilde_indices(tables.incidence, B)
-        for b, got in zip(B, idx):
+        idx = stilde_indices(tables.levels, B.T)
+        for b, got in zip(B, idx.T):
             want = saturation(space, b[part.assignment], grid)
             assert np.array_equal(tables.grid, want.grid)
             assert np.array_equal(got, want.idx)

@@ -196,6 +196,14 @@ class TestConfigParsing:
             parse_config("n_list = 100\np = 1.5")
         with pytest.raises(ConfigError):
             parse_config("n_list = 100\ndesigns = bogus_design")
+        with pytest.raises(ConfigError, match="ow_mc_draws must be >= 1"):
+            parse_config("n_list = 100\nestimators = ht, ow\now_mc_draws = 0")
+        with pytest.raises(ConfigError, match="base_seed must be >= 0"):
+            parse_config("n_list = 100\nbase_seed = -1")
+        with pytest.raises(ConfigError, match="eta must be in"):
+            parse_config("n_list = 100\nestimators = ht\neta = nan")
+        with pytest.raises(ConfigError, match="c0 must be in"):
+            parse_config("n_list = 100\nc0 = inf")
 
     def test_n_below_two(self):
         with pytest.raises(ConfigError):

@@ -95,7 +95,7 @@ class TestSaturationTables:
         else:
             u = rng_for(seed, TAG_TABLES).uniform(size=(draws, part.n_clusters))
             B, w = (u < p).astype(np.int8), np.full(draws, 1.0 / draws)
-        idx = stilde_indices(tab.incidence, B)
+        idx = stilde_indices(tab.levels, B.T).T
         S = tab.n_sizes
         assert S == 3
         at = [[idx[:, i] == s for s in range(S)] for i in range(space.n)]
@@ -153,7 +153,7 @@ class TestAssembleObjective:
         w = rng.uniform(size=n * S)
 
         enum = enumerate_assignments(part, p)
-        idx = stilde_indices(tab.incidence, enum.assignments)
+        idx = stilde_indices(tab.levels, enum.assignments.T).T
         kern = objective_kernel(tab.grid, budget)
         direct = 0.0
         for a, prob in enumerate(enum.probs):
@@ -365,7 +365,7 @@ class TestOwEstimate:
             got = ow_estimate(Y, draw.d, part, tab, weights).estimate
             assert got == pytest.approx(want, rel=1e-13)
             assert got == owopt.ow_estimates(
-                weights, idx[None, :], draw.d.astype(float)[:, None],
+                weights, idx[:, None], draw.d.astype(float)[:, None],
                 Y[:, None])[0]
 
     def test_weight_expectation_identity(self):
@@ -380,7 +380,7 @@ class TestOwEstimate:
                       warm_start=ipw_weight_table(tab, 4.0, p).W)
         ow.grid = tab.grid
         enum = enumerate_assignments(part, p)
-        idx = stilde_indices(tab.incidence, enum.assignments)
+        idx = stilde_indices(tab.levels, enum.assignments.T).T
         for i in range(space.n):
             d_i = enum.assignments[:, part.assignment[i]].astype(float)
             w_i = ow.W[i, idx[:, i]]
