@@ -339,15 +339,38 @@ def _assertion(text):
     return text, op, *(_operand(side.strip()) for side in text.split(op, 1))
 
 
+def _unmatched(config, side):
+    """Why a result operand names no row the config's run writes, naming the
+    token, or None when it names one (numbers always do)."""
+    if isinstance(side, float):
+        return None
+    token, metric, est, design, n = side
+    sizes = {int(v) for v in config.n_list}
+    runs = {v for v in sizes if est != "ow" or v <= config.ow_max_n}
+    need = 3 if metric == "slope" else 1
+    if est not in config.estimators:
+        why = f"estimator {est} is not in the config's estimators"
+    elif design not in config.designs:
+        why = f"design {design} is not in the config's designs"
+    elif n is not None and n not in sizes:
+        why = f"n = {n} is not in n_list"
+    elif n is not None and n not in runs:
+        why = f"ow runs only up to ow_max_n = {config.ow_max_n}"
+    elif n is None and len(runs) < need:
+        why = f"{metric} needs {need} or more sizes, the config runs {est} " \
+              f"at {len(runs)}"
+    else:
+        return None
+    return f"--assert token {token!r} matches no result: {why}"
+
+
 def _value(rows, side):
     """The number an operand stands for; NaN for a row without it."""
     if isinstance(side, float):
         return side
-    token, metric, est, design, n = side
+    _, metric, est, design, n = side
     series = [r for r in rows if (r.estimator, r.design) == (est, design)
               and n in (None, r.n)]
-    if len({r.n for r in series}) < (3 if metric == "slope" else 1):
-        raise SystemExit(f"no result matches {token}")
     value = harness.rate_slope(series) if metric == "slope" else \
         getattr(series[0], metric)
     return math.nan if value is None else value
@@ -359,6 +382,11 @@ def cmd_replicate(args):
     except (harness.ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    unmatched = next((why for _, _, *sides in args.assertion for side in sides
+                      if (why := _unmatched(config, side))), None)
+    if unmatched:
+        print(f"replicate: {unmatched}", file=sys.stderr)
+        return 2
     rows = harness.run_experiment(config)
     out = Path(args.out)
     _write(out / "results.csv", harness.results_csv(rows))
@@ -366,7 +394,8 @@ def cmd_replicate(args):
     for row in rows:
         qp = row.ow_table
         trace = "" if qp is None else \
-            f" qp_iters={qp.iterations} kkt={qp.kkt_residual:.3g}"
+            f" qp_iters={qp.iterations} kkt={qp.kkt_residual:.3g}" \
+            f" polish={qp.polish_adopted}"
         if row.hac_clipped is not None:
             trace += f" hac_clipped={row.hac_clipped}"
         print(f"n={row.n} design={row.design} est={row.estimator} "

@@ -200,14 +200,18 @@ def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
     cand = np.flatnonzero(members)
     sets = nbhd_matrix[cand][:, cand]
     uncovered = np.ones(len(cand), dtype=bool)
+    # gains[k]: members still uncovered in candidate k's neighborhood, kept
+    # exact by subtracting each pick's newly covered columns
+    gains = sets.sum(axis=1, dtype=np.int64)
     picked = []
     while uncovered.any():
-        gains = sets[:, uncovered].sum(axis=1)
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise GeometryError("neighborhoods cannot cover the member set")
         picked.append(int(cand[best]))
-        uncovered &= ~sets[best]
+        newly = sets[best] & uncovered
+        gains -= sets[:, newly].sum(axis=1, dtype=np.int64)
+        uncovered &= ~newly
     return picked
 
 

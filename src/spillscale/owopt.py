@@ -144,6 +144,7 @@ class OwWeightTable:
     kkt_residual: float
     converged: bool
     p: float
+    polish_adopted: int = 0         # active-set candidates solve_qp moved to
 
     def constraint_gap(self, marg: np.ndarray, n: int) -> float:
         lhs = np.sum(self.W * marg, axis=1)
@@ -176,34 +177,47 @@ def ipw_weight_table(tables: SaturationTables, h, p: float) -> OwWeightTable:
                          p=float(p))
 
 
-def project_rows(V: np.ndarray, M: np.ndarray, r: float) -> np.ndarray:
-    """Row-wise Euclidean projection onto {w >= 0, sum_s M[i,s] w[s] = r}.
+def _row_projector(M: np.ndarray, r: float):
+    """Row-wise Euclidean projection onto {w >= 0, sum_s M[i,s] w[s] = r},
+    as a function of V with the arrays that depend on M alone built once.
 
     Water-filling with exact breakpoints: w = max(0, v - lam*m) with the
     per-row lam solving the equality.  Coordinates with m = 0 are free and
     only clipped at zero.
     """
-    V = np.asarray(V, dtype=float)
     M = np.asarray(M, dtype=float)
-    n, S = V.shape
-    beta = np.where(M > 0, V / np.where(M > 0, M, 1.0), -np.inf)
+    n, S = M.shape
+    pos = M > 0
+    safe = np.where(pos, M, 1.0)
+    mm = (M * M).ravel()
     rows = np.arange(n)
-    flat = np.argsort(-beta, axis=1) + S * rows[:, None]
-    beta_s = beta.ravel()[flat]
-    mv_s = (M * V).ravel()[flat]
-    mm_s = (M * M).ravel()[flat]
-    cum_mv = np.cumsum(mv_s, axis=1)
-    cum_mm = np.cumsum(mm_s, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_k = (cum_mv - r) / cum_mm
-    # the mass sum_s m_s max(0, v_s - lam m_s) falls as lam grows, so lam
-    # lies on the first segment whose own solution is at or above the next
-    # breakpoint; the last segment's lower end is -inf
-    lower = np.concatenate([beta_s[:, 1:], np.full((n, 1), -np.inf)], axis=1)
-    valid = (lam_k >= lower) & (cum_mm > 0)
-    first = np.argmax(valid, axis=1)
-    lam = lam_k[rows, first]
-    return np.maximum(0.0, V - lam[:, None] * M)
+    offsets = S * rows[:, None]
+    tail = np.full((n, 1), -np.inf)
+
+    def project(V):
+        V = np.asarray(V, dtype=float).reshape(n, S)
+        beta = np.where(pos, V / safe, -np.inf)
+        flat = np.argsort(-beta, axis=1) + offsets
+        beta_s = beta.ravel()[flat]
+        cum_mv = np.cumsum((M * V).ravel()[flat], axis=1)
+        cum_mm = np.cumsum(mm[flat], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_k = (cum_mv - r) / cum_mm
+        # the mass sum_s m_s max(0, v_s - lam m_s) falls as lam grows, so
+        # lam lies on the first segment whose own solution is at or above
+        # the next breakpoint; the last segment's lower end is -inf
+        lower = np.concatenate([beta_s[:, 1:], tail], axis=1)
+        valid = (lam_k >= lower) & (cum_mm > 0)
+        lam = lam_k[rows, np.argmax(valid, axis=1)]
+        return np.maximum(0.0, V - lam[:, None] * M)
+
+    return project
+
+
+def project_rows(V: np.ndarray, M: np.ndarray, r: float) -> np.ndarray:
+    """Row-wise Euclidean projection onto {w >= 0, sum_s M[i,s] w[s] = r}:
+    one call of `_row_projector(M, r)`."""
+    return _row_projector(M, r)(V)
 
 
 def _power_lmax(Q: np.ndarray, iters: int = 60, seed: int = 0) -> float:
@@ -300,6 +314,8 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     periodic exact active-set refinements.  A final monotone projected
     gradient pass guarantees the returned objective never exceeds the warm
     start's.  Non-convergence is reported on the result, never silent.
+    Raises ValueError when a row or column of Q whose diagonal is not
+    positive has a nonzero entry, which no PSD Q has.
     """
     S = marg.shape[1]
     r = 1.0 / (p * n)
@@ -308,17 +324,32 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     else:
         start = np.asarray(warm_start, dtype=float).reshape(n, S)
 
-    # preconditioned variable x = sd * w; a PSD row with zero diagonal is a
-    # zero row, so the unit scale placeholder is inert there
+    # preconditioned variable x = sd * w.  A (unit, size) whose event never
+    # occurs has a zero diagonal and, Q being PSD, a zero row and column:
+    # the matvecs run on the support block of the positive diagonal and
+    # write the zero products off it, where the unit scale is inert
     dq = np.diag(Q).copy()
-    sd = np.sqrt(np.where(dq > 0, dq, 1.0))
+    off = ~(dq > 0)
+    nonzero = Q != 0
+    if nonzero[off].any() or nonzero[:, off].any():
+        raise ValueError("Q has a nonzero entry in a row or column whose "
+                         "diagonal is not positive; Q must be PSD")
+    sd = np.sqrt(np.where(off, 1.0, dq))
     Qt = Q / np.outer(sd, sd)
+    supp = np.flatnonzero(~off)
+    Qs = Qt[np.ix_(supp, supp)]
     mt = (marg.reshape(-1) / sd).reshape(n, S)
+    project = _row_projector(mt, r)
+
+    def matvec(xv):
+        qv = np.zeros_like(xv)
+        qv[supp] = Qs @ xv[supp]
+        return qv
 
     def proj_x(xv):
-        return project_rows(xv.reshape(n, S), mt, r).reshape(-1)
+        return project(xv).reshape(-1)
 
-    lmax = _power_lmax(Qt)
+    lmax = _power_lmax(Qs)
     step = 1.0 / max(2.0 * lmax, 1e-30)
 
     def residual_x(xv, qv):
@@ -327,17 +358,18 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     # one matvec per iteration: qx = Qt @ x is carried, the momentum point's
     # product follows by linearity, and x @ qx is the objective w'Qw
     x = proj_x(start.reshape(-1) * sd)
-    qx = Qt @ x
+    qx = matvec(x)
     best_x = x
     best_f = float(x @ qx)
     y, qy = x, qx
     t = 1.0
     it = 0
+    adopted = 0
     res = residual_x(x, qx)
     while res > tol and it < max_iter:
         it += 1
         x_new = proj_x(y - step * 2.0 * qy)
-        qx_new = Qt @ x_new
+        qx_new = matvec(x_new)
         if (y - x_new) @ (x_new - x) > 0.0:   # momentum points uphill
             y, qy = x_new, qx_new
             t = 1.0
@@ -359,7 +391,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
                 x_probe = proj_x(x - step * 2.0 * qx)
                 cand = _active_set_polish(Qt, mt, r, x_probe, S)
                 if cand is not None:
-                    q_cand = Qt @ cand
+                    q_cand = matvec(cand)
                     f_cand = float(cand @ q_cand)
                     if f_cand <= best_f + 1e-12 * abs(best_f):
                         cand_res = residual_x(cand, q_cand)
@@ -368,6 +400,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
                             y, qy = cand, q_cand
                             t = 1.0
                             res = cand_res
+                            adopted += 1
                         if f_cand < best_f:
                             best_f = f_cand
                             best_x = cand
@@ -375,19 +408,20 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     # so the returned objective never exceeds the warm start's
     if x @ qx > best_f:
         x = best_x
-        qx = Qt @ x
+        qx = matvec(x)
         res = residual_x(x, qx)
     while res > tol and it < max_iter:
         it += 1
         x = proj_x(x - step * 2.0 * qx)
-        qx = Qt @ x
+        qx = matvec(x)
         if it % 50 == 0:
             res = residual_x(x, qx)
     res = residual_x(x, qx)
     w = x / sd
     return OwWeightTable(W=w.reshape(n, S), grid=None,
                          objective_value=float(w @ (Q @ w)), iterations=it,
-                         kkt_residual=res, converged=res <= tol, p=float(p))
+                         kkt_residual=res, converged=res <= tol, p=float(p),
+                         polish_adopted=adopted)
 
 
 def optimize_weights(space: PremetricSpace, partition: ClusterPartition,

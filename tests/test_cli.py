@@ -724,6 +724,35 @@ class TestReplicateCommand:
         assert f"argument --assert: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("extra, token, why", [
+        ("", "rmse:ht:scaling_clusters:40", "n = 40 is not in n_list"),
+        ("", "rmse:hajek:scaling_clusters:30",
+         "estimator hajek is not in the config's estimators"),
+        ("", "rmse:ht:iid:30", "design iid is not in the config's designs"),
+        ("estimators = ht, ow\now_max_n = 20\n", "rmse:ow:scaling_clusters:30",
+         "ow runs only up to ow_max_n = 20"),
+        ("estimators = ht, ow\now_max_n = 20\n", "rmse:ow:scaling_clusters",
+         "rmse needs 1 or more sizes, the config runs ow at 0"),
+        ("", "slope:ht:scaling_clusters",
+         "slope needs 3 or more sizes, the config runs ht at 1"),
+        ("n_list = 20, 25, 30\nestimators = ht, ow\now_max_n = 25\n",
+         "slope:ow:scaling_clusters",
+         "slope needs 3 or more sizes, the config runs ow at 2"),
+    ], ids=["n", "estimator", "design", "ow_max_n", "ow_no_size", "slope",
+            "ow_slope"])
+    def test_assertion_matching_no_result_exits_2_before_running(
+            self, tmp_path, capsys, extra, token, why):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(CONFIG + extra)
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "x"),
+                   "--assert", "1 > rmse:ht:scaling_clusters:30",
+                   "--assert", f"{token} < 1"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"replicate: --assert token {token!r} matches no result: {why}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_assertion_exit_codes(self, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text(CONFIG)
@@ -786,8 +815,13 @@ class TestReplicateCommand:
 
         run = replicate("a")
         lines = run.out.splitlines()
-        assert [" qp_iters=" in ln and " kkt=" in ln for ln in lines] == \
+        assert [" qp_iters=" in ln and " kkt=" in ln and " polish=" in ln
+                for ln in lines] == \
             ["est=ow" in ln for ln in lines] == [False, True]
+        (row,) = [r for r in harness.run_experiment(
+            harness.parse_config(cfg.read_text())) if r.estimator == "ow"]
+        assert f" polish={row.ow_table.polish_adopted} [" in lines[1]
+        assert "polish" not in (tmp_path / "a/results.csv").read_text()
         assert run.err == ""
         header = (tmp_path / "a/results.csv").read_text().splitlines()[0]
         assert header == ",".join(harness.ResultRow.CSV_COLUMNS)

@@ -168,6 +168,29 @@ class TestAudits:
             inside = M[np.ix_(np.flatnonzero(members), pack)]
             assert inside.sum(axis=1).max() <= 1
 
+    def test_greedy_cover_matches_naive_rescan(self):
+        # the pick rule written out: rescan every candidate's uncovered
+        # members at each pick, ties to the lowest id
+        def naive(members, M):
+            cand = np.flatnonzero(members)
+            uncovered = set(cand.tolist())
+            picked = []
+            while uncovered:
+                gains = [len(uncovered & set(np.flatnonzero(M[c]).tolist()))
+                         for c in cand]
+                best = int(cand[int(np.argmax(gains))])
+                picked.append(best)
+                uncovered -= set(np.flatnonzero(M[best]).tolist())
+            return picked
+
+        rng = np.random.default_rng(5)
+        for trial in range(6):
+            n = int(rng.integers(30, 120))
+            space = build_space(uniform_disk(n, rng))
+            M = space.neighborhood_matrix(float(rng.uniform(1.0, 8.0)))
+            members = rng.uniform(size=n) < rng.uniform(0.3, 1.0)
+            assert greedy_set_cover(members, M) == naive(members, M)
+
     def test_design_scale_constants_golden(self):
         # the design-scale audit (n = 600, seed 7); values recorded from the
         # boolean-matmul packing before it ran through bool_matmul

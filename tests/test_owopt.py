@@ -140,6 +140,22 @@ class TestAssembleObjective:
         assert np.allclose(Q[0:S, S:2 * S], 2 * 1.5 ** 2 * tab.joint[r0],
                            atol=1e-9)
 
+    def test_zero_marginal_zeroes_row_and_column(self):
+        # a size a unit never takes: its product terms and joint entries
+        # are probabilities of an event that never occurs
+        n = 40
+        space, outcomes, _ = harness.build_population(n, 7 + n)
+        h = scaling_rule(n, 1.0)
+        part = scaling_clusters(space, h)
+        tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
+                                mc_draws=2000, seed=3)
+        budget = sim_budget(outcomes, space, 1.0)
+        Q = assemble_objective(tab, budget)
+        zero = tab.marg.reshape(-1) == 0
+        assert 0 < zero.sum() < zero.size
+        assert not Q[zero].any() and not Q[:, zero].any()
+        assert np.all(np.diag(Q)[~zero] > 0)
+
     def test_quadratic_form_matches_full_enumeration(self):
         # direct oracle: joint table for EVERY pair from scratch, then the
         # literal double sum over units and sizes
@@ -238,6 +254,16 @@ class TestSolveQp:
         assert ow.W[0, -1] == pytest.approx(1.0 / (0.5 * 1 * tab.marg[0, -1]))
         assert ow.converged
 
+    @pytest.mark.parametrize("i, j", [(1, 0), (1, 2), (0, 1)])
+    def test_zero_diagonal_with_nonzero_entry_rejected(self, i, j):
+        # the support block leaves out rows and columns with a zero
+        # diagonal, which is exact only when they are zero
+        Q = np.diag([1.0, 0.0, 2.0])
+        Q[i, j] = 0.5
+        marg = np.array([[0.5, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="diagonal"):
+            solve_qp(Q, marg, 0.5, 1)
+
     def test_objective_never_above_warm_start(self):
         rng = np.random.default_rng(7)
         for trial in range(6):
@@ -276,14 +302,17 @@ class TestSolveQp:
 
 
 class TestQpTrajectoryGolden:
-    """The seed-7 replicate cells at n = 40 and 60 with ow_mc_draws = 20000.
+    """The seed-7 replicate cells at n = 40, 60 and 80 with ow_mc_draws =
+    20000.
 
     Iteration counts and objectives were recorded from the solver that ran
-    two matvecs per iteration; the one-matvec loop must stop at the same
-    iteration with the same objective to 12 digits.
+    two matvecs per iteration (n = 40, 60) and from the one that ran its
+    matvec on the full Q (n = 80); the support-block loop must stop at the
+    same iteration with the same objective to 12 digits.
     """
 
-    PINS = {40: (2000, 218.88976954775939), 60: (2000, 191.45859302295844)}
+    PINS = {40: (2000, 218.88976954775939), 60: (2000, 191.45859302295844),
+            80: (2550, 174.9844553216904)}
 
     @pytest.mark.parametrize("n", sorted(PINS))
     def test_iterations_and_objective_pinned(self, n):
@@ -292,13 +321,20 @@ class TestQpTrajectoryGolden:
         part = scaling_clusters(space, h)
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
-        _, start, ow = owopt.optimize_weights(
+        tables, start, ow = owopt.optimize_weights(
             space, part, owopt.default_ow_grid(h), 0.5, budget, h,
             method="mc", mc_draws=20_000, seed=7 + n)
         iterations, objective = self.PINS[n]
         assert ow.iterations == iterations
         assert ow.objective_value == pytest.approx(objective, rel=1e-12)
         assert ow.converged and ow.objective_value < start.objective_value
+        # a polish is tried every 1000 iterations; off-support weights keep
+        # the (nonnegative) warm start until the solve moves to a candidate
+        assert 0 <= ow.polish_adopted <= ow.iterations // 1000
+        off = tables.marg == 0
+        assert off.any()
+        want = start.W[off] if ow.polish_adopted == 0 else 0.0
+        np.testing.assert_array_equal(ow.W[off], want)
 
 
 class TestIpwWeightTable:
