@@ -264,9 +264,12 @@ def cmd_ow_weights(args):
               f"but its largest size is {top:g}", file=sys.stderr)
         return 2
     budget = InterferenceBudget(eta=args.eta, k1=args.k1, ybar=args.ybar)
-    tables, start, ow = owopt.optimize_weights(
-        space, partition, grid, args.p, budget, h, method=args.method,
-        mc_draws=args.mc_draws, seed=args.seed)
+    try:
+        tables, start, ow = owopt.optimize_weights(
+            space, partition, grid, args.p, budget, h, method=args.method,
+            mc_draws=args.mc_draws, seed=args.seed)
+    except owopt.UnseenSaturationError as exc:      # main() names the command
+        raise type(exc)(f"{exc}; raise --mc-draws (now {args.mc_draws})") from None
     out = Path(args.out)
     rows = [(u, f"{tables.grid[s]:.12g}", f"{ow.W[i, s]:.12g}")
             for i, u in enumerate(ids) for s in range(tables.grid.size)]
@@ -485,7 +488,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except oracle.EnumerationError as exc:
+    except (oracle.EnumerationError, owopt.UnseenSaturationError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

@@ -9,7 +9,7 @@ reproducible from (partition, p, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,6 +148,19 @@ def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> Incidenc
                            incidence=inc, s=float(s))
 
 
+def stilde_indices(levels: list, B) -> np.ndarray:
+    """Saturation-size grid index (n x m) for C x m bits B: the last of the
+    incidence `levels` before the first impure one; purity is monotone down them."""
+    B = np.asarray(B, dtype=np.float64)
+    idx = np.zeros((levels[0].phi.size, B.shape[1]), dtype=np.int64)
+    alive = np.ones(idx.shape, dtype=bool)
+    for k, level in enumerate(levels):
+        sat, dis = level.pure(level.treated(B))
+        alive &= sat | dis
+        idx[alive] = k
+    return idx
+
+
 @dataclass
 class ExtendedNeighborhoods:
     """Neighborhoods padded so every unit meets exactly phi_target clusters."""
@@ -156,7 +169,6 @@ class ExtendedNeighborhoods:
     extra: list                     # per unit: appended unit ids (array)
     phi_target: int
     incidence: np.ndarray           # n x C boolean, rows sum to phi_target
-    base: IncidenceCounts | None = None     # counts before the extension
 
     def exposure_phi(self) -> np.ndarray:
         return self.incidence.sum(axis=1)
@@ -171,14 +183,13 @@ def cluster_distances(space: PremetricSpace, partition: ClusterPartition) -> np.
 
 
 def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
-                           s) -> ExtendedNeighborhoods:
-    """Append whole nearest clusters until phi(i, s) is uniform at phi_max.
+                           base: IncidenceCounts) -> ExtendedNeighborhoods:
+    """Append whole nearest clusters until `base`'s phi is uniform at phi_max.
 
     Candidate clusters are ranked by minimum distance from the unit to any
-    member, ties broken by cluster id; units already at phi_max are left
-    unchanged.  Always achievable since the clusters partition everything.
+    member, ties broken by cluster id; units already at phi_max and `base`
+    stay unchanged.  Always achievable since the clusters partition everything.
     """
-    base = incidence(space, partition, s)
     phi_target = base.phi_max
     inc = base.incidence.copy()
     extra = [np.empty(0, dtype=np.int64) for _ in range(space.n)]
@@ -193,9 +204,8 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
             inc[i, chosen] = True
             extra[i] = np.sort(np.concatenate(
                 [partition.clusters[c] for c in chosen]))
-    return ExtendedNeighborhoods(s=float(s), extra=extra,
-                                 phi_target=int(phi_target), incidence=inc,
-                                 base=base)
+    return ExtendedNeighborhoods(s=base.s, extra=extra,
+                                 phi_target=int(phi_target), incidence=inc)
 
 
 @dataclass(frozen=True)

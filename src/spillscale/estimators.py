@@ -89,13 +89,10 @@ class DesignContext:
 
     @cached_property
     def extended(self) -> ExtendedNeighborhoods:
-        return design.extend_uniform_overlap(self.space, self.partition, self.h)
+        return design.extend_uniform_overlap(self.space, self.partition, self.counts)
 
     @cached_property
     def counts(self) -> IncidenceCounts:
-        """Base incidence at h, taken from the extension once that is built."""
-        if "extended" in self.__dict__:
-            return self.extended.base
         return design.incidence(self.space, self.partition, self.h)
 
     @cached_property
@@ -108,14 +105,14 @@ class DrawBlock:
 
     Y and D are n x m outcomes and unit treatments, B is C x m cluster bits
     (1-D inputs are one draw); T, when given, replaces the extended-
-    neighborhood exposures.  Shared quantities are computed once, on first
-    use.  Each estimate is an (m,) array, NaN where the estimator is
-    undefined on that draw.
+    neighborhood exposures; `guess` serves shrink and `weights` (an
+    `owopt.OwWeightTable`) ow.  Shared quantities are computed once, on
+    first use.  Each estimate is an (m,) array, NaN where undefined.
     """
 
     def __init__(self, ctx: DesignContext | None, Y=None, D=None, B=None,
-                 T=None, guess: GuessMatrix | None = None):
-        self.ctx, self.guess = ctx, guess
+                 T=None, guess: GuessMatrix | None = None, weights=None):
+        self.ctx, self.guess, self.weights = ctx, guess, weights
         self.Y, self.D, self.B = _cols(Y), _cols(D), _cols(B)
         if T is not None:
             self.T = _cols(T)
@@ -189,6 +186,13 @@ class DrawBlock:
     @cached_property
     def shrink(self) -> np.ndarray:
         return self.cov_ty / self.first_stage * (self.guess.A_hat.sum() / self.guess.n)
+
+    @cached_property
+    def ow(self) -> np.ndarray:
+        """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i, s_tilde on the weights' levels."""
+        idx = design.stilde_indices(self.weights.levels, self.B)
+        W = np.take_along_axis(self.weights.W, idx, axis=1)
+        return _dot((2.0 * self.D - 1.0) * W, self.Y)
 
     def hac(self, w, estimate, T) -> np.ndarray:
         """Unclipped HAC sums e' lam e, e = w (Y - mean(Y) - estimate (T - p))."""

@@ -50,10 +50,14 @@ class ExperimentConfig:
     def validate(self):
         if not self.n_list or any(int(n) < 2 for n in self.n_list):
             raise ConfigError("n_list must be nonempty with every n >= 2")
-        if not self.designs or any(d not in DESIGNS for d in self.designs):
-            raise ConfigError(f"designs must be a nonempty subset of {DESIGNS}")
-        if not self.estimators or any(e not in ESTIMATORS for e in self.estimators):
-            raise ConfigError(f"estimators must be a nonempty subset of {ESTIMATORS}")
+        for key, allowed in (("designs", DESIGNS), ("estimators", ESTIMATORS)):
+            if not getattr(self, key) or not set(getattr(self, key)) <= set(allowed):
+                raise ConfigError(f"{key} must be a nonempty subset of {allowed}")
+        for key in ("n_list", "designs", "estimators"):
+            values = list(getattr(self, key))
+            repeated = [v for v in values if values.count(v) > 1]
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated[0]} more than once")
         for key, lo, hi in (("p", 0, 1), ("ci_level", 0, 1), ("eta", 0, np.inf),
                             ("c0", 0, np.inf)):
             if not lo < getattr(self, key) < hi:
@@ -153,16 +157,13 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     t0 = time.perf_counter()
     n = space.n
     ctx = DesignContext(space, partition, h, p, eta)
-    if "ols" in estimators or "shrink" in estimators:
-        ctx.extended        # built first, so HT and Hajek reuse its base counts
-    core = [name for name in estimators if name != "ow"]
-    need_ci = [name for name in core if name in ("hajek", "ols")]
+    need_ci = [name for name in estimators if name in ("hajek", "ols")]
 
     ow_table = None
     if "ow" in estimators:
         budget = sim_budget(outcomes, space, eta,
                             s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
-        tables, _, ow_table = owopt.optimize_weights(
+        _, _, ow_table = owopt.optimize_weights(
             space, partition, owopt.default_ow_grid(h), p, budget, h,
             method="mc", mc_draws=ow_mc_draws, seed=base_seed + n)
 
@@ -175,18 +176,15 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         B = draw_bits_batch(partition.n_clusters, p, list(seeds))
         D = B[:, partition.assignment].T.astype(np.float64)     # n x m
         Y = realize(outcomes, D)
-        block = DrawBlock(ctx, Y, D, B.T, guess=guess)
+        block = DrawBlock(ctx, Y, D, B.T, guess=guess, weights=ow_table)
         sl = slice(lo, lo + D.shape[1])
-        for name in core:
+        for name in estimators:
             estimates[name][sl] = getattr(block, name)
         for name in need_ci:
             sigma2 = block.variance(name)
             clipped[name] += int((sigma2 < 0.0).sum())
             half = half_width(sigma2, ci_level)
             covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
-        if "ow" in estimators:
-            idx = owopt.stilde_indices(tables.levels, block.B)
-            estimates["ow"][sl] = owopt.ow_estimates(ow_table, idx, D, Y)
 
     return CellResult(estimates=estimates, covers=covers,
                       hac_clipped=clipped, theta=outcomes.theta,
@@ -228,10 +226,14 @@ def run_experiment(config: ExperimentConfig) -> list:
                      if not (e == "ow" and n > config.ow_max_n)]
             if not names:
                 continue
-            cell = simulate_design(
-                space, outcomes, guess, partition, h, config.p, config.reps,
-                config.base_seed, names, ci_level=config.ci_level,
-                eta=config.eta, ow_mc_draws=config.ow_mc_draws)
+            try:
+                cell = simulate_design(
+                    space, outcomes, guess, partition, h, config.p, config.reps,
+                    config.base_seed, names, ci_level=config.ci_level,
+                    eta=config.eta, ow_mc_draws=config.ow_mc_draws)
+            except owopt.UnseenSaturationError as exc:
+                raise type(exc)(f"cell n={n} design={design}: {exc}; raise "
+                                f"ow_mc_draws (now {config.ow_mc_draws})") from None
             rows.extend(summarize(cell, n, design, config.reps))
     return rows
 

@@ -17,12 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import (TAG_TABLES, ClusterPartition, IncidenceCounts,
-                     cluster_bits, incidence, rng_for)
-from .estimators import EstimateReport, _cols, effective_grid
+                     cluster_bits, incidence, rng_for, stilde_indices)
+from .estimators import DrawBlock, EstimateReport, effective_grid
 from .geometry import InterferenceBudget, PremetricSpace
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
+
+
+class UnseenSaturationError(ValueError):
+    """A unit's size-h neighborhood is never pure in the tables' draws."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,20 +51,6 @@ class SaturationTables:
     @property
     def n_sizes(self) -> int:
         return self.grid.size
-
-
-def stilde_indices(levels: list, B) -> np.ndarray:
-    """Saturation-size grid index per unit and draw (n x m) for C x m bits B
-    and the grid sizes' incidence `levels`: purity is monotone down the grid,
-    so the index is the last level before the first impure one."""
-    B = np.asarray(B, dtype=np.float64)
-    idx = np.zeros((levels[0].phi.size, B.shape[1]), dtype=np.int64)
-    alive = np.ones(idx.shape, dtype=bool)
-    for k, level in enumerate(levels):
-        sat, dis = level.pure(level.treated(B))
-        alive &= sat | dis
-        idx[alive] = k
-    return idx
 
 
 def interacting_pairs(top: IncidenceCounts) -> np.ndarray:
@@ -138,13 +128,17 @@ class OwWeightTable:
     """Nonnegative weight table; realized weight is (2 d_i - 1) W[i, s_idx]."""
 
     W: np.ndarray                   # n x S
-    grid: np.ndarray
+    levels: list | None             # IncidenceCounts at each grid size
     objective_value: float
     iterations: int
     kkt_residual: float
     converged: bool
     p: float
     polish_adopted: int = 0         # active-set candidates solve_qp moved to
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.array([level.s for level in self.levels])
 
     def constraint_gap(self, marg: np.ndarray, n: int) -> float:
         lhs = np.sum(self.W * marg, axis=1)
@@ -169,10 +163,10 @@ def ipw_weight_table(tables: SaturationTables, h, p: float) -> OwWeightTable:
         raise ValueError("grid must reach the estimator size h")
     cover = (tables.marg * mask).sum(axis=1)
     if np.any(cover <= 0.0):
-        raise ValueError("some unit never has a pure size-h neighborhood "
-                         "under the tables; enlarge mc_draws or the grid")
+        raise UnseenSaturationError(f"unit {np.argmax(cover <= 0.0)} never has a "
+                                    f"pure size-h neighborhood in the tables' draws")
     W = mask.astype(float)[None, :] / (p * tables.n * cover)[:, None]
-    return OwWeightTable(W=W, grid=tables.grid, objective_value=np.nan,
+    return OwWeightTable(W=W, levels=tables.levels, objective_value=np.nan,
                          iterations=0, kkt_residual=np.nan, converged=True,
                          p=float(p))
 
@@ -244,8 +238,6 @@ def _active_set_solve(Q, marg, r, free, S):
     n = marg.shape[0]
     flat_m = marg.reshape(-1)
     idx = np.flatnonzero(free)
-    if idx.size == 0:
-        return None
     nf = idx.size
     A = np.zeros((n, nf))
     A[idx // S, np.arange(nf)] = flat_m[idx]
@@ -418,7 +410,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
             res = residual_x(x, qx)
     res = residual_x(x, qx)
     w = x / sd
-    return OwWeightTable(W=w.reshape(n, S), grid=None,
+    return OwWeightTable(W=w.reshape(n, S), levels=None,
                          objective_value=float(w @ (Q @ w)), iterations=it,
                          kkt_residual=res, converged=res <= tol, p=float(p),
                          polish_adopted=adopted)
@@ -441,7 +433,7 @@ def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
     start.objective_value = float(start.W.reshape(-1) @ (Q @ start.W.reshape(-1)))
     ow = solve_qp(Q, tables.marg, p, space.n, warm_start=start.W,
                   max_iter=max_iter, tol=tol)
-    ow.grid = tables.grid
+    ow.levels = tables.levels
     return tables, start, ow
 
 
@@ -450,23 +442,11 @@ def default_ow_grid(h: float) -> list:
     return [float(h) * 2.0 ** k for k in range(-5, 3)]
 
 
-def ow_estimates(weights: OwWeightTable, idx, D, Y) -> np.ndarray:
-    """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i per draw; idx, D, Y are n x m."""
-    rows = np.arange(weights.W.shape[0])[:, None]
-    w_real = (2.0 * D - 1.0) * weights.W[rows, idx]
-    return np.einsum("im,im->m", w_real, Y)
-
-
-def ow_estimate(Y, d, partition: ClusterPartition, tables: SaturationTables,
+def ow_estimate(Y, d, partition: ClusterPartition,
                 weights: OwWeightTable) -> EstimateReport:
-    """Weighted outcome sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i of one
-    draw: the m = 1 case of `ow_estimates`, with the saturation sizes read
-    off the tables' levels.  d must be constant within each cluster."""
-    if weights.grid is None or tables.grid.size != weights.grid.size or \
-            not np.allclose(tables.grid, weights.grid):
-        raise ValueError("saturation tables and weight table use different grids")
-    idx = stilde_indices(tables.levels, cluster_bits(partition, d)[:, None])
-    est = ow_estimates(weights, idx, _cols(d), _cols(Y))[0]
-    return EstimateReport(estimate=float(est), estimator="ow",
-                          params={"grid_size": int(weights.grid.size)},
+    """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i of one draw: the m = 1 case of
+    `DrawBlock.ow`.  d must be constant within each cluster."""
+    block = DrawBlock(None, Y, d, cluster_bits(partition, d), weights=weights)
+    return EstimateReport(estimate=float(block.ow[0]), estimator="ow",
+                          params={"grid_size": len(weights.levels)},
                           diagnostics={"objective": weights.objective_value})

@@ -169,7 +169,8 @@ class TestCriterion7FixedRadiusBias:
         h = scaling_rule(400, 1.0)
         cell, space, outcomes, guess, part, _ = sim_cell(
             2000, "scaling_clusters", ["ols", "shrink"], 2000, h=h)
-        ext = ss.extend_uniform_overlap(space, part, h)
+        ext = ss.extend_uniform_overlap(space, part,
+                                        ss.incidence(space, part, h))
         touch = ext.incidence[:, part.assignment]
         n = space.n
         theta = outcomes.theta

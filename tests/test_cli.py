@@ -109,7 +109,8 @@ class TestEstimateCommand:
         elif estimator == "hajek":
             want = ss.hajek(Y, draw.d, space, part, h, 0.5).estimate
         else:
-            ext = ss.extend_uniform_overlap(space, part, h)
+            ext = ss.extend_uniform_overlap(
+                space, part, ss.incidence(space, part, h))
             T = ss.exposure(part, ext, draw.b)
             if estimator == "ols":
                 want = ss.ols(Y, T).estimate
@@ -647,6 +648,14 @@ class TestArgumentRanges:
                 f"got C = 60")):
             main(self._argv(tmp_path, command, n=60) + extra)
 
+    def test_too_few_mc_draws_exits_1(self, tmp_path):
+        # one Monte Carlo draw leaves some unit without a pure size-h
+        # neighborhood, so the inverse-probability start has no weight for it
+        with pytest.raises(SystemExit, match=r"ow-weights: unit \d+ never has a "
+                           r"pure size-h .*; raise --mc-draws \(now 1\)$"):
+            main(self._argv(tmp_path, "ow-weights", n=40) + ["--mc-draws=1"])
+        assert not (tmp_path / "out").exists()
+
 
 CONFIG = """
 n_list = 30
@@ -700,6 +709,33 @@ class TestReplicateCommand:
                    str(tmp_path / "x")])
         assert rc == 2
         assert f"config error: {extra}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, extra", [
+        ("n_list = 20, 30, 20\nestimators = ht", "n_list lists 20"),
+        ("n_list = 20\ndesigns = iid, iid", "designs lists iid"),
+        ("n_list = 20\nestimators = ols, ht, ols", "estimators lists ols"),
+    ], ids=["n_list", "designs", "estimators"])
+    def test_repeated_list_entry_exits_2(self, tmp_path, capsys, text, extra):
+        # a repeated entry would write (or, for estimators, merge) duplicate
+        # rows, which slopes.csv would fit as extra points
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(text + "\nreps = 5\n")
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "x")])
+        assert rc == 2
+        assert f"config error: {extra} more than once" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_too_few_ow_draws_exits_1(self, tmp_path):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 40\nestimators = ht, ow\nreps = 5\n"
+                       "ow_mc_draws = 1\n")
+        with pytest.raises(SystemExit, match=r"replicate: cell n=40 "
+                           r"design=scaling_clusters: unit \d+ never has a "
+                           r"pure size-h .*; raise ow_mc_draws \(now 1\)$"):
+            main(["replicate", "--config", str(cfg), "--out",
+                  str(tmp_path / "x")])
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("assertion, message", [

@@ -210,7 +210,7 @@ class TestExtendUniformOverlap:
     def test_single_cluster_no_extension(self):
         space = line_space(5)
         part = scaling_clusters(space, 100.0)
-        ext = extend_uniform_overlap(space, part, 1.0)
+        ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
         assert ext.phi_target == 1
         assert all(e.size == 0 for e in ext.extra)
 
@@ -219,7 +219,7 @@ class TestExtendUniformOverlap:
         space = line_space(4)
         part = scaling_clusters(space, 1.0)
         assert part.n_clusters == 2
-        ext = extend_uniform_overlap(space, part, 4.0)
+        ext = extend_uniform_overlap(space, part, incidence(space, part, 4.0))
         assert ext.phi_target == 2
         assert all(e.size == 0 for e in ext.extra)
 
@@ -231,8 +231,10 @@ class TestExtendUniformOverlap:
         assert [c.tolist() for c in part.clusters] == [[0, 1], [2, 3]]
         base = incidence(space, part, 9.0)
         assert base.phi.tolist() == [1, 2, 2, 1]
-        ext = extend_uniform_overlap(space, part, 9.0)
+        ext = extend_uniform_overlap(space, part, base)
         assert ext.phi_target == 2
+        # the extension pads a copy; the base counts keep phi = 1 at the ends
+        assert base.incidence.sum(axis=1).tolist() == [1, 2, 2, 1]
         assert ext.extra[0].tolist() == [2, 3]     # whole nearest cluster
         assert ext.extra[3].tolist() == [0, 1]
         assert np.all(ext.exposure_phi() == 2)
@@ -245,7 +247,7 @@ class TestExtendUniformOverlap:
             g = float(rng.uniform(2, 6))
             part = scaling_clusters(space, g)
             base = incidence(space, part, g)
-            ext = extend_uniform_overlap(space, part, g)
+            ext = extend_uniform_overlap(space, part, base)
             assert np.all(ext.exposure_phi() == ext.phi_target)
             gamma_ext = ext.incidence.sum(axis=0).astype(float)
             grown = float(np.sum(gamma_ext ** 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale import harness
+from spillscale import design, harness
 from spillscale.design import (cluster_bits, draw_treatments,
                                extend_uniform_overlap, incidence,
                                scaling_clusters, singleton_partition)
@@ -167,7 +167,7 @@ class TestExposure:
     def _two_cluster_setup(self):
         space = ss.build_space(np.array([[0.0], [1.0], [10.0], [11.0]]))
         part = scaling_clusters(space, 1.0)
-        ext = extend_uniform_overlap(space, part, 9.0)
+        ext = extend_uniform_overlap(space, part, incidence(space, part, 9.0))
         return space, part, ext
 
     def test_all_ones_and_all_zeros(self):
@@ -224,7 +224,7 @@ class TestShrinkage:
         # exactly T_guess = kappa * T, so shrink = ols * strength / kappa
         space = line_space(6, spacing=4.0)
         part = singleton_partition(6)
-        ext = extend_uniform_overlap(space, part, 1.0)
+        ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
         draw = draw_treatments(part, 0.5, seed=3)
         T = exposure(part, ext, draw.b)
         kappa = 2.5
@@ -239,7 +239,7 @@ class TestShrinkage:
     def test_weak_instrument_error(self):
         space = line_space(4, spacing=4.0)
         part = singleton_partition(4)
-        ext = extend_uniform_overlap(space, part, 1.0)
+        ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
         draw = draw_treatments(part, 0.5, seed=1)
         T = exposure(part, ext, draw.b)
         guess = ss.GuessMatrix(A_hat=np.zeros((4, 4)), strength=1.0)
@@ -248,7 +248,7 @@ class TestShrinkage:
 
 
 def stilde_profile(space, part, d, grid) -> SaturationProfile:
-    """Saturation sizes of one draw as `ow_estimate` reads them: the tables'
+    """Saturation sizes of one draw as `DrawBlock.ow` reads them: the tables'
     effective grid and incidence levels, then `stilde_indices`."""
     tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
     idx = stilde_indices(tables.levels, cluster_bits(part, d)[:, None])[:, 0]
@@ -369,6 +369,25 @@ class TestPurityOnClusterIncidence:
             assert np.array_equal(got, want.idx)
 
 
+class TestDesignContext:
+    @pytest.mark.parametrize("order", [("ht", "ols"), ("ols", "ht")])
+    def test_incidence_at_h_computed_once(self, monkeypatch, order):
+        # the extension pads the context's own base counts, so whichever
+        # estimator reads first, the incidence at h is computed once
+        space, outcomes, _ = harness.build_population(40, 47)
+        h = ss.scaling_rule(40, 1.0)
+        part = scaling_clusters(space, h)
+        draw = draw_treatments(part, 0.5, 0)
+        sizes, real = [], design.incidence
+        monkeypatch.setattr(design, "incidence",
+                            lambda *args: sizes.append(args[2]) or real(*args))
+        block = DrawBlock(DesignContext(space, part, h, 0.5),
+                          realize(outcomes, draw.d), draw.d, draw.b)
+        for name in order:
+            getattr(block, name)
+        assert sizes == [h]
+
+
 class TestMixedClusterTreatment:
     def test_purity_estimators_reject_mixed_d(self):
         # single-draw functions need d constant within each cluster
@@ -383,7 +402,7 @@ class TestMixedClusterTreatment:
                      lambda: variance_ci(Y, d, d.astype(float), 0.0, space,
                                          part, 1.0, 1.0, 0.5,
                                          estimator="hajek"),
-                     lambda: ow_estimate(Y, d, part, tables, weights)):
+                     lambda: ow_estimate(Y, d, part, weights)):
             with pytest.raises(ValueError, match="not constant within cluster 0"):
                 call()
 

@@ -54,7 +54,8 @@ def instance():
     space, outcomes, guess = harness.build_population(48, 349)
     h = ss.scaling_rule(48, ETA)
     part = ss.scaling_clusters(space, h)
-    ext = ss.extend_uniform_overlap(space, part, h)
+    ext = ss.extend_uniform_overlap(space, part,
+                                    ss.incidence(space, part, h))
     return space, outcomes, guess, part, h, ext
 
 

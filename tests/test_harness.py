@@ -21,10 +21,11 @@ class TestBatchedEngineMatchesReference:
         cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
                                base_seed, ["ht", "hajek", "ols", "shrink", "ow"],
                                ow_mc_draws=10_000)
-        ext = ss.extend_uniform_overlap(space, part, h)
+        ext = ss.extend_uniform_overlap(space, part,
+                                        ss.incidence(space, part, h))
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
-        tables, _, ow_tab = owopt.optimize_weights(
+        _, _, ow_tab = owopt.optimize_weights(
             space, part, owopt.default_ow_grid(h), 0.5, budget, h,
             method="mc", mc_draws=10_000, seed=base_seed + n)
         for r in range(reps):
@@ -43,7 +44,7 @@ class TestBatchedEngineMatchesReference:
             except EstimatorUndefinedError:
                 assert np.isnan(cell.estimates["hajek"][r])
             assert cell.estimates["ow"][r] == pytest.approx(
-                owopt.ow_estimate(Y, draw.d, part, tables, ow_tab).estimate,
+                owopt.ow_estimate(Y, draw.d, part, ow_tab).estimate,
                 abs=1e-10)
 
     def test_ci_coverage_flags_match(self):
@@ -53,7 +54,8 @@ class TestBatchedEngineMatchesReference:
         part = ss.scaling_clusters(space, h)
         cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
                                base_seed, ["ols"])
-        ext = ss.extend_uniform_overlap(space, part, h)
+        ext = ss.extend_uniform_overlap(space, part,
+                                        ss.incidence(space, part, h))
         for r in range(reps):
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
             Y = ss.realize(outcomes, draw.d)

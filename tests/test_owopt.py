@@ -6,7 +6,7 @@ from spillscale import harness, owopt
 from spillscale.design import (TAG_TABLES, draw_treatments, rng_for,
                                scaling_clusters, scaling_rule,
                                singleton_partition)
-from spillscale.estimators import ipw_ht
+from spillscale.estimators import DrawBlock, ipw_ht
 from spillscale.oracle import enumerate_assignments
 from spillscale.outcomes import sim_budget
 from spillscale.owopt import (assemble_objective, ipw_weight_table,
@@ -349,11 +349,10 @@ class TestIpwWeightTable:
         tab = saturation_tables(space, part, owopt.default_ow_grid(g), 0.5,
                                 method="exact")
         start = ipw_weight_table(tab, g, 0.5)
-        start.grid = tab.grid
         for seed in range(12):
             draw = draw_treatments(part, 0.5, seed)
             Y = ss.realize(outcomes, draw.d)
-            got = ow_estimate(Y, draw.d, part, tab, start).estimate
+            got = ow_estimate(Y, draw.d, part, start).estimate
             want = ipw_ht(Y, draw.d, space, part, g, 0.5).estimate
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -363,26 +362,16 @@ class TestOwEstimate:
         space, outcomes, _, part, g = small_exact_instance
         tab = saturation_tables(space, part, [g], 0.5, method="exact")
         start = ipw_weight_table(tab, g, 0.5)
-        start.grid = tab.grid
         draw = draw_treatments(part, 0.5, 0)
-        rep = ow_estimate(np.zeros(space.n), draw.d, part, tab, start)
+        rep = ow_estimate(np.zeros(space.n), draw.d, part, start)
         assert rep.estimate == 0.0
-
-    def test_grid_mismatch_rejected(self, small_exact_instance):
-        space, outcomes, _, part, g = small_exact_instance
-        tab = saturation_tables(space, part, [g], 0.5, method="exact")
-        start = ipw_weight_table(tab, g, 0.5)
-        start.grid = tab.grid
-        draw = draw_treatments(part, 0.5, 0)
-        wider = saturation_tables(space, part, [g, 3 * g], 0.5, method="exact")
-        with pytest.raises(ValueError, match="grid"):
-            ow_estimate(np.zeros(space.n), draw.d, part, wider, start)
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_matches_unit_level_reference(self, design):
         # the sum sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i with s_tilde read
-        # unit by unit off the conftest reference, equal to the last bit;
-        # distinct positive weights make every unit's size enter the sum
+        # unit by unit off the conftest reference, equal to the last bit in
+        # one draw and as one column of a 40-draw block; distinct positive
+        # weights make every unit's size enter the sum
         n = 60
         space, outcomes, _ = harness.build_population(n, 7 + n)
         h = scaling_rule(n, 1.0)
@@ -390,19 +379,20 @@ class TestOwEstimate:
         tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
                                 mc_draws=1)
         W = np.random.default_rng(3).uniform(0.5, 1.5, size=tab.marg.shape)
-        weights = owopt.OwWeightTable(W=W, grid=tab.grid, objective_value=0.0,
-                                      iterations=0, kkt_residual=0.0,
-                                      converged=True, p=0.5)
-        for seed in range(40):
-            draw = draw_treatments(part, 0.5, seed)
-            Y = ss.realize(outcomes, draw.d)
+        weights = owopt.OwWeightTable(W=W, levels=tab.levels,
+                                      objective_value=0.0, iterations=0,
+                                      kkt_residual=0.0, converged=True, p=0.5)
+        draws = [draw_treatments(part, 0.5, seed) for seed in range(40)]
+        D = np.array([draw.d for draw in draws]).T
+        Y = ss.realize(outcomes, D)
+        block = DrawBlock(None, Y, D, np.array([draw.b for draw in draws]).T,
+                          weights=weights)
+        for r, draw in enumerate(draws):
             idx = saturation(space, draw.d, tab.grid).idx
-            want = np.sum((2.0 * draw.d - 1.0) * W[np.arange(n), idx] * Y)
-            got = ow_estimate(Y, draw.d, part, tab, weights).estimate
+            want = np.sum((2.0 * draw.d - 1.0) * W[np.arange(n), idx] * Y[:, r])
+            got = ow_estimate(Y[:, r], draw.d, part, weights).estimate
             assert got == pytest.approx(want, rel=1e-13)
-            assert got == owopt.ow_estimates(
-                weights, idx[:, None], draw.d.astype(float)[:, None],
-                Y[:, None])[0]
+            assert block.ow[r] == pytest.approx(want, rel=1e-13)
 
     def test_weight_expectation_identity(self):
         # E[omega_i | d_i = 1] = 1/(p n), checked by full enumeration at the
@@ -414,7 +404,6 @@ class TestOwEstimate:
         Q = assemble_objective(tab, budget)
         ow = solve_qp(Q, tab.marg, p, space.n,
                       warm_start=ipw_weight_table(tab, 4.0, p).W)
-        ow.grid = tab.grid
         enum = enumerate_assignments(part, p)
         idx = stilde_indices(tab.levels, enum.assignments.T).T
         for i in range(space.n):
