@@ -5,9 +5,8 @@ from .design import (ClusterPartition, DesignDraw, ExtendedNeighborhoods,
                      IncidenceCounts, draw_treatments, extend_uniform_overlap,
                      greedy_cover, incidence, scaling_clusters, scaling_rule,
                      singleton_partition)
-from .estimators import (EstimateReport, EstimatorUndefinedError,
-                         ExposureVector, exposure, hajek, ipw_ht, ols,
-                         shrinkage, variance_ci)
+from .estimators import (EstimateReport, EstimatorUndefinedError, exposure,
+                         hajek, ipw_ht, ols, shrinkage, variance_ci)
 from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
                        audit_geometry, audit_interference, build_space,
                        build_space_from_dist, uniform_disk)

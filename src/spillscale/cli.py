@@ -152,6 +152,10 @@ def load_clusters(path, ids):
         rows = [tuple(_number(path, col, r[col], int)
                       for col in ("unit_id", "cluster_id"))
                 for r in reader]
+    outside = next((c for _, c in rows if not 0 <= c < len(ids)), None)
+    if outside is not None:        # C <= n, so a larger id leaves a gap
+        raise SystemExit(f"{path}: cluster_id {outside} is outside "
+                         f"0..{len(ids) - 1}")
     assignment = np.full(len(ids), -1, dtype=np.int64)
     assignment[_unit_index(path, ids, [u for u, _ in rows])] = [c for _, c in rows]
     if np.any(assignment < 0):
@@ -294,10 +298,9 @@ def cmd_oracle(args):
             raise SystemExit("--dump-matrices is limited to n <= 500")
         guess = make_guess(space, args.seed)
         out = Path(args.dump_matrices)
-        np.savetxt(out / "A.csv" if out.is_dir() else out.with_name("A.csv"),
-                   outcomes.A, delimiter=",", fmt="%.12g")
-        np.savetxt(out / "A_hat.csv" if out.is_dir() else out.with_name("A_hat.csv"),
-                   guess.A_hat, delimiter=",", fmt="%.12g")
+        out.mkdir(parents=True, exist_ok=True)
+        np.savetxt(out / "A.csv", outcomes.A, delimiter=",", fmt="%.12g")
+        np.savetxt(out / "A_hat.csv", guess.A_hat, delimiter=",", fmt="%.12g")
 
     enum = oracle.enumerate_assignments(partition, args.p)
     ctx = DesignContext(space, partition, h, args.p, args.eta)
@@ -470,7 +473,8 @@ def build_parser():
     o.add_argument("--c0", type=_positive, default=1.0)
     o.add_argument("--h", type=_positive, default=None)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--dump-matrices", default=None, dest="dump_matrices")
+    o.add_argument("--dump-matrices", default=None, dest="dump_matrices",
+                   help="directory for A.csv and A_hat.csv, created if missing")
     o.set_defaults(func=cmd_oracle)
 
     r = sub.add_parser("replicate", help="Monte Carlo RMSE/coverage tables")

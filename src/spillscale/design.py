@@ -134,6 +134,10 @@ class IncidenceCounts:
         """(saturated, dissaturated) from `treated`: all or none treated."""
         return treated == self.phi[:, None], treated == 0.0
 
+    def share(self, treated) -> np.ndarray:
+        """Treated share of the phi clusters meeting each N(i, s), from `treated`."""
+        return treated / self.phi[:, None]
+
     def shared(self) -> np.ndarray:
         """n x n: N(i, s) and N(j, s) meet a common cluster."""
         return bool_matmul(self.incidence, self.incidence.T)
@@ -162,16 +166,10 @@ def stilde_indices(levels: list, B) -> np.ndarray:
 
 
 @dataclass
-class ExtendedNeighborhoods:
-    """Neighborhoods padded so every unit meets exactly phi_target clusters."""
+class ExtendedNeighborhoods(IncidenceCounts):
+    """Incidence padded so every unit meets exactly phi_max clusters."""
 
-    s: float
     extra: list                     # per unit: appended unit ids (array)
-    phi_target: int
-    incidence: np.ndarray           # n x C boolean, rows sum to phi_target
-
-    def exposure_phi(self) -> np.ndarray:
-        return self.incidence.sum(axis=1)
 
 
 def cluster_distances(space: PremetricSpace, partition: ClusterPartition) -> np.ndarray:
@@ -190,22 +188,22 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
     member, ties broken by cluster id; units already at phi_max and `base`
     stay unchanged.  Always achievable since the clusters partition everything.
     """
-    phi_target = base.phi_max
+    phi_max = base.phi_max
     inc = base.incidence.copy()
     extra = [np.empty(0, dtype=np.int64) for _ in range(space.n)]
-    deficient = np.flatnonzero(base.phi < phi_target)
+    deficient = np.flatnonzero(base.phi < phi_max)
     if deficient.size:
         D = cluster_distances(space, partition)
         for i in deficient:
-            need = phi_target - base.phi[i]
+            need = phi_max - base.phi[i]
             candidates = np.flatnonzero(~inc[i])
             order = candidates[np.lexsort((candidates, D[i, candidates]))]
             chosen = order[:need]
             inc[i, chosen] = True
             extra[i] = np.sort(np.concatenate(
                 [partition.clusters[c] for c in chosen]))
-    return ExtendedNeighborhoods(s=base.s, extra=extra,
-                                 phi_target=int(phi_target), incidence=inc)
+    return ExtendedNeighborhoods(phi=inc.sum(axis=1), gamma=inc.sum(axis=0),
+                                 incidence=inc, s=base.s, extra=extra)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ each cluster) are its m = 1 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
 
@@ -45,16 +45,6 @@ class EstimatorUndefinedError(RuntimeError):
 class EstimateReport:
     estimate: float
     estimator: str
-    params: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ExposureVector:
-    """Fraction of treated clusters among those meeting each neighborhood."""
-
-    T: np.ndarray
-    phi_used: int
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ def _cols(x):
     """Float64 array with draws along the columns (1-D input is one draw)."""
     if x is None:
         return None
-    x = np.asarray(x.T if isinstance(x, ExposureVector) else x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     return x[:, None] if x.ndim == 1 else x
 
 
@@ -137,7 +127,8 @@ class DrawBlock:
 
     @cached_property
     def T(self) -> np.ndarray:
-        return exposure(self.ctx.partition, self.ctx.extended, self.B).T
+        ext = self.ctx.extended
+        return ext.share(ext.treated(self.B))
 
     @cached_property
     def tbar(self) -> np.ndarray:
@@ -205,8 +196,8 @@ class DrawBlock:
             return self.hac(self.ols_weights, self.ols, self.T)
         # Hajek centers on its own exposure, the treated share of the
         # clusters meeting the base neighborhood
-        T = self.treated / self.ctx.counts.phi[:, None]
-        return self.hac(self.hajek_weights, self.hajek, T)
+        return self.hac(self.hajek_weights, self.hajek,
+                        self.ctx.counts.share(self.treated))
 
 
 # reason and message of each estimator's one failure mode
@@ -245,18 +236,12 @@ def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:
 
 
 def _pure_comparison(name, Y, d, space, partition, h, p) -> EstimateReport:
-    """One draw of "ht" or "hajek", with the purity counts behind it."""
+    """One draw of "ht" or "hajek"."""
     block = DrawBlock(DesignContext(space, partition, h, p), Y,
                       B=design.cluster_bits(partition, d))
     if name == "hajek":
         _one_draw(block.hajek_weights, name)
-    sat, dis = block.pure
-    return EstimateReport(
-        estimate=float(getattr(block, name)[0]), estimator=name,
-        params={"h": float(h), "p": p},
-        diagnostics={"phi_max": block.ctx.counts.phi_max,
-                     "n_saturated": int(sat.sum()),
-                     "n_dissaturated": int(dis.sum())})
+    return EstimateReport(estimate=float(getattr(block, name)[0]), estimator=name)
 
 
 def ipw_ht(Y, d, space: PremetricSpace, partition: ClusterPartition,
@@ -283,15 +268,12 @@ def hajek(Y, d, space: PremetricSpace, partition: ClusterPartition,
     return _pure_comparison("hajek", Y, d, space, partition, h, p)
 
 
-def exposure(partition: ClusterPartition, extended: ExtendedNeighborhoods,
-             b) -> ExposureVector:
-    """Mean treatment status among clusters meeting the extended neighborhood."""
-    phi = extended.exposure_phi()
-    if np.any(phi != extended.phi_target):
+def exposure(extended: IncidenceCounts, b) -> np.ndarray:
+    """Treated share of the clusters meeting each extended neighborhood, for
+    one draw's cluster bits b."""
+    if np.any(extended.phi != extended.phi_max):
         raise ValueError("exposure requires uniform overlap; extend first")
-    b = np.asarray(b, dtype=np.float64)
-    T = (extended.incidence.astype(np.float64) @ b) / extended.phi_target
-    return ExposureVector(T=T, phi_used=int(extended.phi_target))
+    return extended.share(extended.treated(_cols(b)))[:, 0]
 
 
 def ols_weights(T) -> np.ndarray:
@@ -306,7 +288,7 @@ def ols(Y, T) -> EstimateReport:
     return EstimateReport(estimate=float(block.ols[0]), estimator="ols")
 
 
-def shrinkage(Y, T, d, guess: GuessMatrix, h=None) -> EstimateReport:
+def shrinkage(Y, T, d, guess: GuessMatrix) -> EstimateReport:
     """Exposure-instrumented regression on guess-implied exposures.
 
     theta = [Cov(T, Y) / Cov(T, A_hat d)] * (1'A_hat 1 / n); consistent for
@@ -314,9 +296,8 @@ def shrinkage(Y, T, d, guess: GuessMatrix, h=None) -> EstimateReport:
     spillovers across the neighborhood boundary matches the truth.
     """
     block = DrawBlock(None, Y, d, T=T, guess=guess)
-    first_stage = float(_one_draw(block.first_stage, "shrink"))
-    return EstimateReport(estimate=float(block.shrink[0]), estimator="shrink",
-                          params={"h": h}, diagnostics={"first_stage": first_stage})
+    _one_draw(block.first_stage, "shrink")
+    return EstimateReport(estimate=float(block.shrink[0]), estimator="shrink")
 
 
 def effective_grid(space: PremetricSpace, grid) -> np.ndarray:

@@ -447,6 +447,4 @@ def ow_estimate(Y, d, partition: ClusterPartition,
     """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i of one draw: the m = 1 case of
     `DrawBlock.ow`.  d must be constant within each cluster."""
     block = DrawBlock(None, Y, d, cluster_bits(partition, d), weights=weights)
-    return EstimateReport(estimate=float(block.ow[0]), estimator="ow",
-                          params={"grid_size": len(weights.levels)},
-                          diagnostics={"objective": weights.objective_value})
+    return EstimateReport(estimate=float(block.ow[0]), estimator="ow")

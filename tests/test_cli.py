@@ -111,7 +111,7 @@ class TestEstimateCommand:
         else:
             ext = ss.extend_uniform_overlap(
                 space, part, ss.incidence(space, part, h))
-            T = ss.exposure(part, ext, draw.b)
+            T = ss.exposure(ext, draw.b)
             if estimator == "ols":
                 want = ss.ols(Y, T).estimate
             else:
@@ -268,6 +268,16 @@ class TestBadNumbers:
         with pytest.raises(SystemExit,
                            match=re.escape(message.format(path=tmp_path / name))):
             self._estimate(tmp_path, {name: text})
+
+    @pytest.mark.parametrize("cluster_id", ["2", "-1", str(10 ** 30)])
+    def test_cluster_id_outside_range_named(self, tmp_path, cluster_id):
+        # two units allow the ids 0..1 only; the id is rejected before it
+        # sizes any array
+        clusters = f"unit_id,cluster_id\n0,0\n1,{cluster_id}\n"
+        message = f"{tmp_path / 'clusters.csv'}: cluster_id {cluster_id} " \
+                  f"is outside 0..1"
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            self._estimate(tmp_path, {"clusters.csv": clusters})
 
     def test_process_exits_one_without_traceback(self, tmp_path):
         pop = tmp_path / "pop.csv"
@@ -517,6 +527,18 @@ class TestOracleCommand:
         A = np.loadtxt(dump / "A.csv", delimiter=",")
         assert A.shape == (6, 6)
         assert A.sum() / 6 == pytest.approx(2.0, abs=1e-9)
+
+    def test_dump_matrices_creates_directory(self, tmp_path):
+        space, _, _ = harness.build_population(6, 3)
+        pop, clu = tmp_path / "pop.csv", tmp_path / "clusters.csv"
+        write_population(pop, space.coords)
+        clu.write_text("unit_id,cluster_id\n" + "".join(
+            f"{i},{i}\n" for i in range(space.n)))
+        dump = tmp_path / "new" / "dump"
+        assert main(["oracle", "--population", str(pop), "--clusters",
+                     str(clu), "--h", "1.0", "--dump-matrices", str(dump)]) == 0
+        assert sorted(p.name for p in dump.iterdir()) == ["A.csv", "A_hat.csv"]
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["dump"]
 
 
 class TestOracleBlocks:

@@ -211,7 +211,7 @@ class TestExtendUniformOverlap:
         space = line_space(5)
         part = scaling_clusters(space, 100.0)
         ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
-        assert ext.phi_target == 1
+        assert ext.phi_max == 1
         assert all(e.size == 0 for e in ext.extra)
 
     def test_already_uniform_no_extension(self):
@@ -220,7 +220,7 @@ class TestExtendUniformOverlap:
         part = scaling_clusters(space, 1.0)
         assert part.n_clusters == 2
         ext = extend_uniform_overlap(space, part, incidence(space, part, 4.0))
-        assert ext.phi_target == 2
+        assert ext.phi_max == 2
         assert all(e.size == 0 for e in ext.extra)
 
     def test_hand_built_line_instance(self):
@@ -232,12 +232,12 @@ class TestExtendUniformOverlap:
         base = incidence(space, part, 9.0)
         assert base.phi.tolist() == [1, 2, 2, 1]
         ext = extend_uniform_overlap(space, part, base)
-        assert ext.phi_target == 2
+        assert ext.phi_max == 2
         # the extension pads a copy; the base counts keep phi = 1 at the ends
         assert base.incidence.sum(axis=1).tolist() == [1, 2, 2, 1]
         assert ext.extra[0].tolist() == [2, 3]     # whole nearest cluster
         assert ext.extra[3].tolist() == [0, 1]
-        assert np.all(ext.exposure_phi() == 2)
+        assert np.all(ext.phi == 2)
 
     def test_uniform_after_extension_and_gamma_growth(self):
         rng = np.random.default_rng(9)
@@ -248,10 +248,22 @@ class TestExtendUniformOverlap:
             part = scaling_clusters(space, g)
             base = incidence(space, part, g)
             ext = extend_uniform_overlap(space, part, base)
-            assert np.all(ext.exposure_phi() == ext.phi_target)
+            assert np.all(ext.phi == ext.phi_max)
             gamma_ext = ext.incidence.sum(axis=0).astype(float)
             grown = float(np.sum(gamma_ext ** 2))
             assert grown <= base.phi_max ** 2 * base.sum_gamma_sq + 1e-9
+
+    def test_extension_counts_its_own_incidence(self):
+        space, _, _ = build_population(80, 83)
+        h = ss.scaling_rule(80, 1.0)
+        part = scaling_clusters(space, h)
+        base = incidence(space, part, h)
+        ext = extend_uniform_overlap(space, part, base)
+        assert isinstance(ext, ss.IncidenceCounts)
+        assert np.any(base.phi < base.phi_max)
+        assert ext.phi_max == base.phi_max and ext.s == base.s
+        assert np.all(ext.phi == ext.phi_max)
+        assert np.array_equal(ext.gamma, ext.incidence.sum(axis=0))
 
     def test_nearest_cluster_chosen(self):
         D = cluster_distances(*_three_cluster_line())

@@ -172,23 +172,21 @@ class TestExposure:
 
     def test_all_ones_and_all_zeros(self):
         _, part, ext = self._two_cluster_setup()
-        assert np.all(exposure(part, ext, np.array([1, 1])).T == 1.0)
-        assert np.all(exposure(part, ext, np.array([0, 0])).T == 0.0)
+        assert np.all(exposure(ext, np.array([1, 1])) == 1.0)
+        assert np.all(exposure(ext, np.array([0, 0])) == 0.0)
 
     def test_half_exposure(self):
         _, part, ext = self._two_cluster_setup()
-        T = exposure(part, ext, np.array([1, 0]))
-        assert np.all(T.T == 0.5)
-        assert T.phi_used == 2
+        T = exposure(ext, np.array([1, 0]))
+        assert np.all(T == 0.5)
+        assert ext.phi_max == 2
 
     def test_rejects_nonuniform_overlap(self):
         space = ss.build_space(np.array([[0.0], [1.0], [10.0], [11.0]]))
         part = scaling_clusters(space, 1.0)
         base = incidence(space, part, 9.0)
-        fake = ss.ExtendedNeighborhoods(s=9.0, extra=[np.empty(0)] * 4,
-                                        phi_target=2, incidence=base.incidence)
         with pytest.raises(ValueError, match="uniform overlap"):
-            exposure(part, fake, np.array([1, 0]))
+            exposure(base, np.array([1, 0]))
 
 
 class TestOls:
@@ -226,9 +224,9 @@ class TestShrinkage:
         part = singleton_partition(6)
         ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
         draw = draw_treatments(part, 0.5, seed=3)
-        T = exposure(part, ext, draw.b)
+        T = exposure(ext, draw.b)
         kappa = 2.5
-        A_hat = kappa * ext.incidence.astype(float) / ext.phi_target
+        A_hat = kappa * ext.incidence.astype(float) / ext.phi_max
         guess = ss.GuessMatrix(A_hat=A_hat, strength=abs(A_hat.sum()) / 6)
         rng = np.random.default_rng(5)
         Y = rng.normal(size=6)
@@ -241,7 +239,7 @@ class TestShrinkage:
         part = singleton_partition(4)
         ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
         draw = draw_treatments(part, 0.5, seed=1)
-        T = exposure(part, ext, draw.b)
+        T = exposure(ext, draw.b)
         guess = ss.GuessMatrix(A_hat=np.zeros((4, 4)), strength=1.0)
         with pytest.raises(EstimatorUndefinedError, match="first stage"):
             shrinkage(np.ones(4), T, draw.d, guess)
@@ -386,6 +384,19 @@ class TestDesignContext:
         for name in order:
             getattr(block, name)
         assert sizes == [h]
+
+    def test_block_exposure_matches_single_draws(self):
+        # each column of the batched exposure is the single-draw exposure
+        # of that column's bits, bit for bit
+        space, _, _ = harness.build_population(60, 61)
+        h = ss.scaling_rule(60, 1.0)
+        part = scaling_clusters(space, h)
+        ctx = DesignContext(space, part, h, 0.5)
+        B = np.array([draw_treatments(part, 0.5, r).b for r in range(7)]).T
+        T = DrawBlock(ctx, B=B).T
+        assert T.shape == (60, 7)
+        for k in range(7):
+            assert np.array_equal(T[:, k], exposure(ctx.extended, B[:, k]))
 
 
 class TestMixedClusterTreatment:

@@ -73,7 +73,7 @@ def test_single_draw_values_pinned(instance, seed):
     want = GOLDEN[seed]
     draw = ss.draw_treatments(part, P, seed)
     Y = ss.realize(outcomes, draw.d)
-    T = exposure(part, ext, draw.b)
+    T = exposure(ext, draw.b)
 
     assert ss.ipw_ht(Y, draw.d, space, part, h, P).estimate == pytest.approx(
         want["ht"], rel=1e-12)

@@ -33,7 +33,7 @@ class TestBatchedEngineMatchesReference:
             Y = ss.realize(outcomes, draw.d)
             assert cell.estimates["ht"][r] == pytest.approx(
                 ss.ipw_ht(Y, draw.d, space, part, h, 0.5).estimate, abs=1e-10)
-            T = exposure(part, ext, draw.b)
+            T = exposure(ext, draw.b)
             assert cell.estimates["ols"][r] == pytest.approx(
                 ss.ols(Y, T).estimate, abs=1e-10)
             assert cell.estimates["shrink"][r] == pytest.approx(
@@ -59,7 +59,7 @@ class TestBatchedEngineMatchesReference:
         for r in range(reps):
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
             Y = ss.realize(outcomes, draw.d)
-            T = exposure(part, ext, draw.b)
+            T = exposure(ext, draw.b)
             est = ss.ols(Y, T).estimate
             res = variance_ci(Y, draw.d, T, est, space, part, h, 1.0, 0.5,
                               estimator="ols")
