@@ -5,8 +5,6 @@ from .design import (ClusterPartition, DesignDraw, ExtendedNeighborhoods,
                      IncidenceCounts, draw_treatments, extend_uniform_overlap,
                      greedy_cover, incidence, scaling_clusters, scaling_rule,
                      singleton_partition)
-from .estimators import (EstimateReport, EstimatorUndefinedError, exposure,
-                         hajek, ipw_ht, ols, shrinkage, variance_ci)
 from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
                        audit_geometry, audit_interference, build_space,
                        build_space_from_dist, uniform_disk)
@@ -16,7 +14,7 @@ from .oracle import (AssignmentEnumeration, enumerate_assignments,
 from .outcomes import (GuessMatrix, LinearOutcomes, OutcomeOracle, age,
                        make_guess, make_sim_dgp, realize)
 from .owopt import (OwWeightTable, SaturationTables, assemble_objective,
-                    ipw_weight_table, optimize_weights, ow_estimate,
-                    saturation_tables, solve_qp)
+                    ipw_weight_table, optimize_weights, saturation_tables,
+                    solve_qp)
 
 __version__ = "0.1.0"

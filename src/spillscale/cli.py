@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import operator
 import re
@@ -29,10 +30,31 @@ from .geometry import (GeometryError, InterferenceBudget, build_space,
 from .outcomes import make_guess, make_sim_dgp, realize
 
 
+def _output(command, flag, path, is_dir=True) -> Path:
+    """The output `path` given to `flag`, or exit 1 naming both when an
+    existing file stands where a directory for it must go: the path itself
+    when it names a directory (is_dir), or one of its parents.  Commands
+    call it before any work; `_write` creates the directories."""
+    path = Path(path)
+    for p in ([path] if is_dir else []) + list(path.parents):
+        if p.is_dir():
+            break
+        if p.exists():
+            raise SystemExit(f"{command}: {flag} {path}: {p} is a file, "
+                             f"not a directory")
+    return path
+
+
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _matrix_text(A) -> str:
+    buf = io.StringIO()
+    np.savetxt(buf, A, delimiter=",", fmt="%.12g")
+    return buf.getvalue()
 
 
 def _repeated(values):
@@ -196,12 +218,12 @@ def load_outcomes(path, ids):
 
 
 def cmd_design(args):
+    out = _output("design", "--out", args.out)
     space, ids = load_population(args.population)
     h = scaling_rule(space.n, args.eta, args.c0)
     partition = scaling_clusters(space, h)
     draw = draw_treatments(partition, args.p, args.seed)
     counts = incidence(space, partition, h)
-    out = Path(args.out)
     _write(out / "clusters.csv", harness.csv_text(
         ["unit_id", "cluster_id"],
         [(u, int(partition.assignment[i])) for i, u in enumerate(ids)]))
@@ -218,6 +240,7 @@ def cmd_design(args):
 
 
 def cmd_estimate(args):
+    out = args.out and _output("estimate", "--out", args.out, is_dir=False)
     want_ci = args.estimator in ("hajek", "ols") and args.ci_level > 0
     if want_ci:
         try:
@@ -242,7 +265,7 @@ def cmd_estimate(args):
     var = lo = hi = ""
     flags = []
     if np.isnan(estimate):
-        estimate, flags = "", [UNDEFINED[args.estimator][0]]
+        estimate, flags = "", [UNDEFINED[args.estimator]]
     elif want_ci:
         vr = interval(estimate, block.variance(args.estimator)[0], args.ci_level)
         var, (_, lo, hi) = vr.variance_hat, vr.ci
@@ -251,13 +274,14 @@ def cmd_estimate(args):
     text = harness.csv_text(
         ["estimator", "estimate", "var_hat", "ci_lo", "ci_hi", "fail_flags"],
         [(args.estimator, estimate, var, lo, hi, ";".join(flags))])
-    if args.out:
-        _write(Path(args.out), text)
+    if out:
+        _write(out, text)
     sys.stdout.write(text)
     return 0
 
 
 def cmd_ow_weights(args):
+    out = _output("ow-weights", "--out", args.out)
     space, ids = load_population(args.population)
     partition = load_clusters(args.clusters, ids)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
@@ -274,7 +298,6 @@ def cmd_ow_weights(args):
             mc_draws=args.mc_draws, seed=args.seed)
     except owopt.UnseenSaturationError as exc:      # main() names the command
         raise type(exc)(f"{exc}; raise --mc-draws (now {args.mc_draws})") from None
-    out = Path(args.out)
     rows = [(u, f"{tables.grid[s]:.12g}", f"{ow.W[i, s]:.12g}")
             for i, u in enumerate(ids) for s in range(tables.grid.size)]
     _write(out / "weights.csv", harness.csv_text(["unit_id", "s", "w"], rows))
@@ -289,18 +312,18 @@ def cmd_ow_weights(args):
 
 
 def cmd_oracle(args):
+    dump = args.dump_matrices and _output("oracle", "--dump-matrices",
+                                          args.dump_matrices)
     space, ids = load_population(args.population)
     partition = load_clusters(args.clusters, ids)
     outcomes = make_sim_dgp(space, args.seed)
     h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
-    if args.dump_matrices:
+    if dump:
         if space.n > 500:
             raise SystemExit("--dump-matrices is limited to n <= 500")
         guess = make_guess(space, args.seed)
-        out = Path(args.dump_matrices)
-        out.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out / "A.csv", outcomes.A, delimiter=",", fmt="%.12g")
-        np.savetxt(out / "A_hat.csv", guess.A_hat, delimiter=",", fmt="%.12g")
+        _write(dump / "A.csv", _matrix_text(outcomes.A))
+        _write(dump / "A_hat.csv", _matrix_text(guess.A_hat))
 
     enum = oracle.enumerate_assignments(partition, args.p)
     ctx = DesignContext(space, partition, h, args.p, args.eta)
@@ -383,6 +406,7 @@ def _value(rows, side):
 
 
 def cmd_replicate(args):
+    out = _output("replicate", "--out", args.out)
     try:
         config = harness.parse_config(Path(args.config).read_text())
     except (harness.ConfigError, FileNotFoundError) as exc:
@@ -394,7 +418,6 @@ def cmd_replicate(args):
         print(f"replicate: {unmatched}", file=sys.stderr)
         return 2
     rows = harness.run_experiment(config)
-    out = Path(args.out)
     _write(out / "results.csv", harness.results_csv(rows))
     _write(out / "slopes.csv", harness.slopes_csv(rows))
     for row in rows:

@@ -6,15 +6,15 @@ exact saturation probabilities p**phi and (1-p)**phi: a neighborhood is pure
 when all phi clusters meeting it share one status.  Hajek renormalizes each
 comparison group's weights to sum to one.  OLS regresses outcomes on
 the fraction of treated clusters among those meeting each (extended)
-neighborhood, and the shrinkage estimator instruments a guess-implied
+neighborhood, and the shrink estimator instruments a guess-implied
 exposure with that fraction.  Variances come from a spatial HAC sum over
 pairs whose slightly inflated neighborhoods share a randomization cluster.
 
 Every estimator is linear in the outcomes with weights that depend only on
 the design, so one batched core serves all callers: a `DesignContext` holds
-the design-derived arrays, a `DrawBlock` evaluates the estimators on an
-n x m block of draws, and the single-draw functions (d constant within
-each cluster) are its m = 1 case.
+the design-derived arrays and a `DrawBlock` evaluates the estimators on an
+n x m block of draws, one draw being the case m = 1.  An estimate is NaN on
+a draw where the estimator is undefined.
 """
 
 from __future__ import annotations
@@ -31,20 +31,6 @@ from .geometry import PremetricSpace
 from .outcomes import GuessMatrix
 
 HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
-
-
-class EstimatorUndefinedError(RuntimeError):
-    """Draw on which the estimator is undefined; callers record a failure."""
-
-    def __init__(self, reason: str, message: str = ""):
-        self.reason = reason
-        super().__init__(message or reason)
-
-
-@dataclass
-class EstimateReport:
-    estimate: float
-    estimator: str
 
 
 @dataclass(frozen=True)
@@ -94,18 +80,15 @@ class DrawBlock:
     """The estimators over m draws of one design, one draw per column.
 
     Y and D are n x m outcomes and unit treatments, B is C x m cluster bits
-    (1-D inputs are one draw); T, when given, replaces the extended-
-    neighborhood exposures; `guess` serves shrink and `weights` (an
-    `owopt.OwWeightTable`) ow.  Shared quantities are computed once, on
+    (1-D inputs are one draw, m = 1); `guess` serves shrink and `weights`
+    (an `owopt.OwWeightTable`) ow.  Shared quantities are computed once, on
     first use.  Each estimate is an (m,) array, NaN where undefined.
     """
 
-    def __init__(self, ctx: DesignContext | None, Y=None, D=None, B=None,
-                 T=None, guess: GuessMatrix | None = None, weights=None):
+    def __init__(self, ctx: DesignContext, Y=None, D=None, B=None,
+                 guess: GuessMatrix | None = None, weights=None):
         self.ctx, self.guess, self.weights = ctx, guess, weights
         self.Y, self.D, self.B = _cols(Y), _cols(D), _cols(B)
-        if T is not None:
-            self.T = _cols(T)
         self.ybar = None if Y is None else self.Y.mean(axis=0)
 
     @cached_property
@@ -127,6 +110,8 @@ class DrawBlock:
 
     @cached_property
     def T(self) -> np.ndarray:
+        """Exposure: treated share of the clusters meeting each extended
+        neighborhood."""
         ext = self.ctx.extended
         return ext.share(ext.treated(self.B))
 
@@ -176,6 +161,9 @@ class DrawBlock:
 
     @cached_property
     def shrink(self) -> np.ndarray:
+        """[Cov(T, Y) / Cov(T, A_hat d)] * (1'A_hat 1 / n): consistent for any
+        guess with nonzero total mass, tighter when the guess's split of
+        spillovers across the neighborhood boundary matches the truth."""
         return self.cov_ty / self.first_stage * (self.guess.A_hat.sum() / self.guess.n)
 
     @cached_property
@@ -185,36 +173,28 @@ class DrawBlock:
         W = np.take_along_axis(self.weights.W, idx, axis=1)
         return _dot((2.0 * self.D - 1.0) * W, self.Y)
 
-    def hac(self, w, estimate, T) -> np.ndarray:
-        """Unclipped HAC sums e' lam e, e = w (Y - mean(Y) - estimate (T - p))."""
+    def variance(self, name: str) -> np.ndarray:
+        """Unclipped spatial HAC sums e' lam e of the "hajek" or "ols" estimates.
+
+        e = w (Y - mean(Y) - estimate (T - p)) with the estimator's own
+        weights w, which carry the 1/n scale, so the sum estimates the
+        estimate's variance directly.  OLS centres on its exposure; Hajek on
+        the treated share of the clusters meeting the base neighborhood.
+        """
+        if name == "ols":
+            w, estimate, T = self.ols_weights, self.ols, self.T
+        elif name == "hajek":
+            w, estimate = self.hajek_weights, self.hajek
+            T = self.ctx.counts.share(self.treated)
+        else:
+            raise ValueError(f"HAC variance is for hajek and ols, not {name!r}")
         e = w * (self.Y - self.ybar - estimate * (T - self.ctx.p))
         return _dot(e, self.ctx.lam @ e)
 
-    def variance(self, name: str) -> np.ndarray:
-        """HAC sums of the "hajek" or "ols" estimates."""
-        if name == "ols":
-            return self.hac(self.ols_weights, self.ols, self.T)
-        # Hajek centers on its own exposure, the treated share of the
-        # clusters meeting the base neighborhood
-        return self.hac(self.hajek_weights, self.hajek,
-                        self.ctx.counts.share(self.treated))
 
-
-# reason and message of each estimator's one failure mode
-UNDEFINED = {
-    "hajek": ("undefined_draw",
-              "Hajek needs at least one saturated and one dissaturated unit"),
-    "ols": ("degenerate_exposure", "exposure has zero sample variance"),
-    "shrink": ("weak_instrument", "near-zero first stage Cov(T, A_hat d)"),
-}
-
-
-def _one_draw(values, name: str) -> np.ndarray:
-    """The single draw of a block quantity; raises when it is undefined."""
-    values = values[..., 0]
-    if np.isnan(values).any():
-        raise EstimatorUndefinedError(*UNDEFINED[name])
-    return values
+# the tag `estimate` writes into fail_flags when the estimator is undefined
+UNDEFINED = {"hajek": "undefined_draw", "ols": "degenerate_exposure",
+             "shrink": "weak_instrument"}
 
 
 def half_width(sigma2, level: float):
@@ -233,71 +213,6 @@ def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:
     return VarianceResult(variance_hat=max(float(sigma2), 0.0),
                           ci=(level, estimate - half, estimate + half),
                           truncated=bool(sigma2 < 0.0))
-
-
-def _pure_comparison(name, Y, d, space, partition, h, p) -> EstimateReport:
-    """One draw of "ht" or "hajek"."""
-    block = DrawBlock(DesignContext(space, partition, h, p), Y,
-                      B=design.cluster_bits(partition, d))
-    if name == "hajek":
-        _one_draw(block.hajek_weights, name)
-    return EstimateReport(estimate=float(getattr(block, name)[0]), estimator=name)
-
-
-def ipw_ht(Y, d, space: PremetricSpace, partition: ClusterPartition,
-           h, p: float) -> EstimateReport:
-    """Horvitz-Thompson difference in saturation-weighted means.
-
-    Units that are neither saturated nor dissaturated contribute zero, so
-    the estimator is defined for every draw.
-    """
-    return _pure_comparison("ht", Y, d, space, partition, h, p)
-
-
-def hajek_weights(d, space: PremetricSpace, partition: ClusterPartition,
-                  h, p: float) -> np.ndarray:
-    """Per-unit weights whose dot with Y is the Hajek estimate."""
-    block = DrawBlock(DesignContext(space, partition, h, p),
-                      B=design.cluster_bits(partition, d))
-    return _one_draw(block.hajek_weights, "hajek")
-
-
-def hajek(Y, d, space: PremetricSpace, partition: ClusterPartition,
-          h, p: float) -> EstimateReport:
-    """Group-renormalized IPW: saturated and dissaturated weights each sum to 1."""
-    return _pure_comparison("hajek", Y, d, space, partition, h, p)
-
-
-def exposure(extended: IncidenceCounts, b) -> np.ndarray:
-    """Treated share of the clusters meeting each extended neighborhood, for
-    one draw's cluster bits b."""
-    if np.any(extended.phi != extended.phi_max):
-        raise ValueError("exposure requires uniform overlap; extend first")
-    return extended.share(extended.treated(_cols(b)))[:, 0]
-
-
-def ols_weights(T) -> np.ndarray:
-    """Per-unit weights whose dot with Y is the OLS estimate."""
-    return _one_draw(DrawBlock(None, T=T).ols_weights, "ols")
-
-
-def ols(Y, T) -> EstimateReport:
-    """Regression slope of outcomes on exposures, empirical-covariance form."""
-    block = DrawBlock(None, Y, T=T)
-    _one_draw(block.var_t, "ols")
-    return EstimateReport(estimate=float(block.ols[0]), estimator="ols")
-
-
-def shrinkage(Y, T, d, guess: GuessMatrix) -> EstimateReport:
-    """Exposure-instrumented regression on guess-implied exposures.
-
-    theta = [Cov(T, Y) / Cov(T, A_hat d)] * (1'A_hat 1 / n); consistent for
-    any guess with nonzero total mass, tighter when the guess's split of
-    spillovers across the neighborhood boundary matches the truth.
-    """
-    block = DrawBlock(None, Y, d, T=T, guess=guess)
-    _one_draw(block.first_stage, "shrink")
-    return EstimateReport(estimate=float(block.shrink[0]), estimator="shrink")
 
 
 def effective_grid(space: PremetricSpace, grid) -> np.ndarray:
@@ -329,25 +244,3 @@ def dependency_graph(space: PremetricSpace, partition: ClusterPartition,
     check_hac_window(eta)
     s_dep = float(h) ** (1.0 + HAC_EPSILON)
     return design.incidence(space, partition, s_dep).shared()
-
-
-def variance_ci(Y, d, T, estimate: float, space: PremetricSpace,
-                partition: ClusterPartition, h, eta: float, p: float,
-                level: float = 0.95, weights=None,
-                estimator: str = None) -> VarianceResult:
-    """Spatial HAC variance and normal confidence interval.
-
-    sigma2 = sum over dependent pairs of e_i e_j with
-    e_i = w_i (Y_i - mean(Y) - theta_hat (T_i - p)), where w are the weights
-    implied by the chosen estimator (pass them, or name "hajek"/"ols").
-    The weights carry the 1/n scale, so sigma2 estimates Var(theta_hat)
-    directly and the interval is theta_hat +/- z * sqrt(sigma2).
-    """
-    if weights is None and estimator not in ("hajek", "ols"):
-        raise ValueError("pass weights or estimator in {'hajek','ols'}")
-    block = DrawBlock(DesignContext(space, partition, h, p, eta),
-                      Y, B=design.cluster_bits(partition, d), T=T)
-    if weights is None:
-        weights = _one_draw(getattr(block, f"{estimator}_weights"), estimator)
-    sigma2 = block.hac(_cols(weights), estimate, block.T)[0]
-    return interval(estimate, sigma2, level)

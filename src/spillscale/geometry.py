@@ -17,6 +17,7 @@ import numpy as np
 
 EUCLIDEAN = "euclidean"
 IDENTITY = "identity"
+AUDIT_SUBSETS = 5               # random subsets Q per size in the k4 audit
 
 
 class GeometryError(ValueError):
@@ -27,23 +28,17 @@ class GeometryError(ValueError):
 class InterferenceBudget:
     """Decay-rate budget: off-neighborhood influence is at most k1 * s**-eta.
 
-    ybar bounds outcomes in absolute value; k_effects (<= ybar) is the
-    constant used in the quadratic term of the optimal-weighting objective
-    and defaults to ybar.
+    ybar bounds outcomes in absolute value and is the constant of the
+    quadratic term of the optimal-weighting objective.
     """
 
     eta: float
     k1: float
     ybar: float
-    k_effects: float | None = None
 
     def __post_init__(self):
         if not (self.eta > 0 and self.k1 > 0 and self.ybar > 0):
             raise ValueError("eta, k1, ybar must be strictly positive")
-        if self.k_effects is None:
-            object.__setattr__(self, "k_effects", self.ybar)
-        if not (0 < self.k_effects <= self.ybar):
-            raise ValueError("k_effects must lie in (0, ybar]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +135,9 @@ def build_space_from_dist(dist) -> PremetricSpace:
     return PremetricSpace(n=n, dist=dist, rule=IDENTITY)
 
 
-def uniform_disk(n: int, rng: np.random.Generator, radius: float | None = None) -> np.ndarray:
-    """n points uniform on a disk of the given radius (default sqrt(n), q=2)."""
-    if radius is None:
-        radius = np.sqrt(n)
-    r = radius * np.sqrt(rng.uniform(size=n))
+def uniform_disk(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points uniform on a disk of radius sqrt(n) (q=2)."""
+    r = np.sqrt(n) * np.sqrt(rng.uniform(size=n))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
@@ -235,14 +228,14 @@ def greedy_packing(candidates: np.ndarray, in_nbhd: np.ndarray) -> list:
     return packed
 
 
-def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60,
-                   n_subsets: int = 5, seed: int = 0) -> GeometryAudit:
+def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60) -> GeometryAudit:
     """Measure the density/covering/packing constants on a grid of sizes.
 
     k3_hat: max over tested (i, s) of (|N(i,s)| - 1) / s.
     k5_hat: max greedy-cover size of U(N(i,s), s) and V(N(i,s), s) by
             s-neighborhoods of their own members.
-    k4_hat: max over random subsets Q and s of |greedy packing| * s / n.
+    k4_hat: max over AUDIT_SUBSETS seeded random subsets Q per s of
+            |greedy packing| * s / n.
 
     Cover/packing audits scan a deterministic unit subsample of size
     max_units when the population is larger (cost is cubic in |N|).
@@ -259,7 +252,7 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60,
     k3 = 0.0
     k5 = 0.0
     k4 = 0.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(9,))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=0, spawn_key=(9,))))
     for s in s_grid:
         M = space.neighborhood_matrix(s)
         sizes = M.sum(axis=1)
@@ -272,7 +265,7 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60,
             v_set = M[:, nbhd].any(axis=1)
             for target in (u_set, v_set):
                 k5 = max(k5, float(len(greedy_set_cover(target, M))))
-        for _ in range(n_subsets):
+        for _ in range(AUDIT_SUBSETS):
             q_mask = rng.uniform(size=n) < 0.5
             if not q_mask.any():
                 continue
@@ -298,18 +291,13 @@ def audit_interference(A, space: PremetricSpace, budget: InterferenceBudget,
     """Check sum_{j not in N(i,s)} |A[i,j]| <= k1 * s**-eta on a log grid.
 
     Returns (pass, worst_ratio) where worst_ratio is the largest observed
-    off-neighborhood sum divided by its budget bound; pass iff ratio <= 1.
+    off-neighborhood sum divided by its budget bound, the fitted constant
+    over k1; pass iff ratio <= 1.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("A must be finite")
-    if s_grid is None:
-        s_grid = default_audit_grid(space.n)
-    worst = 0.0
-    for s in np.atleast_1d(s_grid):
-        off = off_neighborhood_sums(A, space, s)
-        bound = budget.k1 * float(s) ** (-budget.eta)
-        worst = max(worst, float(off.max()) / bound)
+    worst = fit_interference_constant(A, space, budget.eta, s_grid) / budget.k1
     return worst <= 1.0, worst
 
 

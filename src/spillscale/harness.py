@@ -2,9 +2,9 @@
 
 Each (population size, design) cell builds a fresh uniform-disk population,
 the linear simulation outcomes, a guess matrix, and the partition, then
-replays seeded treatment draws in blocks through the same batched
-estimator core the single-draw functions use (same Philox streams as
-`draw_treatments`), so identical configs give identical CSV bytes.
+replays seeded treatment draws (the Philox streams of `draw_treatments`)
+in blocks through the batched estimator core, `estimators.DrawBlock`, so
+identical configs give identical CSV bytes.
 """
 
 from __future__ import annotations

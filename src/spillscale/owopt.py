@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import (TAG_TABLES, ClusterPartition, IncidenceCounts,
-                     cluster_bits, incidence, rng_for, stilde_indices)
-from .estimators import DrawBlock, EstimateReport, effective_grid
+                     incidence, rng_for, stilde_indices)
+from .estimators import effective_grid
 from .geometry import InterferenceBudget, PremetricSpace
 from .oracle import enumerate_assignments
 
@@ -99,11 +99,11 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
 
 
 def objective_kernel(grid: np.ndarray, budget: InterferenceBudget) -> np.ndarray:
-    """S x S size kernel 2*K^2 + k1^2 (s*t)**-eta of the MSE bound."""
+    """S x S size kernel 2*ybar^2 + k1^2 (s*t)**-eta of the MSE bound."""
     if np.any(grid <= 0):
         raise ValueError("grid sizes must be positive so (s*t)**-eta is finite")
     decay = grid ** -budget.eta
-    return 2.0 * budget.k_effects ** 2 + budget.k1 ** 2 * np.outer(decay, decay)
+    return 2.0 * budget.ybar ** 2 + budget.k1 ** 2 * np.outer(decay, decay)
 
 
 def assemble_objective(tables: SaturationTables, budget: InterferenceBudget) -> np.ndarray:
@@ -419,8 +419,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
 def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
                      grid, p: float, budget: InterferenceBudget, h,
                      method: str = "mc", mc_draws: int = 100_000,
-                     seed: int = 0, max_iter: int = 50_000,
-                     tol: float = 1e-7):
+                     seed: int = 0):
     """Full pipeline: tables -> objective -> warm-started QP solve.
 
     Returns (tables, ipw_table, ow_table); both weight tables share the
@@ -431,8 +430,7 @@ def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
     Q = assemble_objective(tables, budget)
     start = ipw_weight_table(tables, h, p)
     start.objective_value = float(start.W.reshape(-1) @ (Q @ start.W.reshape(-1)))
-    ow = solve_qp(Q, tables.marg, p, space.n, warm_start=start.W,
-                  max_iter=max_iter, tol=tol)
+    ow = solve_qp(Q, tables.marg, p, space.n, warm_start=start.W)
     ow.levels = tables.levels
     return tables, start, ow
 
@@ -440,11 +438,3 @@ def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
 def default_ow_grid(h: float) -> list:
     """Size grid h * 2**k for k = -5..2 (the floor is added downstream)."""
     return [float(h) * 2.0 ** k for k in range(-5, 3)]
-
-
-def ow_estimate(Y, d, partition: ClusterPartition,
-                weights: OwWeightTable) -> EstimateReport:
-    """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i of one draw: the m = 1 case of
-    `DrawBlock.ow`.  d must be constant within each cluster."""
-    block = DrawBlock(None, Y, d, cluster_bits(partition, d), weights=weights)
-    return EstimateReport(estimate=float(block.ow[0]), estimator="ow")

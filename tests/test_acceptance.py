@@ -17,6 +17,7 @@ import spillscale as ss
 from spillscale import harness, owopt
 from spillscale.cli import main as cli_main
 from spillscale.design import incidence, scaling_clusters, scaling_rule
+from spillscale.estimators import DesignContext, DrawBlock
 from spillscale.geometry import audit_geometry, fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize, sim_budget
@@ -94,12 +95,13 @@ class TestCriterion1And2Oracle:
         p = 0.5
         enum = enumerate_assignments(part, p)
 
-        def ht(b):
-            d = np.asarray(b)[part.assignment]
-            Y = realize(outcomes, d)
-            return ss.ipw_ht(Y, d, space, part, g, p).estimate
+        ctx = DesignContext(space, part, g, p)
 
-        mean = exact_expectation(per_row(ht), enum).mean
+        def ht(B):
+            D = B[:, part.assignment].T
+            return DrawBlock(ctx, realize(outcomes, D), B=B.T).ht
+
+        mean = exact_expectation(ht, enum).mean
         k1 = fit_interference_constant(
             outcomes.A, space, 1.0,
             s_grid=sorted({g, *np.geomspace(0.5, 20.0, 10)}))

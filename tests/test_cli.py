@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale import harness, oracle, owopt
+from spillscale import cli, harness, oracle, owopt
 from spillscale.cli import load_population, main
-from spillscale.estimators import EstimatorUndefinedError
+from spillscale.estimators import DesignContext, DrawBlock, interval
 from spillscale.oracle import enumerate_assignments
+
+from conftest import saturation_indicators
 
 
 def write_population(path, coords):
@@ -37,6 +39,20 @@ def population_csv(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def pure_comparison(estimator, space, part, h, p, Y, d):
+    """HT or Hajek of one draw from the unit-level purity masks and the
+    saturation probabilities p**phi, (1-p)**phi; NaN where Hajek has an
+    empty group."""
+    sat, dis = saturation_indicators(space, d, h)
+    phi = ss.incidence(space, part, h).phi
+    w1, w0 = sat * p ** -phi, dis * (1.0 - p) ** -phi
+    if estimator == "ht":
+        return float((w1 - w0) @ Y) / Y.size
+    if not (w1.any() and w0.any()):
+        return float("nan")
+    return float(w1 @ Y) / w1.sum() - float(w0 @ Y) / w0.sum()
 
 
 class TestDesignCommand:
@@ -104,22 +120,32 @@ class TestEstimateCommand:
         assert rc == 0
         row = read_csv(out)[0]
         assert row["estimator"] == estimator
-        if estimator == "ht":
-            want = ss.ipw_ht(Y, draw.d, space, part, h, 0.5).estimate
-        elif estimator == "hajek":
-            want = ss.hajek(Y, draw.d, space, part, h, 0.5).estimate
+        # independent formulas on the outcomes as the command read them
+        Y = np.array([float(r["Y"]) for r in read_csv(ocsv)])
+        if estimator in ("ht", "hajek"):
+            want = pure_comparison(estimator, space, part, h, 0.5, Y, draw.d)
         else:
             ext = ss.extend_uniform_overlap(
                 space, part, ss.incidence(space, part, h))
-            T = ss.exposure(ext, draw.b)
+            T = (ext.incidence @ draw.b) / ext.phi_max
+            cov = np.cov(T, Y)
             if estimator == "ols":
-                want = ss.ols(Y, T).estimate
+                want = cov[0, 1] / cov[0, 0]
             else:
-                guess = ss.make_guess(space, 52)
-                want = ss.shrinkage(Y, T, draw.d, guess).estimate
+                A_hat = ss.make_guess(space, 52).A_hat
+                first = np.cov(T, A_hat @ draw.d)[0, 1]
+                want = cov[0, 1] / first * A_hat.sum() / space.n
         assert float(row["estimate"]) == pytest.approx(want, rel=1e-9)
         if estimator in ("hajek", "ols"):
             assert float(row["ci_lo"]) <= want <= float(row["ci_hi"])
+            block = DrawBlock(DesignContext(space, part, h, 0.5, 1.0), Y,
+                              draw.d, draw.b)
+            res = interval(getattr(block, estimator)[0],
+                           block.variance(estimator)[0], 0.95)
+            assert float(row["var_hat"]) == pytest.approx(res.variance_hat,
+                                                          rel=1e-9)
+            assert float(row["ci_lo"]) == pytest.approx(res.ci[1], rel=1e-9)
+            assert float(row["ci_hi"]) == pytest.approx(res.ci[2], rel=1e-9)
 
     @pytest.mark.parametrize("estimator", ["hajek", "ols"])
     def test_eta_below_hac_window_exits_2(self, tmp_path, population_csv,
@@ -138,8 +164,9 @@ class TestEstimateCommand:
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert row["estimator"] == estimator and row["var_hat"] == ""
 
-    def test_failure_recorded_not_raised(self, tmp_path):
-        # single cluster, all treated: Hajek's dissaturated group is empty
+    @staticmethod
+    def _all_treated_row(tmp_path, estimator):
+        """`estimate` on one all-treated cluster of two units."""
         coords = np.array([[0.0], [1.0]])
         pop = tmp_path / "pop.csv"
         write_population(pop, coords)
@@ -150,12 +177,24 @@ class TestEstimateCommand:
         out = tmp_path / "est.csv"
         rc = main(["estimate", "--population", str(pop), "--outcomes",
                    str(tmp_path / "outcomes.csv"), "--clusters",
-                   str(tmp_path / "clusters.csv"), "--estimator", "hajek",
+                   str(tmp_path / "clusters.csv"), "--estimator", estimator,
                    "--h", "2.0", "--out", str(out)])
         assert rc == 0
-        row = read_csv(out)[0]
+        return read_csv(out)[0]
+
+    def test_failure_recorded_not_raised(self, tmp_path):
+        # single cluster, all treated: Hajek's dissaturated group is empty
+        row = self._all_treated_row(tmp_path, "hajek")
         assert row["estimate"] == ""
         assert row["fail_flags"] == "undefined_draw"
+
+    @pytest.mark.parametrize("estimator, flag", [
+        ("ols", "degenerate_exposure"), ("shrink", "weak_instrument")])
+    def test_failure_flag_names_the_reason(self, tmp_path, estimator, flag):
+        # every exposure is 1: OLS has no exposure variance and shrink no
+        # first stage
+        row = self._all_treated_row(tmp_path, estimator)
+        assert (row["estimate"], row["fail_flags"]) == ("", flag)
 
 
     def test_non_finite_outcome_rejected(self, tmp_path):
@@ -578,16 +617,15 @@ class TestOracleBlocks:
         space, _ = load_population(pop)
         h, p, seed = 3.0, 0.4, 3
         outcomes = ss.make_sim_dgp(space, seed)
-        single = {"ht": ss.ipw_ht, "hajek": ss.hajek}[estimator]
         enum = enumerate_assignments(part, p)
         total = mass = 0.0
         for b, w in zip(enum.assignments, enum.probs):
             d = b[part.assignment]
-            try:
-                est = single(ss.realize(outcomes, d), d, space, part, h, p)
-            except EstimatorUndefinedError:
+            est = pure_comparison(estimator, space, part, h, p,
+                                  ss.realize(outcomes, d), d)
+            if np.isnan(est):
                 continue
-            total += w * est.estimate
+            total += w * est
             mass += w
 
         results = self._recorded(monkeypatch)
@@ -660,6 +698,32 @@ class TestArgumentRanges:
             main(self._argv(tmp_path, command) + [f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {value} is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, below", [
+        ("design", "--out", ""), ("replicate", "--out", ""),
+        ("ow-weights", "--out", ""), ("estimate", "--out", "/estimate.csv"),
+        ("oracle", "--dump-matrices", "")],
+        ids=["design", "replicate", "ow_weights", "estimate", "oracle"])
+    def test_output_path_on_a_file_exits_1(self, tmp_path, monkeypatch,
+                                           command, flag, below):
+        # an existing file where the output directory must go: exit 1
+        # naming the flag and the path, before any input is read or run
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        path = f"{taken}{below}"
+        for module, name in ((cli, "load_population"),
+                             (harness, "run_experiment")):
+            monkeypatch.setattr(module, name, lambda *a: pytest.fail("ran"))
+        if command == "replicate":
+            (tmp_path / "config.txt").write_text("n_list = 30\n")
+            argv = ["replicate", "--config", str(tmp_path / "config.txt")]
+        else:
+            argv = self._argv(tmp_path, command)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, path])
+        assert exc.value.code == (f"{command}: {flag} {path}: {taken} is a "
+                                  f"file, not a directory")
+        assert taken.read_text() == "keep\n"
 
     @pytest.mark.parametrize("command, extra", [
         ("oracle", []), ("ow-weights", ["--method", "exact"])],

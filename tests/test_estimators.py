@@ -5,22 +5,37 @@ import pytest
 
 import spillscale as ss
 from spillscale import design, harness
-from spillscale.design import (cluster_bits, draw_treatments,
-                               extend_uniform_overlap, incidence,
+from spillscale.design import (cluster_bits, draw_treatments, incidence,
                                scaling_clusters, singleton_partition)
-from spillscale.estimators import (HAC_EPSILON, DesignContext, DrawBlock,
-                                   EstimatorUndefinedError, check_hac_window,
-                                   exposure, hajek, hajek_weights, half_width,
-                                   interval, ipw_ht, ols, ols_weights,
-                                   shrinkage, variance_ci)
+from spillscale.estimators import (HAC_EPSILON, UNDEFINED, DesignContext,
+                                   DrawBlock, check_hac_window, half_width,
+                                   interval)
 from spillscale.geometry import fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import realize
-from spillscale.owopt import (default_ow_grid, ipw_weight_table, ow_estimate,
-                              saturation_tables, stilde_indices)
+from spillscale.owopt import default_ow_grid, saturation_tables, stilde_indices
 
 from conftest import (SaturationProfile, line_space, per_row, saturation,
                       saturation_indicators)
+
+
+def one_draw(space, part, h, Y, d, p=0.5, eta=1.0, guess=None) -> DrawBlock:
+    """The library's single-draw call: a one-column block on the draw's
+    cluster bits."""
+    return DrawBlock(DesignContext(space, part, h, p, eta), Y, d,
+                     cluster_bits(part, d), guess=guess)
+
+
+def exposure_draw(seed=0):
+    """A context on a small simulated design, one draw's bits and its
+    exposures, which vary across units."""
+    space, _, _ = harness.build_population(30, 31)
+    h = ss.scaling_rule(30, 1.0)
+    ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
+    b = draw_treatments(ctx.partition, 0.5, seed).b
+    T = DrawBlock(ctx, B=b).T[:, 0]
+    assert T.var() > 0.01
+    return ctx, b, T
 
 
 def saturated_outcome_sum(outcomes, space, partition, h, p):
@@ -43,23 +58,23 @@ class TestIpwHt:
     def test_single_treated_unit(self):
         space = ss.build_space([[0.0]])
         part = singleton_partition(1)
-        rep = ipw_ht(np.array([3.0]), np.array([1]), space, part, 1.0, 0.5)
-        assert rep.estimate == pytest.approx(6.0)
+        block = one_draw(space, part, 1.0, np.array([3.0]), np.array([1]))
+        assert block.ht[0] == pytest.approx(6.0)
 
     def test_single_cluster_all_treated(self):
         space = line_space(5)
         part = scaling_clusters(space, 100.0)
         Y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        rep = ipw_ht(Y, np.ones(5, dtype=int), space, part, 2.0, 0.5)
-        assert rep.estimate == pytest.approx(2.0 * Y.mean())
+        block = one_draw(space, part, 2.0, Y, np.ones(5, dtype=int))
+        assert block.ht[0] == pytest.approx(2.0 * Y.mean())
 
     def test_mixed_draw_drops_impure_units(self):
         space = line_space(2, spacing=5.0)
         part = singleton_partition(2)
         Y = np.array([10.0, -4.0])
-        rep = ipw_ht(Y, np.array([1, 0]), space, part, 1.0, 0.5)
+        block = one_draw(space, part, 1.0, Y, np.array([1, 0]))
         # both units pure at h=1 (neighborhoods are singletons)
-        assert rep.estimate == pytest.approx((10.0 / 0.5 + 4.0 / 0.5) / 2)
+        assert block.ht[0] == pytest.approx((10.0 / 0.5 + 4.0 / 0.5) / 2)
 
     def test_unbiased_for_saturated_sum(self, small_exact_instance):
         space, outcomes, _, part, g = small_exact_instance
@@ -78,7 +93,7 @@ class TestIpwHt:
         def ht(b):
             d = np.asarray(b)[part.assignment]
             Y = realize(outcomes, d)
-            return ipw_ht(Y, d, space, part, g, p).estimate
+            return one_draw(space, part, g, Y, d, p).ht[0]
 
         mean = exact_expectation(per_row(ht), enum).mean
         k1 = fit_interference_constant(
@@ -91,15 +106,15 @@ class TestHajek:
     def test_location_invariance_constant_outcomes(self):
         space = line_space(4, spacing=3.0)
         part = singleton_partition(4)
-        rep = hajek(np.full(4, 7.7), np.array([1, 0, 1, 0]), space, part, 1.0, 0.5)
-        assert rep.estimate == pytest.approx(0.0, abs=1e-12)
+        block = one_draw(space, part, 1.0, np.full(4, 7.7), np.array([1, 0, 1, 0]))
+        assert block.hajek[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_saturated_one_dissaturated(self):
         space = line_space(2, spacing=5.0)
         part = singleton_partition(2)
         Y = np.array([4.0, 1.5])
-        rep = hajek(Y, np.array([1, 0]), space, part, 1.0, 0.5)
-        assert rep.estimate == pytest.approx(4.0 - 1.5)
+        block = one_draw(space, part, 1.0, Y, np.array([1, 0]))
+        assert block.hajek[0] == pytest.approx(4.0 - 1.5)
 
     def test_scale_equivariance(self):
         space = line_space(6, spacing=4.0)
@@ -107,23 +122,25 @@ class TestHajek:
         d = np.array([1, 0, 1, 1, 0, 0])
         rng = np.random.default_rng(0)
         Y = rng.normal(size=6)
-        base = hajek(Y, d, space, part, 1.0, 0.5).estimate
-        scaled = hajek(3.5 * Y, d, space, part, 1.0, 0.5).estimate
+        base = one_draw(space, part, 1.0, Y, d).hajek[0]
+        scaled = one_draw(space, part, 1.0, 3.5 * Y, d).hajek[0]
         assert scaled == pytest.approx(3.5 * base)
 
     def test_undefined_when_one_group_empty(self):
+        # no dissaturated unit: NaN, the one undefined-draw signal
         space = line_space(3, spacing=4.0)
         part = singleton_partition(3)
-        with pytest.raises(EstimatorUndefinedError, match="dissaturated"):
-            hajek(np.ones(3), np.ones(3, dtype=int), space, part, 1.0, 0.5)
+        block = one_draw(space, part, 1.0, np.ones(3), np.ones(3, dtype=int))
+        assert np.isnan(block.hajek[0])
+        assert np.isnan(block.hajek_weights).all()
 
     def test_weights_reproduce_estimate(self):
         space = line_space(6, spacing=4.0)
         part = singleton_partition(6)
         d = np.array([1, 0, 1, 1, 0, 0])
         Y = np.linspace(-2, 2, 6)
-        w = hajek_weights(d, space, part, 1.0, 0.5)
-        assert w @ Y == pytest.approx(hajek(Y, d, space, part, 1.0, 0.5).estimate)
+        block = one_draw(space, part, 1.0, Y, d)
+        assert block.hajek_weights[:, 0] @ Y == pytest.approx(block.hajek[0])
 
     def test_smaller_bias_than_ht_in_simulation(self):
         space, outcomes, guess = harness.build_population(400, 7 + 400)
@@ -149,13 +166,12 @@ class TestCountsDoNotWrap:
 
     def test_ht_counts_256_treated_neighbors(self):
         space, part, d, Y = self._one_treated_cluster()
-        assert ipw_ht(Y, d, space, part, 1000.0, 0.5).estimate == pytest.approx(2.0)
+        assert one_draw(space, part, 1000.0, Y, d).ht[0] == pytest.approx(2.0)
 
     def test_hajek_undefined_without_dissaturated_units(self):
         space, part, d, Y = self._one_treated_cluster()
-        with pytest.raises(EstimatorUndefinedError) as exc:
-            hajek(Y, d, space, part, 1000.0, 0.5)
-        assert exc.value.reason == "undefined_draw"
+        assert np.isnan(one_draw(space, part, 1000.0, Y, d).hajek[0])
+        assert UNDEFINED["hajek"] == "undefined_draw"
 
     def test_saturation_indicators(self):
         space, _, d, _ = self._one_treated_cluster()
@@ -164,56 +180,64 @@ class TestCountsDoNotWrap:
 
 
 class TestExposure:
-    def _two_cluster_setup(self):
+    def _two_cluster_context(self):
+        # clusters {0, 1} and {10, 11}; at s = 9 units 1 and 2 meet both,
+        # units 0 and 3 one
         space = ss.build_space(np.array([[0.0], [1.0], [10.0], [11.0]]))
         part = scaling_clusters(space, 1.0)
-        ext = extend_uniform_overlap(space, part, incidence(space, part, 9.0))
-        return space, part, ext
+        return DesignContext(space, part, 9.0, 0.5)
 
     def test_all_ones_and_all_zeros(self):
-        _, part, ext = self._two_cluster_setup()
-        assert np.all(exposure(ext, np.array([1, 1])) == 1.0)
-        assert np.all(exposure(ext, np.array([0, 0])) == 0.0)
+        ctx = self._two_cluster_context()
+        assert np.all(DrawBlock(ctx, B=np.array([1, 1])).T == 1.0)
+        assert np.all(DrawBlock(ctx, B=np.array([0, 0])).T == 0.0)
 
     def test_half_exposure(self):
-        _, part, ext = self._two_cluster_setup()
-        T = exposure(ext, np.array([1, 0]))
+        ctx = self._two_cluster_context()
+        T = DrawBlock(ctx, B=np.array([1, 0])).T
         assert np.all(T == 0.5)
-        assert ext.phi_max == 2
+        assert ctx.extended.phi_max == 2
 
-    def test_rejects_nonuniform_overlap(self):
-        space = ss.build_space(np.array([[0.0], [1.0], [10.0], [11.0]]))
-        part = scaling_clusters(space, 1.0)
-        base = incidence(space, part, 9.0)
-        with pytest.raises(ValueError, match="uniform overlap"):
-            exposure(base, np.array([1, 0]))
+    def test_pads_nonuniform_overlap(self):
+        # the exposure is the share over the padded neighborhoods, never
+        # over the base incidence, whose counts differ across units
+        ctx = self._two_cluster_context()
+        assert np.array_equal(ctx.counts.phi, [1, 2, 2, 1])
+        assert np.array_equal(ctx.extended.phi, [2, 2, 2, 2])
+        block = DrawBlock(ctx, B=np.array([1, 0]))
+        assert np.array_equal(ctx.counts.share(block.treated)[:, 0],
+                              [1.0, 0.5, 0.5, 0.0])
+        assert np.all(block.T == 0.5)
 
 
 class TestOls:
     def test_exact_linear_fit(self):
-        T = np.array([0.0, 0.5, 1.0, 0.5])
-        assert ols(3.0 * T, T).estimate == pytest.approx(3.0, abs=1e-12)
+        ctx, b, T = exposure_draw()
+        assert DrawBlock(ctx, 3.0 * T, B=b).ols[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_constant_outcomes(self):
-        T = np.array([0.0, 0.5, 1.0])
-        assert ols(np.full(3, 9.9), T).estimate == pytest.approx(0.0, abs=1e-12)
+        ctx, b, T = exposure_draw()
+        assert DrawBlock(ctx, np.full(T.size, 9.9), B=b).ols[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_translation_invariance(self):
-        rng = np.random.default_rng(3)
-        T = rng.uniform(size=12)
-        Y = rng.normal(size=12)
-        assert ols(Y + 123.4, T).estimate == pytest.approx(
-            ols(Y, T).estimate, abs=1e-9)
+        ctx, b, T = exposure_draw(3)
+        Y = np.random.default_rng(3).normal(size=T.size)
+        assert DrawBlock(ctx, Y + 123.4, B=b).ols[0] == pytest.approx(
+            DrawBlock(ctx, Y, B=b).ols[0], abs=1e-9)
 
     def test_degenerate_exposure(self):
-        with pytest.raises(EstimatorUndefinedError, match="variance"):
-            ols(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        # every cluster treated: every exposure is 1 and OLS is NaN
+        ctx, b, T = exposure_draw()
+        block = DrawBlock(ctx, np.linspace(1.0, 2.0, T.size), B=np.ones_like(b))
+        assert np.all(block.T == 1.0)
+        assert np.isnan(block.ols[0])
 
     def test_weights_reproduce_estimate(self):
-        rng = np.random.default_rng(4)
-        T = rng.uniform(size=9)
-        Y = rng.normal(size=9)
-        assert ols_weights(T) @ Y == pytest.approx(ols(Y, T).estimate)
+        ctx, b, T = exposure_draw(4)
+        Y = np.random.default_rng(4).normal(size=T.size)
+        block = DrawBlock(ctx, Y, B=b)
+        assert block.ols_weights[:, 0] @ Y == pytest.approx(block.ols[0])
 
 
 class TestShrinkage:
@@ -222,27 +246,27 @@ class TestShrinkage:
         # exactly T_guess = kappa * T, so shrink = ols * strength / kappa
         space = line_space(6, spacing=4.0)
         part = singleton_partition(6)
-        ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
+        ctx = DesignContext(space, part, 1.0, 0.5)
         draw = draw_treatments(part, 0.5, seed=3)
-        T = exposure(ext, draw.b)
         kappa = 2.5
-        A_hat = kappa * ext.incidence.astype(float) / ext.phi_max
+        A_hat = kappa * ctx.extended.incidence.astype(float) / ctx.extended.phi_max
         guess = ss.GuessMatrix(A_hat=A_hat, strength=abs(A_hat.sum()) / 6)
         rng = np.random.default_rng(5)
         Y = rng.normal(size=6)
-        got = shrinkage(Y, T, draw.d, guess).estimate
-        want = ols(Y, T).estimate * (A_hat.sum() / 6) / kappa
+        block = DrawBlock(ctx, Y, draw.d, draw.b, guess=guess)
+        got = block.shrink[0]
+        want = block.ols[0] * (A_hat.sum() / 6) / kappa
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_weak_instrument_error(self):
+        # a zero guess has a zero first stage: NaN
         space = line_space(4, spacing=4.0)
         part = singleton_partition(4)
-        ext = extend_uniform_overlap(space, part, incidence(space, part, 1.0))
         draw = draw_treatments(part, 0.5, seed=1)
-        T = exposure(ext, draw.b)
         guess = ss.GuessMatrix(A_hat=np.zeros((4, 4)), strength=1.0)
-        with pytest.raises(EstimatorUndefinedError, match="first stage"):
-            shrinkage(np.ones(4), T, draw.d, guess)
+        block = one_draw(space, part, 1.0, np.ones(4), draw.d, guess=guess)
+        assert np.isnan(block.first_stage[0])
+        assert np.isnan(block.shrink[0])
 
 
 def stilde_profile(space, part, d, grid) -> SaturationProfile:
@@ -386,8 +410,8 @@ class TestDesignContext:
         assert sizes == [h]
 
     def test_block_exposure_matches_single_draws(self):
-        # each column of the batched exposure is the single-draw exposure
-        # of that column's bits, bit for bit
+        # each column of the batched exposure is the one-draw block's
+        # exposure of that column's bits, bit for bit
         space, _, _ = harness.build_population(60, 61)
         h = ss.scaling_rule(60, 1.0)
         part = scaling_clusters(space, h)
@@ -396,76 +420,68 @@ class TestDesignContext:
         T = DrawBlock(ctx, B=B).T
         assert T.shape == (60, 7)
         for k in range(7):
-            assert np.array_equal(T[:, k], exposure(ctx.extended, B[:, k]))
+            assert np.array_equal(T[:, k], DrawBlock(ctx, B=B[:, k]).T[:, 0])
 
 
 class TestMixedClusterTreatment:
     def test_purity_estimators_reject_mixed_d(self):
-        # single-draw functions need d constant within each cluster
+        # a single draw's cluster bits come from unit treatments d, which
+        # must be constant within each cluster
         space = line_space(4)
         part = scaling_clusters(space, 100.0)      # one cluster of 4 units
-        d, Y = np.array([1, 0, 1, 1]), np.linspace(0.0, 1.0, 4)
-        tables = saturation_tables(space, part, [1.0], 0.5, method="exact")
-        weights = ipw_weight_table(tables, 1.0, 0.5)
-        for call in (lambda: ipw_ht(Y, d, space, part, 1.0, 0.5),
-                     lambda: hajek(Y, d, space, part, 1.0, 0.5),
-                     lambda: hajek_weights(d, space, part, 1.0, 0.5),
-                     lambda: variance_ci(Y, d, d.astype(float), 0.0, space,
-                                         part, 1.0, 1.0, 0.5,
-                                         estimator="hajek"),
-                     lambda: ow_estimate(Y, d, part, weights)):
-            with pytest.raises(ValueError, match="not constant within cluster 0"):
-                call()
+        with pytest.raises(ValueError, match="not constant within cluster 0"):
+            cluster_bits(part, np.array([1, 0, 1, 1]))
 
 
 class TestVarianceCi:
     def test_zero_outcomes_zero_variance(self):
         space = line_space(4, spacing=3.0)
         part = singleton_partition(4)
-        Y = np.zeros(4)
-        T = np.array([1.0, 0.0, 1.0, 0.0])
-        res = variance_ci(Y, T.astype(int), T, 0.0, space, part, 1.0, 1.0, 0.5,
-                          weights=np.full(4, 0.25))
-        assert res.variance_hat == pytest.approx(0.0, abs=1e-15)
-        assert res.ci[1] == res.ci[2] == 0.0
+        block = one_draw(space, part, 1.0, np.zeros(4), np.array([1, 0, 1, 0]))
+        for name in ("hajek", "ols"):
+            res = interval(getattr(block, name)[0], block.variance(name)[0], 0.95)
+            assert res.variance_hat == pytest.approx(0.0, abs=1e-15)
+            assert res.ci[1] == res.ci[2] == 0.0
 
     def test_identity_graph_reduces_to_independent_sum(self):
         # singleton clusters spaced beyond the inflated radius: the
-        # dependency graph is diagonal
+        # dependency graph is diagonal, and both exposures are d
         space = line_space(5, spacing=10.0)
         part = singleton_partition(5)
         rng = np.random.default_rng(2)
         Y = rng.normal(size=5)
         d = np.array([1, 0, 1, 0, 1])
         T = d.astype(float)
-        w = np.full(5, 1.0 / 5)
-        theta = 1.3
-        res = variance_ci(Y, d, T, theta, space, part, 2.0, 1.0, 0.5, weights=w)
-        e = w * (Y - Y.mean() - theta * (T - 0.5))
-        assert res.variance_hat == pytest.approx(float(np.sum(e ** 2)), abs=1e-14)
+        block = one_draw(space, part, 2.0, Y, d)
+        weights = {"hajek": T / T.sum() - (1 - T) / (1 - T).sum(),
+                   "ols": (T - T.mean()) / (5 * T.var())}
+        for name, w in weights.items():
+            theta = w @ Y
+            assert getattr(block, name)[0] == pytest.approx(theta, abs=1e-14)
+            e = w * (Y - Y.mean() - theta * (T - 0.5))
+            assert block.variance(name)[0] == pytest.approx(
+                float(np.sum(e ** 2)), abs=1e-14)
 
     def test_ci_brackets_estimate(self):
         space, outcomes, _ = harness.build_population(80, 3)
         h = ss.scaling_rule(80, 1.0)
         part = scaling_clusters(space, h)
         draw = draw_treatments(part, 0.5, seed=2)
-        Y = realize(outcomes, draw.d)
-        rep = hajek(Y, draw.d, space, part, h, 0.5)
-        counts = incidence(space, part, h)
-        T = (counts.incidence @ draw.b) / counts.phi
-        res = variance_ci(Y, draw.d, T, rep.estimate, space, part, h, 1.0, 0.5,
-                          estimator="hajek")
+        block = one_draw(space, part, h, realize(outcomes, draw.d), draw.d)
+        estimate = block.hajek[0]
+        res = interval(estimate, block.variance("hajek")[0], 0.95)
         level, lo, hi = res.ci
         assert level == 0.95
-        assert lo <= rep.estimate <= hi
+        assert lo <= estimate <= hi
         assert res.variance_hat >= 0.0
 
     def test_epsilon_window_enforced(self):
         space = line_space(4, spacing=3.0)
         part = singleton_partition(4)
+        block = one_draw(space, part, 1.0, np.ones(4), np.array([1, 0, 1, 0]),
+                         eta=0.1)
         with pytest.raises(ValueError, match="epsilon"):
-            variance_ci(np.ones(4), np.ones(4, dtype=int), np.ones(4), 0.0,
-                        space, part, 1.0, 0.1, 0.5, weights=np.ones(4) / 4)
+            block.variance("ols")
 
     def test_hac_window_boundary(self):
         # epsilon < 2*eta/3 is eta > 1.5 * epsilon = 0.15, strictly
@@ -475,12 +491,12 @@ class TestVarianceCi:
                 check_hac_window(eta)
         check_hac_window(0.1501)
 
-    def test_estimator_name_required_without_weights(self):
+    def test_variance_is_for_hajek_and_ols(self):
         space = line_space(4, spacing=3.0)
         part = singleton_partition(4)
-        with pytest.raises(ValueError, match="weights or estimator"):
-            variance_ci(np.ones(4), np.ones(4, dtype=int), np.ones(4), 0.0,
-                        space, part, 1.0, 1.0, 0.5)
+        block = one_draw(space, part, 1.0, np.ones(4), np.array([1, 0, 1, 0]))
+        with pytest.raises(ValueError, match="hajek and ols"):
+            block.variance("ht")
 
 
 class TestNormalQuantile:
@@ -516,8 +532,7 @@ class TestNormalQuantile:
 class TestEmpCov:
     def test_matches_numpy_population_covariance(self):
         # the core's Cov(T, Y): x'y/n - mean(x)mean(y), no dof correction
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=50)
-        y = rng.normal(size=50)
-        cov = DrawBlock(None, Y=y, T=x).cov_ty[0]
+        ctx, b, x = exposure_draw(6)
+        y = np.random.default_rng(6).normal(size=x.size)
+        cov = DrawBlock(ctx, y, B=b).cov_ty[0]
         assert cov == pytest.approx(float(np.cov(x, y, bias=True)[0, 1]))

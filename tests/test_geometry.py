@@ -245,7 +245,3 @@ class TestInterference:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             ss.InterferenceBudget(eta=0.0, k1=1.0, ybar=1.0)
-        with pytest.raises(ValueError):
-            ss.InterferenceBudget(eta=1.0, k1=1.0, ybar=1.0, k_effects=2.0)
-        b = ss.InterferenceBudget(eta=1.0, k1=1.0, ybar=3.0)
-        assert b.k_effects == 3.0

@@ -1,7 +1,7 @@
 """Pinned single-draw estimates and HAC intervals on one fixed instance.
 
-The values were recorded from the per-draw estimator code before it became a
-thin m = 1 call into the batched core, so they give that core an independent
+The values were recorded from per-draw estimator code that predates the
+batched core, so they give the core's one-draw blocks an independent
 reference next to the hand-computed cases and the exact-oracle tests.
 """
 
@@ -9,8 +9,7 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness
-from spillscale.design import incidence
-from spillscale.estimators import exposure, variance_ci
+from spillscale.estimators import DesignContext, DrawBlock, interval
 
 P, ETA = 0.5, 1.0
 
@@ -54,9 +53,7 @@ def instance():
     space, outcomes, guess = harness.build_population(48, 349)
     h = ss.scaling_rule(48, ETA)
     part = ss.scaling_clusters(space, h)
-    ext = ss.extend_uniform_overlap(space, part,
-                                    ss.incidence(space, part, h))
-    return space, outcomes, guess, part, h, ext
+    return space, outcomes, guess, part, h
 
 
 def assert_ci(res, want):
@@ -69,24 +66,19 @@ def assert_ci(res, want):
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_single_draw_values_pinned(instance, seed):
-    space, outcomes, guess, part, h, ext = instance
+    space, outcomes, guess, part, h = instance
     want = GOLDEN[seed]
     draw = ss.draw_treatments(part, P, seed)
     Y = ss.realize(outcomes, draw.d)
-    T = exposure(ext, draw.b)
+    block = DrawBlock(DesignContext(space, part, h, P, ETA), Y, draw.d,
+                      draw.b, guess=guess)
 
-    assert ss.ipw_ht(Y, draw.d, space, part, h, P).estimate == pytest.approx(
-        want["ht"], rel=1e-12)
-    haj = ss.hajek(Y, draw.d, space, part, h, P).estimate
+    assert block.ht[0] == pytest.approx(want["ht"], rel=1e-12)
+    haj = block.hajek[0]
     assert haj == pytest.approx(want["hajek"], rel=1e-12)
-    ols = ss.ols(Y, T).estimate
+    ols = block.ols[0]
     assert ols == pytest.approx(want["ols"], rel=1e-12)
-    assert ss.shrinkage(Y, T, draw.d, guess).estimate == pytest.approx(
-        want["shrink"], rel=1e-12)
+    assert block.shrink[0] == pytest.approx(want["shrink"], rel=1e-12)
 
-    counts = incidence(space, part, h)
-    T_haj = (counts.incidence @ draw.b) / counts.phi
-    assert_ci(variance_ci(Y, draw.d, T_haj, haj, space, part, h, ETA, P,
-                          estimator="hajek"), want["hajek_ci"])
-    assert_ci(variance_ci(Y, draw.d, T, ols, space, part, h, ETA, P,
-                          estimator="ols"), want["ols_ci"])
+    assert_ci(interval(haj, block.variance("hajek")[0], 0.95), want["hajek_ci"])
+    assert_ci(interval(ols, block.variance("ols")[0], 0.95), want["ols_ci"])

@@ -3,9 +3,7 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness, owopt
-from spillscale.estimators import (DesignContext, DrawBlock,
-                                   EstimatorUndefinedError, exposure,
-                                   variance_ci)
+from spillscale.estimators import DesignContext, DrawBlock, interval
 from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
                                 rate_slope, results_csv, run_experiment,
                                 simulate_design, slopes_csv)
@@ -21,31 +19,25 @@ class TestBatchedEngineMatchesReference:
         cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
                                base_seed, ["ht", "hajek", "ols", "shrink", "ow"],
                                ow_mc_draws=10_000)
-        ext = ss.extend_uniform_overlap(space, part,
-                                        ss.incidence(space, part, h))
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
         _, _, ow_tab = owopt.optimize_weights(
             space, part, owopt.default_ow_grid(h), 0.5, budget, h,
             method="mc", mc_draws=10_000, seed=base_seed + n)
+        ctx = DesignContext(space, part, h, 0.5)
         for r in range(reps):
+            # the draw's own seeded treatments, as a one-draw block
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            Y = ss.realize(outcomes, draw.d)
-            assert cell.estimates["ht"][r] == pytest.approx(
-                ss.ipw_ht(Y, draw.d, space, part, h, 0.5).estimate, abs=1e-10)
-            T = exposure(ext, draw.b)
-            assert cell.estimates["ols"][r] == pytest.approx(
-                ss.ols(Y, T).estimate, abs=1e-10)
-            assert cell.estimates["shrink"][r] == pytest.approx(
-                ss.shrinkage(Y, T, draw.d, guess).estimate, abs=1e-10)
-            try:
-                ref = ss.hajek(Y, draw.d, space, part, h, 0.5).estimate
-                assert cell.estimates["hajek"][r] == pytest.approx(ref, abs=1e-10)
-            except EstimatorUndefinedError:
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d,
+                              draw.b, guess=guess, weights=ow_tab)
+            for name in ("ht", "ols", "shrink", "ow"):
+                assert cell.estimates[name][r] == pytest.approx(
+                    getattr(block, name)[0], abs=1e-10)
+            if np.isnan(block.hajek[0]):
                 assert np.isnan(cell.estimates["hajek"][r])
-            assert cell.estimates["ow"][r] == pytest.approx(
-                owopt.ow_estimate(Y, draw.d, part, ow_tab).estimate,
-                abs=1e-10)
+            else:
+                assert cell.estimates["hajek"][r] == pytest.approx(
+                    block.hajek[0], abs=1e-10)
 
     def test_ci_coverage_flags_match(self):
         n, base_seed, reps = 40, 77, 25
@@ -54,15 +46,11 @@ class TestBatchedEngineMatchesReference:
         part = ss.scaling_clusters(space, h)
         cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
                                base_seed, ["ols"])
-        ext = ss.extend_uniform_overlap(space, part,
-                                        ss.incidence(space, part, h))
+        ctx = DesignContext(space, part, h, 0.5, 1.0)
         for r in range(reps):
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            Y = ss.realize(outcomes, draw.d)
-            T = exposure(ext, draw.b)
-            est = ss.ols(Y, T).estimate
-            res = variance_ci(Y, draw.d, T, est, space, part, h, 1.0, 0.5,
-                              estimator="ols")
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d, draw.b)
+            res = interval(block.ols[0], block.variance("ols")[0], 0.95)
             covered = res.ci[1] <= outcomes.theta <= res.ci[2]
             assert bool(cell.covers["ols"][r]) == covered
 

@@ -6,11 +6,11 @@ from spillscale import harness, owopt
 from spillscale.design import (TAG_TABLES, draw_treatments, rng_for,
                                scaling_clusters, scaling_rule,
                                singleton_partition)
-from spillscale.estimators import DrawBlock, ipw_ht
+from spillscale.estimators import DesignContext, DrawBlock
 from spillscale.oracle import enumerate_assignments
 from spillscale.outcomes import sim_budget
 from spillscale.owopt import (assemble_objective, ipw_weight_table,
-                              objective_kernel, ow_estimate, project_rows,
+                              objective_kernel, project_rows,
                               saturation_tables, solve_qp, stilde_indices)
 
 from conftest import bruteforce_polytope_min, line_space, saturation
@@ -349,12 +349,12 @@ class TestIpwWeightTable:
         tab = saturation_tables(space, part, owopt.default_ow_grid(g), 0.5,
                                 method="exact")
         start = ipw_weight_table(tab, g, 0.5)
+        ctx = DesignContext(space, part, g, 0.5)
         for seed in range(12):
             draw = draw_treatments(part, 0.5, seed)
-            Y = ss.realize(outcomes, draw.d)
-            got = ow_estimate(Y, draw.d, part, start).estimate
-            want = ipw_ht(Y, draw.d, space, part, g, 0.5).estimate
-            assert got == pytest.approx(want, abs=1e-10)
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d,
+                              draw.b, weights=start)
+            assert block.ow[0] == pytest.approx(block.ht[0], abs=1e-10)
 
 
 class TestOwEstimate:
@@ -363,8 +363,9 @@ class TestOwEstimate:
         tab = saturation_tables(space, part, [g], 0.5, method="exact")
         start = ipw_weight_table(tab, g, 0.5)
         draw = draw_treatments(part, 0.5, 0)
-        rep = ow_estimate(np.zeros(space.n), draw.d, part, start)
-        assert rep.estimate == 0.0
+        block = DrawBlock(DesignContext(space, part, g, 0.5), np.zeros(space.n),
+                          draw.d, draw.b, weights=start)
+        assert block.ow[0] == 0.0
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_matches_unit_level_reference(self, design):
@@ -385,12 +386,13 @@ class TestOwEstimate:
         draws = [draw_treatments(part, 0.5, seed) for seed in range(40)]
         D = np.array([draw.d for draw in draws]).T
         Y = ss.realize(outcomes, D)
-        block = DrawBlock(None, Y, D, np.array([draw.b for draw in draws]).T,
+        ctx = DesignContext(space, part, h, 0.5)
+        block = DrawBlock(ctx, Y, D, np.array([draw.b for draw in draws]).T,
                           weights=weights)
         for r, draw in enumerate(draws):
             idx = saturation(space, draw.d, tab.grid).idx
             want = np.sum((2.0 * draw.d - 1.0) * W[np.arange(n), idx] * Y[:, r])
-            got = ow_estimate(Y[:, r], draw.d, part, weights).estimate
+            got = DrawBlock(ctx, Y[:, r], draw.d, draw.b, weights=weights).ow[0]
             assert got == pytest.approx(want, rel=1e-13)
             assert block.ow[r] == pytest.approx(want, rel=1e-13)
 
