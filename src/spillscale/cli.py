@@ -32,10 +32,14 @@ from .outcomes import make_guess, make_sim_dgp, realize
 
 def _output(command, flag, path, is_dir=True) -> Path:
     """The output `path` given to `flag`, or exit 1 naming both when an
-    existing file stands where a directory for it must go: the path itself
-    when it names a directory (is_dir), or one of its parents.  Commands
+    existing file stands where a directory for it must go (the path itself
+    when it names a directory (is_dir), or one of its parents), or an
+    existing directory stands where the output file must go.  Commands
     call it before any work; `_write` creates the directories."""
     path = Path(path)
+    if not is_dir and path.is_dir():
+        raise SystemExit(f"{command}: {flag} {path}: {path} is a directory, "
+                         f"not a file")
     for p in ([path] if is_dir else []) + list(path.parents):
         if p.is_dir():
             break

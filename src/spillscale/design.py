@@ -87,11 +87,11 @@ def scaling_clusters(space: PremetricSpace, g: float) -> ClusterPartition:
     seeds whose neighborhood was fully absorbed earlier produce no cluster.
     """
     cover = greedy_cover(space, g)
-    M = space.neighborhood_matrix(g)
+    r = space.radius(g)
     assignment = np.full(space.n, -1, dtype=np.int64)
     clusters, seeds = [], []
     for u in cover:
-        members = np.flatnonzero(M[u] & (assignment < 0))
+        members = np.flatnonzero((space.dist[u] <= r) & (assignment < 0))
         if members.size == 0:
             continue
         assignment[members] = len(clusters)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import design
 from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
-from .geometry import PremetricSpace
+from .geometry import PremetricSpace, row_blocks
 from .outcomes import GuessMatrix
 
 HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
@@ -189,7 +189,10 @@ class DrawBlock:
         else:
             raise ValueError(f"HAC variance is for hajek and ols, not {name!r}")
         e = w * (self.Y - self.ybar - estimate * (T - self.ctx.p))
-        return _dot(e, self.ctx.lam @ e)
+        lam_e = np.empty_like(e)
+        for rows in row_blocks(e.shape[0]):     # lam stays boolean
+            np.matmul(self.ctx.lam[rows], e, out=lam_e[rows])
+        return _dot(e, lam_e)
 
 
 # the tag `estimate` writes into fail_flags when the estimator is undefined

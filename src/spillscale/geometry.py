@@ -18,6 +18,7 @@ import numpy as np
 EUCLIDEAN = "euclidean"
 IDENTITY = "identity"
 AUDIT_SUBSETS = 5               # random subsets Q per size in the k4 audit
+_ROW_BLOCK = 256                # rows per block of an n x n temporary
 
 
 class GeometryError(ValueError):
@@ -82,8 +83,12 @@ class PremetricSpace:
         return self.dist <= self.radius(s)
 
     def min_positive_distance(self) -> float:
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        return float(off.min()) if off.size else np.inf
+        dmin = np.inf
+        for rows in row_blocks(self.n):
+            off = self.dist[rows].copy()
+            np.fill_diagonal(off[:, rows.start:], np.inf)    # rho(i, i)
+            dmin = min(dmin, float(off.min()))
+        return dmin
 
     def saturation_floor(self) -> float:
         """Largest size s0 with N(i, s0) = {i} for every unit.
@@ -98,6 +103,13 @@ class PremetricSpace:
         return float(self.size_of_radius(dmin * (1.0 - 1e-9)))
 
 
+def row_blocks(n: int):
+    """Slices of consecutive rows covering range(n), each at most
+    _ROW_BLOCK long: the unit in which n x n temporaries are built."""
+    for lo in range(0, n, _ROW_BLOCK):
+        yield slice(lo, min(lo + _ROW_BLOCK, n))
+
+
 def build_space(coords) -> PremetricSpace:
     """Build a Euclidean population from an n x q coordinate array.
 
@@ -110,13 +122,14 @@ def build_space(coords) -> PremetricSpace:
     if not np.all(np.isfinite(coords)):
         raise GeometryError("coordinates must be finite")
     n, q = coords.shape
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = np.empty((n, n))
+    for rows in row_blocks(n):
+        diff = coords[rows, None, :] - coords[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=dist[rows])
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, 0.0)
-    if n > 1:
-        off = dist[~np.eye(n, dtype=bool)]
-        if np.any(off == 0.0):
-            raise GeometryError("duplicate coordinates: rho(i,j)=0 for i != j")
+    if np.count_nonzero(dist == 0.0) > n:
+        raise GeometryError("duplicate coordinates: rho(i,j)=0 for i != j")
     return PremetricSpace(n=n, dist=dist, rule=EUCLIDEAN, coords=coords, q=q)
 
 
@@ -130,7 +143,7 @@ def build_space_from_dist(dist) -> PremetricSpace:
     if np.any(np.diag(dist) != 0.0):
         raise GeometryError("dist[i][i] must be 0")
     n = dist.shape[0]
-    if n > 1 and np.any(dist[~np.eye(n, dtype=bool)] <= 0.0):
+    if np.count_nonzero(dist <= 0.0) > n:     # the n zeros of the diagonal
         raise GeometryError("off-diagonal distances must be strictly positive")
     return PremetricSpace(n=n, dist=dist, rule=IDENTITY)
 
@@ -177,9 +190,14 @@ def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     loop.  The result is exact at every size and under any BLAS kernel or
     thread count: every term is 0 or 1, so a sum with a term equal to 1 is
     at least 1 however it is rounded, and a sum with none is exactly 0.
-    Only the `> 0` test is exact; the float sums are not counts.
+    Only the `> 0` test is exact; the float sums are not counts.  Rows of
+    `a` are cast and multiplied one row block at a time.
     """
-    return (np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)) > 0
+    a, b = np.asarray(a), np.asarray(b, dtype=np.float32)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=bool)
+    for rows in row_blocks(a.shape[0]):
+        np.greater(np.asarray(a[rows], dtype=np.float32) @ b, 0, out=out[rows])
+    return out
 
 
 def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
@@ -191,7 +209,7 @@ def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
     """
     members = np.asarray(members, dtype=bool)
     cand = np.flatnonzero(members)
-    sets = nbhd_matrix[cand][:, cand]
+    sets = nbhd_matrix[np.ix_(cand, cand)]
     uncovered = np.ones(len(cand), dtype=bool)
     # gains[k]: members still uncovered in candidate k's neighborhood, kept
     # exact by subtracting each pick's newly covered columns
@@ -282,8 +300,12 @@ def default_audit_grid(n: int, points: int = 16) -> np.ndarray:
 
 def off_neighborhood_sums(A: np.ndarray, space: PremetricSpace, s) -> np.ndarray:
     """Per-unit sum of |A[i, j]| over j outside N(i, s)."""
-    M = space.neighborhood_matrix(s)
-    return np.abs(np.where(M, 0.0, A)).sum(axis=1)
+    r = space.radius(s)
+    sums = np.empty(space.n)
+    for rows in row_blocks(space.n):
+        inside = space.dist[rows] <= r
+        np.abs(np.where(inside, 0.0, A[rows])).sum(axis=1, out=sums[rows])
+    return sums
 
 
 def audit_interference(A, space: PremetricSpace, budget: InterferenceBudget,

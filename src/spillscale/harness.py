@@ -218,23 +218,31 @@ def run_experiment(config: ExperimentConfig) -> list:
     config.validate()
     rows = []
     for n in [int(v) for v in config.n_list]:
-        space, outcomes, guess = build_population(n, config.base_seed + n)
-        h = scaling_rule(n, config.eta, config.c0)
-        for design in config.designs:
-            partition = make_partition(space, design, h)
-            names = [e for e in config.estimators
-                     if not (e == "ow" and n > config.ow_max_n)]
-            if not names:
-                continue
-            try:
-                cell = simulate_design(
-                    space, outcomes, guess, partition, h, config.p, config.reps,
-                    config.base_seed, names, ci_level=config.ci_level,
-                    eta=config.eta, ow_mc_draws=config.ow_mc_draws)
-            except owopt.UnseenSaturationError as exc:
-                raise type(exc)(f"cell n={n} design={design}: {exc}; raise "
-                                f"ow_mc_draws (now {config.ow_mc_draws})") from None
-            rows.extend(summarize(cell, n, design, config.reps))
+        rows.extend(_size_rows(config, n))
+    return rows
+
+
+def _size_rows(config: ExperimentConfig, n: int) -> list:
+    """The cells of one population size; its population is released on
+    return, before the next size builds its own."""
+    space, outcomes, guess = build_population(n, config.base_seed + n)
+    h = scaling_rule(n, config.eta, config.c0)
+    rows = []
+    for design in config.designs:
+        partition = make_partition(space, design, h)
+        names = [e for e in config.estimators
+                 if not (e == "ow" and n > config.ow_max_n)]
+        if not names:
+            continue
+        try:
+            cell = simulate_design(
+                space, outcomes, guess, partition, h, config.p, config.reps,
+                config.base_seed, names, ci_level=config.ci_level,
+                eta=config.eta, ow_mc_draws=config.ow_mc_draws)
+        except owopt.UnseenSaturationError as exc:
+            raise type(exc)(f"cell n={n} design={design}: {exc}; raise "
+                            f"ow_mc_draws (now {config.ow_mc_draws})") from None
+        rows.extend(summarize(cell, n, design, config.reps))
     return rows
 
 

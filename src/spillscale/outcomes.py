@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TAG_DGP, TAG_GUESS, rng_for
-from .geometry import InterferenceBudget, PremetricSpace, fit_interference_constant
+from .geometry import (InterferenceBudget, PremetricSpace,
+                       fit_interference_constant, row_blocks)
 
 
 class OutcomeModelError(ValueError):
@@ -83,8 +84,12 @@ def make_sim_dgp(space: PremetricSpace, seed: int) -> LinearOutcomes:
     normalization.
     """
     n = space.n
-    B = (space.dist + 1.0) ** -4.0
-    A = 2.0 * B * n / B.sum()
+    A = np.add(space.dist, 1.0)             # B, built in place into A
+    A **= -4.0
+    total = A.sum()
+    A *= 2.0
+    A *= n
+    A /= total
     gen = rng_for(seed, TAG_DGP)
     e = gen.standard_normal(n)
     eps = (np.sqrt(n) / np.linalg.norm(A, "fro")) * (A @ e)
@@ -104,12 +109,17 @@ def make_guess(space: PremetricSpace, seed: int, scale: float = 1.1,
     """
     n = space.n
     gen = rng_for(seed, TAG_GUESS)
-    delta = gen.uniform(noise_lo, noise_hi, size=(n, n))
-    B_hat = (scale * space.dist + 1.0) ** -exponent * delta
-    total = B_hat.sum()
+    A_hat = np.multiply(space.dist, scale)  # B_hat, built in place into A_hat
+    A_hat += 1.0
+    A_hat **= -exponent
+    for rows in row_blocks(n):              # delta, drawn in row-major order
+        A_hat[rows] *= gen.uniform(noise_lo, noise_hi, size=A_hat[rows].shape)
+    total = A_hat.sum()
     if abs(total) <= 1e-12:
         raise OutcomeModelError("guess matrix has degenerate total mass")
-    A_hat = 2.0 * B_hat * n / total
+    A_hat *= 2.0
+    A_hat *= n
+    A_hat /= total
     strength = abs(A_hat.sum()) / n
     if strength <= 1e-12:
         raise OutcomeModelError("guess strength is degenerate")

@@ -699,17 +699,24 @@ class TestArgumentRanges:
         assert exc.value.code == 2
         assert f"argument {flag}: {value} is not" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, below", [
-        ("design", "--out", ""), ("replicate", "--out", ""),
-        ("ow-weights", "--out", ""), ("estimate", "--out", "/estimate.csv"),
-        ("oracle", "--dump-matrices", "")],
-        ids=["design", "replicate", "ow_weights", "estimate", "oracle"])
+    @pytest.mark.parametrize("command, flag, below, taken_is", [
+        ("design", "--out", "", "file"), ("replicate", "--out", "", "file"),
+        ("ow-weights", "--out", "", "file"),
+        ("estimate", "--out", "/estimate.csv", "file"),
+        ("oracle", "--dump-matrices", "", "file"),
+        ("estimate", "--out", "", "directory")],
+        ids=["design", "replicate", "ow_weights", "estimate", "oracle",
+             "estimate_on_a_directory"])
     def test_output_path_on_a_file_exits_1(self, tmp_path, monkeypatch,
-                                           command, flag, below):
-        # an existing file where the output directory must go: exit 1
-        # naming the flag and the path, before any input is read or run
+                                           command, flag, below, taken_is):
+        # an existing file where the output directory must go, or an
+        # existing directory where the output file must go: exit 1 naming
+        # the flag and the path, before any input is read or run
         taken = tmp_path / "taken"
-        taken.write_text("keep\n")
+        if taken_is == "file":
+            taken.write_text("keep\n")
+        else:
+            taken.mkdir()
         path = f"{taken}{below}"
         for module, name in ((cli, "load_population"),
                              (harness, "run_experiment")):
@@ -721,9 +728,13 @@ class TestArgumentRanges:
             argv = self._argv(tmp_path, command)
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, path])
+        other = "directory" if taken_is == "file" else "file"
         assert exc.value.code == (f"{command}: {flag} {path}: {taken} is a "
-                                  f"file, not a directory")
-        assert taken.read_text() == "keep\n"
+                                  f"{taken_is}, not a {other}")
+        if taken_is == "file":
+            assert taken.read_text() == "keep\n"
+        else:
+            assert not any(taken.iterdir())
 
     @pytest.mark.parametrize("command, extra", [
         ("oracle", []), ("ow-weights", ["--method", "exact"])],

@@ -107,6 +107,13 @@ class TestBoolMatmul:
         assert out.dtype == bool and out.shape == (m, n)
         assert np.array_equal(out, int_product(a, b))
 
+    @pytest.mark.parametrize("m", [255, 256, 257, 600])
+    def test_rows_across_blocks(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.uniform(size=(50, m)) < 0.05     # a transposed view, as
+        b = rng.uniform(size=(50, 30)) < 0.05    # greedy_packing passes
+        assert np.array_equal(bool_matmul(a.T, b), int_product(a.T, b))
+
     @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0),
                                        (0, 0, 0)], ids=str)
     def test_empty(self, shape):

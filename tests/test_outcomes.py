@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spillscale as ss
 from spillscale import harness
-from spillscale.geometry import audit_interference, fit_interference_constant
+from spillscale.design import TAG_COORDS, TAG_DGP, TAG_GUESS, rng_for
+from spillscale.geometry import (audit_interference, build_space,
+                                 fit_interference_constant,
+                                 off_neighborhood_sums)
 from spillscale.outcomes import (OutcomeModelError, age, make_guess,
                                  make_linear, make_sim_dgp, realize)
 
@@ -149,3 +154,54 @@ class TestValidation:
         y = realize(oracle, np.array([1, 0, 1]))
         assert y.tolist() == [2.0, 0.0, 2.0]
         assert age(oracle) == pytest.approx(2.0)
+
+
+def whole_array_population(coords, seed):
+    """dist, A, eps and A_hat from whole n x n expressions: the reference
+    the in-place, row-blocked construction must match bit for bit."""
+    n = coords.shape[0]
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, 0.0)
+    B = (dist + 1.0) ** -4.0
+    A = 2.0 * B * n / B.sum()
+    e = rng_for(seed, TAG_DGP).standard_normal(n)
+    eps = (np.sqrt(n) / np.linalg.norm(A, "fro")) * (A @ e)
+    eps = eps - eps.mean()
+    delta = rng_for(seed, TAG_GUESS).uniform(0.9, 1.0, size=(n, n))
+    B_hat = (1.1 * dist + 1.0) ** -4.25 * delta
+    A_hat = 2.0 * B_hat * n / B_hat.sum()
+    return dist, A, eps, A_hat
+
+
+class TestDensePopulation:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 1000])
+    def test_matches_whole_array_reference(self, n, q):
+        coords = np.sqrt(n) * rng_for(n, TAG_COORDS).uniform(-1, 1, size=(n, q))
+        space = build_space(coords)
+        outcomes, guess = make_sim_dgp(space, 5), make_guess(space, 5)
+        dist, A, eps, A_hat = whole_array_population(coords, 5)
+        assert np.array_equal(space.dist, dist)
+        assert np.array_equal(outcomes.A, A)
+        assert np.array_equal(outcomes.eps, eps)
+        assert np.array_equal(guess.A_hat, A_hat)
+        for s in (0.5, 2.0, 10.0):
+            outside = ~(dist <= space.radius(s))
+            assert np.array_equal(off_neighborhood_sums(A, space, s),
+                                  np.abs(np.where(outside, A, 0.0)).sum(axis=1))
+        off = dist[~np.eye(n, dtype=bool)]
+        assert space.min_positive_distance() == (off.min() if n > 1 else np.inf)
+
+    def test_build_population_peak_memory(self):
+        # three live n x n float64 arrays (dist, A, A_hat) plus one
+        # 256-row block of the guess noise: 3.26 n^2 doubles at n = 1000,
+        # against 5.0 when every operator made a whole n x n temporary
+        n = 1000
+        tracemalloc.start()
+        try:
+            harness.build_population(n, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * 8 * n * n
