@@ -154,14 +154,19 @@ def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> Incidenc
 
 def stilde_indices(levels: list, B) -> np.ndarray:
     """Saturation-size grid index (n x m) for C x m bits B: the last of the
-    incidence `levels` before the first impure one; purity is monotone down them."""
+    incidence `levels` before the first impure one: the number of levels
+    after level 0 through which a neighborhood pure at level 0 stays pure."""
     B = np.asarray(B, dtype=np.float64)
-    idx = np.zeros((levels[0].phi.size, B.shape[1]), dtype=np.int64)
-    alive = np.ones(idx.shape, dtype=bool)
-    for k, level in enumerate(levels):
+
+    def is_pure(level):
         sat, dis = level.pure(level.treated(B))
-        alive &= sat | dis
-        idx[alive] = k
+        return sat | dis
+
+    alive = is_pure(levels[0])
+    idx = np.zeros(alive.shape, dtype=np.int64)
+    for level in levels[1:]:
+        alive &= is_pure(level)
+        idx += alive
     return idx
 
 

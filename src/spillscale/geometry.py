@@ -209,7 +209,9 @@ def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
     """
     members = np.asarray(members, dtype=bool)
     cand = np.flatnonzero(members)
-    sets = nbhd_matrix[np.ix_(cand, cand)]
+    # a full cover's candidate block is the matrix itself: no n x n copy
+    sets = (nbhd_matrix if members.all()
+            else nbhd_matrix[np.ix_(cand, cand)])
     uncovered = np.ones(len(cand), dtype=bool)
     # gains[k]: members still uncovered in candidate k's neighborhood, kept
     # exact by subtracting each pick's newly covered columns

@@ -19,7 +19,7 @@ import numpy as np
 from .design import (TAG_TABLES, ClusterPartition, IncidenceCounts,
                      incidence, rng_for, stilde_indices)
 from .estimators import effective_grid
-from .geometry import InterferenceBudget, PremetricSpace
+from .geometry import InterferenceBudget, PremetricSpace, row_blocks
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
@@ -65,32 +65,47 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
 
     method "exact" enumerates all 2**C cluster assignments (C <= 20) with
     their product-Bernoulli weights; "mc" averages mc_draws seeded draws.
+    Beyond its output (and the exact enumeration) it holds one chunk's
+    saturation indices, in the narrowest unsigned dtype that holds S - 1,
+    and the cluster bits of one column block of draws.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
+    if method == "exact":
+        enum = enumerate_assignments(partition, p)
+        total = enum.count
+
+        def draws(lo, hi):
+            return enum.assignments[lo:hi].T, enum.probs[lo:hi]
+    elif method == "mc":
+        gen = rng_for(seed, TAG_TABLES)
+        total = mc_draws
+
+        def draws(lo, hi):
+            # called in draw order, so the uniforms continue one Philox
+            # stream and the bits do not depend on the block size
+            u = gen.uniform(size=(hi - lo, partition.n_clusters))
+            return (u < p).T, np.full(hi - lo, 1.0 / mc_draws)
+    else:
+        raise ValueError("method must be 'exact' or 'mc'")
     grid_eff = effective_grid(space, grid)
     levels = [incidence(space, partition, s) for s in grid_eff]
     S = grid_eff.size
     pairs = interacting_pairs(levels[-1])
-
-    if method == "exact":
-        enum = enumerate_assignments(partition, p)
-        B_all, weights_all = enum.assignments, enum.probs
-    elif method == "mc":
-        gen = rng_for(seed, TAG_TABLES)
-        B_all = (gen.uniform(size=(mc_draws, partition.n_clusters)) < p).astype(np.int8)
-        weights_all = np.full(mc_draws, 1.0 / mc_draws)
-    else:
-        raise ValueError("method must be 'exact' or 'mc'")
+    idx_type = np.min_scalar_type(S - 1)
+    code_type = np.min_scalar_type(S * S - 1)
 
     joint = np.zeros((len(pairs), S, S))
-    for lo in range(0, B_all.shape[0], _CHUNK):
-        w = weights_all[lo:lo + _CHUNK]
+    for lo in range(0, total, _CHUNK):
+        rows = min(_CHUNK, total - lo)
         # unit-major rows: each unit's draws are one contiguous run
-        idx = stilde_indices(levels, B_all[lo:lo + _CHUNK].T)
-        hi = idx * S
+        idx = np.empty((space.n, rows), dtype=idx_type)
+        w = np.empty(rows)
+        for cols in row_blocks(rows):
+            bits, w[cols] = draws(lo + cols.start, lo + cols.stop)
+            idx[:, cols] = stilde_indices(levels, bits)
         for r, (i, j) in enumerate(pairs.tolist()):
-            code = hi[i] + idx[j]
+            code = idx[i].astype(code_type) * S + idx[j]
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
     # i is in N(i, s): each unit's marginal is its self-pair joint's diagonal
     marg = joint[pairs[:, 0] == pairs[:, 1]][:, np.arange(S), np.arange(S)]

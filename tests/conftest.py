@@ -5,8 +5,11 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness
+from spillscale.design import TAG_TABLES, incidence, rng_for
 from spillscale.estimators import effective_grid
 from spillscale.geometry import PremetricSpace
+from spillscale.oracle import enumerate_assignments
+from spillscale.owopt import _CHUNK, interacting_pairs
 
 
 @pytest.fixture(scope="session")
@@ -113,3 +116,50 @@ def saturation(space: PremetricSpace, d, grid) -> SaturationProfile:
         alive &= sat | dis
         idx[alive] = k
     return SaturationProfile(grid=grid_eff, s_tilde=grid_eff[idx], idx=idx)
+
+
+# --- whole-array saturation tables: the reference for the chunked tables ----
+# `owopt.saturation_tables` draws its bits one column block at a time, keeps
+# uint8 saturation indices and forms each pair's code on its own.  Below is
+# the form it replaced: every draw's bits at once, int64 indices by masked
+# assignment and an n x chunk array of scaled codes.  Both sum each joint
+# entry over the same chunks of draws in the same order, so they agree bit
+# for bit.
+
+
+def masked_stilde_indices(levels: list, B) -> np.ndarray:
+    """Grid index by masked assignment: idx[alive] = k down the levels."""
+    B = np.asarray(B, dtype=np.float64)
+    idx = np.zeros((levels[0].phi.size, B.shape[1]), dtype=np.int64)
+    alive = np.ones(idx.shape, dtype=bool)
+    for k, level in enumerate(levels):
+        sat, dis = level.pure(level.treated(B))
+        alive &= sat | dis
+        idx[alive] = k
+    return idx
+
+
+def whole_array_saturation_tables(space, partition, grid, p, method="mc",
+                                  mc_draws=100_000, seed=0):
+    """(joint, marg) of `owopt.saturation_tables`, from whole arrays."""
+    grid_eff = effective_grid(space, grid)
+    levels = [incidence(space, partition, s) for s in grid_eff]
+    S = grid_eff.size
+    pairs = interacting_pairs(levels[-1])
+    if method == "exact":
+        enum = enumerate_assignments(partition, p)
+        B_all, weights_all = enum.assignments, enum.probs
+    else:
+        gen = rng_for(seed, TAG_TABLES)
+        B_all = (gen.uniform(size=(mc_draws, partition.n_clusters)) < p).astype(np.int8)
+        weights_all = np.full(mc_draws, 1.0 / mc_draws)
+    joint = np.zeros((len(pairs), S, S))
+    for lo in range(0, B_all.shape[0], _CHUNK):
+        w = weights_all[lo:lo + _CHUNK]
+        idx = masked_stilde_indices(levels, B_all[lo:lo + _CHUNK].T)
+        hi = idx * S
+        for r, (i, j) in enumerate(pairs.tolist()):
+            code = hi[i] + idx[j]
+            joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
+    marg = joint[pairs[:, 0] == pairs[:, 1]][:, np.arange(S), np.arange(S)]
+    return joint, marg

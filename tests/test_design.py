@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,20 @@ class TestScalingClusters:
         assert part.assignment[part.clusters[0]].max() == 0
         sizes = [c.size for c in part.clusters]
         assert sum(sizes) == space.n
+
+    def test_peak_memory_is_one_neighborhood_matrix(self):
+        # the cover takes every unit as a member, so its candidate block is
+        # the boolean n x n neighborhood matrix itself, not a second copy
+        # (2.14 n^2 bytes at n = 1000 with the copy, 1.11 without)
+        n = 1000
+        space, _, _ = build_population(n, 7)
+        tracemalloc.start()
+        try:
+            scaling_clusters(space, scaling_rule(n, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n * n
 
 
 class TestIncidence:

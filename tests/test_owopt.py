@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from spillscale.owopt import (assemble_objective, ipw_weight_table,
                               objective_kernel, project_rows,
                               saturation_tables, solve_qp, stilde_indices)
 
-from conftest import bruteforce_polytope_min, line_space, saturation
+from conftest import (bruteforce_polytope_min, line_space,
+                      masked_stilde_indices, saturation,
+                      whole_array_saturation_tables)
 
 
 def four_cluster_line():
@@ -115,6 +119,70 @@ class TestSaturationTables:
         part = singleton_partition(21)
         with pytest.raises(Exception, match="C <= 20"):
             saturation_tables(space, part, [1.0], 0.5, method="exact")
+
+
+class TestChunkedTables:
+    """The chunked tables against the whole-array reference, bit for bit."""
+
+    def assert_matches_reference(self, space, part, grid, p, **kw):
+        tab = saturation_tables(space, part, grid, p, **kw)
+        joint, marg = whole_array_saturation_tables(space, part, grid, p, **kw)
+        assert np.array_equal(tab.joint, joint)
+        assert np.array_equal(tab.marg, marg)
+        return tab
+
+    def test_mc_stream_crosses_a_chunk_boundary(self):
+        n = 40
+        space, _, _ = harness.build_population(n, 7 + n)
+        h = scaling_rule(n, 1.0)
+        part = scaling_clusters(space, h)
+        self.assert_matches_reference(space, part, owopt.default_ow_grid(h),
+                                      0.5, method="mc",
+                                      mc_draws=owopt._CHUNK + 37, seed=7)
+
+    def test_exact(self, small_exact_instance):
+        space, _, _, part, g = small_exact_instance
+        self.assert_matches_reference(space, part, owopt.default_ow_grid(g),
+                                      0.3, method="exact")
+
+    def test_index_dtype_widens_past_256_sizes(self):
+        # the middle unit's whole line is pure at sizes 1 to 2.5 whenever
+        # all three bits agree, so indices above 255 occur
+        space, part = line_space(3), singleton_partition(3)
+        grid = np.linspace(1.0, 2.5, 300)
+        tab = self.assert_matches_reference(space, part, grid, 0.5,
+                                            method="mc", mc_draws=400, seed=3)
+        assert tab.n_sizes > 256
+        assert tab.marg[1, -1] > 0.0
+
+    @pytest.mark.parametrize("sizes, first_pure",
+                             [([2.0, 4.0, 8.0], True),
+                              ([8.0, 2.0, 4.0, 1.0], False)],
+                             ids=["ascending", "first_level_impure"])
+    def test_stilde_indices_match_masked_assignment(self, sizes, first_pure):
+        space, part = four_cluster_line()
+        levels = [ss.incidence(space, part, s) for s in sizes]
+        B = enumerate_assignments(part, 0.5).assignments.T
+        sat, dis = levels[0].pure(levels[0].treated(B))
+        assert (sat | dis).all() == first_pure
+        idx = stilde_indices(levels, B)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, masked_stilde_indices(levels, B))
+
+    def test_peak_memory_is_output_plus_one_chunk(self):
+        n, draws = 200, 20_000
+        space, _, _ = harness.build_population(n, 7 + n)
+        h = scaling_rule(n, 1.0)
+        part = scaling_clusters(space, h)
+        tracemalloc.start()
+        try:
+            tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
+                                    mc_draws=draws, seed=7 + n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-array form peaks at 79.8 MB here, against a 4.2 MB joint
+        assert peak <= tab.joint.nbytes + 5 * n * owopt._CHUNK
 
 
 class TestAssembleObjective:
