@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PremetricSpace, bool_matmul, greedy_set_cover
+from .geometry import PremetricSpace, bool_matmul, greedy_set_cover, row_blocks
 
 # spawn-key purpose tags; keep streams for different uses disjoint even when
 # integer seeds collide (e.g. population seed base+n vs replicate seed base+r)
@@ -127,8 +127,13 @@ class IncidenceCounts:
         return float(np.sum(self.gamma.astype(float) ** 2))
 
     def treated(self, B) -> np.ndarray:
-        """n x m treated clusters meeting each N(i, s), for C x m bits B."""
-        return self.incidence.astype(np.float64) @ B
+        """n x m treated clusters meeting each N(i, s), for C x m bits B: float32
+        BLAS products by row block, exact as partial sums are integers <= C < 2**24."""
+        B = np.asarray(B, dtype=np.float32)
+        out = np.empty((self.phi.size, B.shape[1]), dtype=np.float32)
+        for rows in row_blocks(out.shape[0]):
+            np.matmul(self.incidence[rows].astype(np.float32), B, out=out[rows])
+        return out
 
     def pure(self, treated) -> tuple[np.ndarray, np.ndarray]:
         """(saturated, dissaturated) from `treated`: all or none treated."""
@@ -156,7 +161,7 @@ def stilde_indices(levels: list, B) -> np.ndarray:
     """Saturation-size grid index (n x m) for C x m bits B: the last of the
     incidence `levels` before the first impure one: the number of levels
     after level 0 through which a neighborhood pure at level 0 stays pure."""
-    B = np.asarray(B, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float32)
 
     def is_pure(level):
         sat, dis = level.pure(level.treated(B))
@@ -217,8 +222,6 @@ class DesignDraw:
 
     b: np.ndarray                   # cluster treatment bits
     d: np.ndarray                   # induced unit treatment bits
-    p: float
-    seed: int
 
 
 def cluster_bits(partition: ClusterPartition, d) -> np.ndarray:
@@ -231,11 +234,17 @@ def cluster_bits(partition: ClusterPartition, d) -> np.ndarray:
     return b
 
 
+def draw_bits_batch(n_clusters: int, p: float, seeds) -> np.ndarray:
+    """m x C int8 Bernoulli(p) cluster bits, row k from seeds[k]'s stream."""
+    B = np.empty((len(seeds), n_clusters), dtype=np.int8)
+    for k, s in enumerate(seeds):
+        B[k] = rng_for(int(s), TAG_TREAT).uniform(size=n_clusters) < p
+    return B
+
+
 def draw_treatments(partition: ClusterPartition, p: float, seed: int) -> DesignDraw:
-    """i.i.d. Bernoulli(p) cluster bits from the seeded generator."""
+    """One draw of `draw_bits_batch` and the unit treatments it induces."""
     if not 0.0 < p < 1.0:
         raise ValueError("treatment probability p must be in (0, 1)")
-    gen = rng_for(seed, TAG_TREAT)
-    b = (gen.uniform(size=partition.n_clusters) < p).astype(np.int8)
-    d = b[partition.assignment]
-    return DesignDraw(b=b, d=d, p=float(p), seed=int(seed))
+    b = draw_bits_batch(partition.n_clusters, p, [seed])[0]
+    return DesignDraw(b=b, d=b[partition.assignment])

@@ -40,11 +40,11 @@ class VarianceResult:
     truncated: bool                 # negative HAC sum clipped to zero
 
 
-def _cols(x):
-    """Float64 array with draws along the columns (1-D input is one draw)."""
+def _cols(x, dtype=np.float64):
+    """Array with draws along the columns (1-D input is one draw)."""
     if x is None:
         return None
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=dtype)
     return x[:, None] if x.ndim == 1 else x
 
 
@@ -81,14 +81,15 @@ class DrawBlock:
 
     Y and D are n x m outcomes and unit treatments, B is C x m cluster bits
     (1-D inputs are one draw, m = 1); `guess` serves shrink and `weights`
-    (an `owopt.OwWeightTable`) ow.  Shared quantities are computed once, on
-    first use.  Each estimate is an (m,) array, NaN where undefined.
+    (an `owopt.OwWeightTable`) ow; D and B are kept as int8 and float32.
+    Of the n x m arrays, only those that several estimators read are kept.
+    Each estimate is an (m,) array, NaN where undefined.
     """
 
     def __init__(self, ctx: DesignContext, Y=None, D=None, B=None,
                  guess: GuessMatrix | None = None, weights=None):
         self.ctx, self.guess, self.weights = ctx, guess, weights
-        self.Y, self.D, self.B = _cols(Y), _cols(D), _cols(B)
+        self.Y, self.D, self.B = _cols(Y), _cols(D, np.int8), _cols(B, np.float32)
         self.ybar = None if Y is None else self.Y.mean(axis=0)
 
     @cached_property
@@ -96,12 +97,12 @@ class DrawBlock:
         """Treated clusters among the phi meeting each size-h neighborhood."""
         return self.ctx.counts.treated(self.B)
 
-    @cached_property
+    @property
     def pure(self) -> tuple[np.ndarray, np.ndarray]:
         """(saturated, dissaturated): all or none of those clusters treated."""
         return self.ctx.counts.pure(self.treated)
 
-    @cached_property
+    @property
     def ipw(self) -> tuple[np.ndarray, np.ndarray]:
         """Saturated and dissaturated weights 1/p**phi and 1/(1-p)**phi."""
         sat, dis = self.pure
@@ -144,9 +145,11 @@ class DrawBlock:
         var = _dot(self.T, self.T) / self.T.shape[0] - self.tbar ** 2
         return np.where(var > 1e-12, var, np.nan)
 
-    @cached_property
+    @property
     def ols_weights(self) -> np.ndarray:
-        return (self.T - self.tbar) / (self.T.shape[0] * self.var_t)
+        w = self.T - self.tbar
+        w /= self.T.shape[0] * self.var_t
+        return w
 
     @cached_property
     def ols(self) -> np.ndarray:
@@ -155,7 +158,7 @@ class DrawBlock:
     @cached_property
     def first_stage(self) -> np.ndarray:
         """Cov(T, A_hat d), NaN where numerically zero."""
-        Tg = self.guess.A_hat @ self.D
+        Tg = self.guess.A_hat @ self.D.astype(np.float64)
         cov = _dot(self.T, Tg) / self.T.shape[0] - self.tbar * Tg.mean(axis=0)
         return np.where(np.abs(cov) > 1e-12, cov, np.nan)
 
@@ -180,15 +183,17 @@ class DrawBlock:
         weights w, which carry the 1/n scale, so the sum estimates the
         estimate's variance directly.  OLS centres on its exposure; Hajek on
         the treated share of the clusters meeting the base neighborhood.
+        e is built in place by that formula's operations, in its order.
         """
-        if name == "ols":
-            w, estimate, T = self.ols_weights, self.ols, self.T
-        elif name == "hajek":
-            w, estimate = self.hajek_weights, self.hajek
-            T = self.ctx.counts.share(self.treated)
-        else:
+        if name not in ("hajek", "ols"):
             raise ValueError(f"HAC variance is for hajek and ols, not {name!r}")
-        e = w * (self.Y - self.ybar - estimate * (T - self.ctx.p))
+        ols = name == "ols"
+        c = (self.T if ols else self.ctx.counts.share(self.treated)) - self.ctx.p
+        c *= self.ols if ols else self.hajek
+        e = self.Y - self.ybar
+        e -= c
+        del c
+        e *= self.ols_weights if ols else self.hajek_weights
         lam_e = np.empty_like(e)
         for rows in row_blocks(e.shape[0]):     # lam stays boolean
             np.matmul(self.ctx.lam[rows], e, out=lam_e[rows])

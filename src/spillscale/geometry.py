@@ -190,8 +190,8 @@ def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     loop.  The result is exact at every size and under any BLAS kernel or
     thread count: every term is 0 or 1, so a sum with a term equal to 1 is
     at least 1 however it is rounded, and a sum with none is exactly 0.
-    Only the `> 0` test is exact; the float sums are not counts.  Rows of
-    `a` are cast and multiplied one row block at a time.
+    The sums are exact counts too below 2**24 terms (`> 0` needs no bound).
+    Rows of `a` are cast and multiplied one row block at a time.
     """
     a, b = np.asarray(a), np.asarray(b, dtype=np.float32)
     out = np.empty((a.shape[0], b.shape[1]), dtype=bool)

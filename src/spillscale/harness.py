@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import owopt
-from .design import (TAG_COORDS, TAG_TREAT, ClusterPartition, rng_for,
+from .design import (TAG_COORDS, ClusterPartition, draw_bits_batch, rng_for,
                      scaling_clusters, scaling_rule, singleton_partition)
 from .estimators import DesignContext, DrawBlock, check_hac_window, half_width
 from .geometry import PremetricSpace, build_space, uniform_disk
@@ -122,17 +122,6 @@ def make_partition(space: PremetricSpace, design: str, h: float) -> ClusterParti
     raise ConfigError(f"unknown design {design!r}")
 
 
-def draw_bits_batch(n_clusters: int, p: float, seeds) -> np.ndarray:
-    """Cluster bits for many replicates, one Philox stream per seed.
-
-    Stream-for-stream identical to design.draw_treatments(partition, p, s).
-    """
-    B = np.empty((len(seeds), n_clusters), dtype=np.int8)
-    for k, s in enumerate(seeds):
-        B[k] = rng_for(int(s), TAG_TREAT).uniform(size=n_clusters) < p
-    return B
-
-
 @dataclass
 class CellResult:
     """Per-replicate estimator outputs for one (n, design) cell."""
@@ -172,12 +161,12 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     clipped = dict.fromkeys(need_ci, 0)
 
     for lo in range(0, reps, BLOCK):
-        seeds = range(base_seed + lo, base_seed + min(lo + BLOCK, reps))
-        B = draw_bits_batch(partition.n_clusters, p, list(seeds))
-        D = B[:, partition.assignment].T.astype(np.float64)     # n x m
-        Y = realize(outcomes, D)
-        block = DrawBlock(ctx, Y, D, B.T, guess=guess, weights=ow_table)
-        sl = slice(lo, lo + D.shape[1])
+        sl = slice(lo, min(lo + BLOCK, reps))
+        B = draw_bits_batch(partition.n_clusters, p,
+                            range(base_seed + sl.start, base_seed + sl.stop))
+        D = B[:, partition.assignment].T                # n x m int8
+        block = DrawBlock(ctx, realize(outcomes, D), D, B.T, guess=guess,
+                          weights=ow_table)
         for name in estimators:
             estimates[name][sl] = getattr(block, name)
         for name in need_ci:
@@ -185,6 +174,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
             clipped[name] += int((sigma2 < 0.0).sum())
             half = half_width(sigma2, ci_level)
             covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
+        del block       # the next block's arrays replace this one's
 
     return CellResult(estimates=estimates, covers=covers,
                       hac_clipped=clipped, theta=outcomes.theta,

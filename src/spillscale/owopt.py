@@ -125,7 +125,8 @@ def assemble_objective(tables: SaturationTables, budget: InterferenceBudget) -> 
     """Dense quadratic form over (unit, size) index pairs.
 
     Entry [(i,s),(j,t)] is P(s_tilde_i = s, s_tilde_j = t) * kernel(s, t);
-    non-interacting pairs use the exact factorization into marginals.
+    non-interacting pairs use the exact factorization into marginals.  Q is
+    exactly symmetric, each pair's block being written with its transpose.
     """
     k = objective_kernel(tables.grid, budget)
     n, S = tables.marg.shape
@@ -135,7 +136,7 @@ def assemble_objective(tables: SaturationTables, budget: InterferenceBudget) -> 
         block = tables.joint[r] * k
         Q[i * S:(i + 1) * S, j * S:(j + 1) * S] = block
         Q[j * S:(j + 1) * S, i * S:(i + 1) * S] = block.T
-    return 0.5 * (Q + Q.T)
+    return Q
 
 
 @dataclass
@@ -221,12 +222,6 @@ def _row_projector(M: np.ndarray, r: float):
         return np.maximum(0.0, V - lam[:, None] * M)
 
     return project
-
-
-def project_rows(V: np.ndarray, M: np.ndarray, r: float) -> np.ndarray:
-    """Row-wise Euclidean projection onto {w >= 0, sum_s M[i,s] w[s] = r}:
-    one call of `_row_projector(M, r)`."""
-    return _row_projector(M, r)(V)
 
 
 def _power_lmax(Q: np.ndarray, iters: int = 60, seed: int = 0) -> float:
@@ -342,7 +337,8 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
         raise ValueError("Q has a nonzero entry in a row or column whose "
                          "diagonal is not positive; Q must be PSD")
     sd = np.sqrt(np.where(off, 1.0, dq))
-    Qt = Q / np.outer(sd, sd)
+    Qt = np.outer(sd, sd)                   # then Q / outer(sd, sd), in place
+    np.divide(Q, Qt, out=Qt)
     supp = np.flatnonzero(~off)
     Qs = Qt[np.ix_(supp, supp)]
     mt = (marg.reshape(-1) / sd).reshape(n, S)

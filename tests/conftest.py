@@ -7,7 +7,7 @@ import spillscale as ss
 from spillscale import harness
 from spillscale.design import TAG_TABLES, incidence, rng_for
 from spillscale.estimators import effective_grid
-from spillscale.geometry import PremetricSpace
+from spillscale.geometry import PremetricSpace, row_blocks
 from spillscale.oracle import enumerate_assignments
 from spillscale.owopt import _CHUNK, interacting_pairs
 
@@ -163,3 +163,51 @@ def whole_array_saturation_tables(space, partition, grid, p, method="mc",
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
     marg = joint[pairs[:, 0] == pairs[:, 1]][:, np.arange(S), np.arange(S)]
     return joint, marg
+
+
+# --- whole-array estimators: the reference for the batched core's order ----
+# `DrawBlock` keeps only the n x m arrays that more than one estimator reads,
+# counts treated clusters in float32 and builds each HAC residual in place.
+# Below are the formulas it replaced, one expression each: float64 counts,
+# both IPW weight arrays kept and e = w * (Y - ybar - estimate * (c - p)).
+# The counts are the same integers, and every other array goes through the
+# same operations in the same order, so the two agree bit for bit.
+
+
+def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
+    """ht, hajek, ols, shrink and the hajek/ols HAC sums of an n x m block."""
+    n, p, counts, ext = Y.shape[0], ctx.p, ctx.counts, ctx.extended
+    B, D = np.asarray(B, dtype=np.float64), np.asarray(D, dtype=np.float64)
+
+    def dot(a, b):
+        return np.einsum("im,im->m", a, b)
+
+    ybar = Y.mean(axis=0)
+    treated = counts.incidence.astype(np.float64) @ B
+    sat, dis = treated == counts.phi[:, None], treated == 0.0
+    phi = counts.phi.astype(float)[:, None]
+    w1, w0 = sat * p ** -phi, dis * (1.0 - p) ** -phi
+    s1, s0 = w1.sum(axis=0), w0.sum(axis=0)
+    hajek_w = w1 / np.where(s1 > 0, s1, np.nan) - w0 / np.where(s0 > 0, s0, np.nan)
+    T = (ext.incidence.astype(np.float64) @ B) / ext.phi[:, None]
+    tbar = T.mean(axis=0)
+    cov_ty = dot(T, Y) / n - tbar * ybar
+    var_t = dot(T, T) / n - tbar ** 2
+    var_t = np.where(var_t > 1e-12, var_t, np.nan)
+    Tg = guess.A_hat @ D
+    first = dot(T, Tg) / n - tbar * Tg.mean(axis=0)
+    first = np.where(np.abs(first) > 1e-12, first, np.nan)
+    out = {"ht": dot(w1 - w0, Y) / n, "hajek": dot(hajek_w, Y),
+           "ols": cov_ty / var_t,
+           "shrink": cov_ty / first * (guess.A_hat.sum() / guess.n)}
+
+    def hac(w, estimate, c):
+        e = w * (Y - ybar - estimate * (c - p))
+        lam_e = np.empty_like(e)
+        for rows in row_blocks(n):
+            np.matmul(ctx.lam[rows], e, out=lam_e[rows])
+        return dot(e, lam_e)
+
+    out["var_hajek"] = hac(hajek_w, out["hajek"], treated / counts.phi[:, None])
+    out["var_ols"] = hac((T - tbar) / (n * var_t), out["ols"], T)
+    return out

@@ -196,10 +196,11 @@ class TestIncidenceCounts:
     def test_treated_is_the_integer_count(self, instance, scale):
         space, part, h, B = instance
         counts = incidence(space, part, scale * h)
-        got = counts.treated(B.astype(np.float64))
         want = counts.incidence.astype(np.int64) @ B.astype(np.int64)
-        assert got.dtype == np.float64 and got.shape == (space.n, B.shape[1])
-        assert np.array_equal(got, want)
+        for bits in (B, B.astype(np.float64), B.T.copy().T):
+            got = counts.treated(bits)
+            assert got.dtype == np.float32 and got.shape == (space.n, B.shape[1])
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
     def test_pure_matches_unit_level_reference(self, instance, scale):

@@ -16,7 +16,7 @@ from spillscale.outcomes import realize
 from spillscale.owopt import default_ow_grid, saturation_tables, stilde_indices
 
 from conftest import (SaturationProfile, line_space, per_row, saturation,
-                      saturation_indicators)
+                      saturation_indicators, whole_array_estimates)
 
 
 def one_draw(space, part, h, Y, d, p=0.5, eta=1.0, guess=None) -> DrawBlock:
@@ -421,6 +421,29 @@ class TestDesignContext:
         assert T.shape == (60, 7)
         for k in range(7):
             assert np.array_equal(T[:, k], DrawBlock(ctx, B=B[:, k]).T[:, 0])
+
+
+class TestBlockMatchesWholeArrayReference:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("design_name", ["scaling_clusters", "iid"])
+    def test_bit_for_bit(self, design_name, seed):
+        # the harness's block: int8 bits and treatments, m = BLOCK draws
+        n = 400
+        space, outcomes, guess = harness.build_population(n, seed + n)
+        h = ss.scaling_rule(n, 1.0)
+        ctx = DesignContext(space, harness.make_partition(space, design_name, h),
+                            h, 0.5)
+        B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5,
+                                   range(seed, seed + harness.BLOCK))
+        D = B[:, ctx.partition.assignment].T
+        Y = realize(outcomes, D)
+        block = DrawBlock(ctx, Y, D, B.T, guess=guess)
+        want = whole_array_estimates(ctx, Y, D, B.T, guess)
+        got = {name: getattr(block, name) for name in ("ht", "hajek", "ols", "shrink")}
+        got["var_hajek"], got["var_ols"] = block.variance("hajek"), block.variance("ols")
+        for name, value in want.items():
+            assert np.array_equal(got[name], value, equal_nan=True), name
+        assert np.isfinite(want["hajek"]).sum() > harness.BLOCK // 2
 
 
 class TestMixedClusterTreatment:

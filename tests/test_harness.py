@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,31 @@ from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
                                 rate_slope, results_csv, run_experiment,
                                 simulate_design, slopes_csv)
 from spillscale.outcomes import sim_budget
+
+
+class TestBlockWorkingSet:
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_traced_peak_of_two_blocks(self, monkeypatch, design):
+        # a block of m = BLOCK draws at n = 900 holds at most 7 n x m
+        # float64 arrays at once, the HAC sums included: 6.2 and 6.8 here,
+        # 11.4 and 12.4 when every weight array was cached and the counts
+        # were float64
+        n, m = 900, harness.BLOCK
+        space, outcomes, guess = harness.build_population(n, 7 + n)
+        h = ss.scaling_rule(n, 1.0)
+        part = harness.make_partition(space, design, h)
+        ctx = DesignContext(space, part, h, 0.5)
+        ctx.counts, ctx.extended, ctx.lam           # the cell's, built once
+        monkeypatch.setattr(harness, "DesignContext", lambda *args: ctx)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_design(space, outcomes, guess, part, h, 0.5, 2 * m, 7,
+                            ["ht", "hajek", "ols", "shrink"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * n * m * 8
 
 
 class TestBatchedEngineMatchesReference:

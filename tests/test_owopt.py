@@ -11,8 +11,8 @@ from spillscale.design import (TAG_TABLES, draw_treatments, rng_for,
 from spillscale.estimators import DesignContext, DrawBlock
 from spillscale.oracle import enumerate_assignments
 from spillscale.outcomes import sim_budget
-from spillscale.owopt import (assemble_objective, ipw_weight_table,
-                              objective_kernel, project_rows,
+from spillscale.owopt import (_row_projector, assemble_objective,
+                              ipw_weight_table, objective_kernel,
                               saturation_tables, solve_qp, stilde_indices)
 
 from conftest import (bruteforce_polytope_min, line_space,
@@ -224,6 +224,17 @@ class TestAssembleObjective:
         assert not Q[zero].any() and not Q[:, zero].any()
         assert np.all(np.diag(Q)[~zero] > 0)
 
+    @pytest.mark.parametrize("n", [40, 60, 80, 120])
+    def test_exactly_symmetric_without_symmetrizing(self, n):
+        space, outcomes, _ = harness.build_population(n, 7 + n)
+        h = scaling_rule(n, 1.0)
+        tab = saturation_tables(space, scaling_clusters(space, h),
+                                owopt.default_ow_grid(h), 0.5,
+                                mc_draws=20_000, seed=7 + n)
+        Q = assemble_objective(tab, sim_budget(outcomes, space, 1.0))
+        assert np.array_equal(Q, Q.T)
+        assert np.array_equal(Q, 0.5 * (Q + Q.T))   # the former last step
+
     def test_quadratic_form_matches_full_enumeration(self):
         # direct oracle: joint table for EVERY pair from scratch, then the
         # literal double sum over units and sizes
@@ -249,7 +260,7 @@ class TestAssembleObjective:
 
 
 def bisection_projection(v, m, r):
-    """One row of project_rows by bisection on its multiplier lam: the mass
+    """One row of the row projector by bisection on its multiplier lam: the mass
     sum_s m_s max(0, v_s - lam m_s) is nonincreasing in lam."""
     def mass(lam):
         return float(np.sum(m * np.maximum(0.0, v - lam * m)))
@@ -276,7 +287,7 @@ class TestProjection:
         M /= M.sum(axis=1, keepdims=True)
         V = rng.normal(size=(7, 5))
         r = 0.2
-        W = project_rows(V, M, r)
+        W = _row_projector(M, r)(V)
         assert np.all(W >= 0)
         assert np.allclose((W * M).sum(axis=1), r, atol=1e-12)
 
@@ -285,8 +296,8 @@ class TestProjection:
         M = rng.uniform(0.1, 1.0, size=(3, 4))
         V = rng.normal(size=(3, 4))
         r = 0.5
-        W = project_rows(V, M, r)
-        assert np.allclose(project_rows(W, M, r), W, atol=1e-12)
+        W = _row_projector(M, r)(V)
+        assert np.allclose(_row_projector(M, r)(W), W, atol=1e-12)
         # no feasible random point is closer to V than the projection
         for _ in range(200):
             cand = np.abs(rng.normal(size=(3, 4)))
@@ -304,7 +315,7 @@ class TestProjection:
             V[1, :4] = 0.7 * M[1, :4]                       # four tied breakpoints
             V[2] = -0.3 * M[2]                              # every breakpoint tied
             V[3, ::2] = 1.1 * M[3, ::2]
-            W = project_rows(V, M, r)
+            W = _row_projector(M, r)(V)
             want = np.array([bisection_projection(v, m, r) for v, m in zip(V, M)])
             np.testing.assert_allclose(W, want, rtol=0, atol=1e-14)
             np.testing.assert_allclose((W * M).sum(axis=1), r, rtol=1e-9, atol=1e-14)
