@@ -10,6 +10,7 @@ reproducible from (partition, p, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +55,12 @@ class ClusterPartition:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def indicator(self) -> np.ndarray:
-        """n x C boolean membership matrix."""
-        P = np.zeros((self.n, self.n_clusters), dtype=bool)
-        P[np.arange(self.n), self.assignment] = True
-        return P
+    def by_cluster(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): unit ids grouped cluster by cluster and where each
+        group starts, for a ufunc's `reduceat` over a unit axis taken in that
+        order; it needs every cluster nonempty, as every constructor ensures."""
+        sizes = np.array([members.size for members in self.clusters])
+        return np.concatenate(self.clusters), np.cumsum(sizes) - sizes
 
     def validate(self):
         seen = np.zeros(self.n, dtype=bool)
@@ -149,10 +151,21 @@ class IncidenceCounts:
 
 
 def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> IncidenceCounts:
-    """Exact phi/gamma counts by direct intersection tests."""
-    M = space.neighborhood_matrix(s)
-    P = partition.indicator()
-    inc = bool_matmul(M, P)                # cluster c meets N(i, s)
+    """Exact phi/gamma counts by direct intersection tests.
+
+    Per row block, the distance test `dist <= radius(s)` is transposed into
+    cluster order and or-reduced over each cluster's units eight booleans at
+    a time, as 64-bit words: a bitwise or of 0/1 bytes is their logical or.
+    """
+    r = space.radius(s)
+    order, starts = partition.by_cluster()
+    inc = np.empty((space.n, partition.n_clusters), dtype=bool)
+    for rows in row_blocks(space.n):
+        b = rows.stop - rows.start
+        near = np.zeros((space.n, -(-b // 8) * 8), dtype=bool)    # whole words
+        near[:, :b] = (space.dist[rows] <= r).T[order]
+        words = np.bitwise_or.reduceat(near.view(np.int64), starts, axis=0)
+        inc[rows] = words.view(bool)[:, :b].T      # cluster c meets N(i, s)
     return IncidenceCounts(phi=inc.sum(axis=1), gamma=inc.sum(axis=0),
                            incidence=inc, s=float(s))
 
@@ -179,15 +192,28 @@ def stilde_indices(levels: list, B) -> np.ndarray:
 class ExtendedNeighborhoods(IncidenceCounts):
     """Incidence padded so every unit meets exactly phi_max clusters."""
 
-    extra: list                     # per unit: appended unit ids (array)
+    base_incidence: np.ndarray      # n x C boolean incidence before padding
+    assignment: np.ndarray          # unit -> cluster id
+
+    @cached_property
+    def extra(self) -> list:
+        """Per unit: the ids of the units in its padded clusters, ascending
+        (int64; empty where nothing was appended)."""
+        extra = []
+        for rows in row_blocks(self.phi.size):
+            added = self.incidence[rows] & ~self.base_incidence[rows]
+            extra.extend(np.flatnonzero(a) for a in added[:, self.assignment])
+        return extra
 
 
-def cluster_distances(space: PremetricSpace, partition: ClusterPartition) -> np.ndarray:
-    """n x C matrix of min distance from each unit to each cluster."""
-    D = np.empty((space.n, partition.n_clusters))
-    for c, members in enumerate(partition.clusters):
-        D[:, c] = space.dist[:, members].min(axis=1)
-    return D
+def cluster_distances(space: PremetricSpace, partition: ClusterPartition,
+                      units=slice(None)) -> np.ndarray:
+    """len(units) x C matrix of min distance from each unit to each cluster."""
+    order, starts = partition.by_cluster()
+    # `take` keeps the gathered block C-contiguous, where `[:, order]` on a
+    # float table does not and more than doubles the reduction's time
+    return np.minimum.reduceat(np.take(space.dist[units], order, axis=1),
+                               starts, axis=1)
 
 
 def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
@@ -195,25 +221,28 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
     """Append whole nearest clusters until `base`'s phi is uniform at phi_max.
 
     Candidate clusters are ranked by minimum distance from the unit to any
-    member, ties broken by cluster id; units already at phi_max and `base`
-    stay unchanged.  Always achievable since the clusters partition everything.
+    member, ties broken by cluster id (`argmin` keeps the first minimum);
+    units already at phi_max and `base` stay unchanged.  Always achievable
+    since the clusters partition everything.  Distances are taken one row
+    block of deficient units at a time.
     """
     phi_max = base.phi_max
     inc = base.incidence.copy()
-    extra = [np.empty(0, dtype=np.int64) for _ in range(space.n)]
     deficient = np.flatnonzero(base.phi < phi_max)
-    if deficient.size:
-        D = cluster_distances(space, partition)
-        for i in deficient:
-            need = phi_max - base.phi[i]
-            candidates = np.flatnonzero(~inc[i])
-            order = candidates[np.lexsort((candidates, D[i, candidates]))]
-            chosen = order[:need]
-            inc[i, chosen] = True
-            extra[i] = np.sort(np.concatenate(
-                [partition.clusters[c] for c in chosen]))
+    for rows in row_blocks(deficient.size):
+        units = deficient[rows]
+        D = cluster_distances(space, partition, units)
+        D[inc[units]] = np.inf             # only clusters not yet met
+        need = phi_max - base.phi[units]
+        for k in range(int(need.max())):
+            nearest = D.argmin(axis=1)
+            D[np.arange(units.size), nearest] = np.inf
+            take = need > k
+            inc[units[take], nearest[take]] = True
     return ExtendedNeighborhoods(phi=inc.sum(axis=1), gamma=inc.sum(axis=0),
-                                 incidence=inc, s=base.s, extra=extra)
+                                 incidence=inc, s=base.s,
+                                 base_incidence=base.incidence,
+                                 assignment=partition.assignment)
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,10 @@ class DrawBlock:
         """Each group's weights renormalized to sum to 1, NaN if it is empty."""
         w1, w0 = self.ipw
         s1, s0 = w1.sum(axis=0), w0.sum(axis=0)
-        return w1 / np.where(s1 > 0, s1, np.nan) - w0 / np.where(s0 > 0, s0, np.nan)
+        w1 /= np.where(s1 > 0, s1, np.nan)      # in place, same bits
+        w0 /= np.where(s0 > 0, s0, np.nan)
+        w1 -= w0
+        return w1
 
     @cached_property
     def hajek(self) -> np.ndarray:

@@ -123,8 +123,11 @@ def build_space(coords) -> PremetricSpace:
         raise GeometryError("coordinates must be finite")
     n, q = coords.shape
     dist = np.empty((n, n))
+    buf = np.empty((min(n, _ROW_BLOCK), n, q))     # one block's differences
     for rows in row_blocks(n):
-        diff = coords[rows, None, :] - coords[None, :, :]
+        diff = buf[:rows.stop - rows.start]
+        for k in range(q):                         # one coordinate at a time
+            np.subtract(coords[rows, k, None], coords[:, k], out=diff[..., k])
         np.einsum("ijk,ijk->ij", diff, diff, out=dist[rows])
     np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, 0.0)

@@ -211,3 +211,30 @@ def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
     out["var_hajek"] = hac(hajek_w, out["hajek"], treated / counts.phi[:, None])
     out["var_ols"] = hac((T - tbar) / (n * var_t), out["ols"], T)
     return out
+
+
+# --- per-unit overlap padding: the reference for the row-blocked extension --
+# `design.extend_uniform_overlap` ranks candidate clusters one block of
+# deficient units at a time, by repeated `argmin` over a min-distance table
+# built with one `np.minimum.reduceat`, and derives `extra` only when read.
+# Below is the form it replaced: an n x C table filled cluster by cluster,
+# then per unit a `lexsort` by (distance, cluster id) and the chosen
+# clusters' members, concatenated and sorted.
+
+
+def lexsort_extension(space: PremetricSpace, partition, base) -> tuple[np.ndarray, list]:
+    """(padded incidence, extra) of `extend_uniform_overlap`, unit by unit."""
+    D = np.empty((space.n, partition.n_clusters))
+    for c, members in enumerate(partition.clusters):
+        D[:, c] = space.dist[:, members].min(axis=1)
+    inc = base.incidence.copy()
+    extra = [np.empty(0, dtype=np.int64) for _ in range(space.n)]
+    for i in np.flatnonzero(base.phi < base.phi_max):
+        need = base.phi_max - base.phi[i]
+        candidates = np.flatnonzero(~inc[i])
+        order = candidates[np.lexsort((candidates, D[i, candidates]))]
+        chosen = order[:need]
+        inc[i, chosen] = True
+        extra[i] = np.sort(np.concatenate(
+            [partition.clusters[c] for c in chosen]))
+    return inc, extra

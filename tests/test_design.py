@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,13 @@ from spillscale.design import (cluster_distances, draw_treatments,
                                extend_uniform_overlap, greedy_cover,
                                incidence, scaling_clusters, scaling_rule,
                                singleton_partition)
+from spillscale.cli import load_clusters
 from spillscale.estimators import dependency_graph
+from spillscale.geometry import build_space_from_dist
 from spillscale.harness import build_population
 from spillscale.owopt import interacting_pairs
 
-from conftest import line_space, saturation_indicators
+from conftest import lexsort_extension, line_space, saturation_indicators
 
 
 class TestScalingRule:
@@ -286,6 +289,84 @@ class TestExtendUniformOverlap:
         D = cluster_distances(*_three_cluster_line())
         # unit 0 is closest to cluster 1, then cluster 2
         assert D[0, 1] < D[0, 2]
+
+
+class TestExtensionAgainstLexsort:
+    """The row-blocked extension against the per-unit `lexsort` loop it
+    replaced (`conftest.lexsort_extension`), ties included."""
+
+    @staticmethod
+    def check(space, part, base):
+        ext = extend_uniform_overlap(space, part, base)
+        want_inc, want_extra = lexsort_extension(space, part, base)
+        assert np.array_equal(ext.incidence, want_inc)
+        assert np.array_equal(ext.phi, want_inc.sum(axis=1))
+        assert np.array_equal(ext.gamma, want_inc.sum(axis=0))
+        assert len(ext.extra) == space.n
+        for got, want in zip(ext.extra, want_extra):
+            assert got.dtype == np.int64
+            assert np.all(np.diff(got) > 0)
+            assert np.array_equal(got, want)
+        assert (sum(e.size > 0 for e in ext.extra)
+                == np.count_nonzero(base.phi < base.phi_max))
+        return ext
+
+    @staticmethod
+    def lattice(rows, cols):
+        """rows x cols integer grid: many exactly tied cluster distances;
+        a narrow strip, so most neighborhoods are cut by its edges."""
+        grid = np.stack(np.meshgrid(np.arange(rows), np.arange(cols)), axis=-1)
+        return ss.build_space(grid.reshape(-1, 2).astype(float))
+
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    @pytest.mark.parametrize("points", ["disk", "lattice"])
+    def test_matches_reference(self, design, points):
+        space = (build_population(700, 3)[0] if points == "disk"
+                 else self.lattice(6, 100))
+        h = scaling_rule(space.n, 1.0)
+        part = (scaling_clusters(space, h) if design == "scaling_clusters"
+                else singleton_partition(space.n))
+        base = incidence(space, part, h)
+        # deficient units fill at least two row blocks
+        assert np.count_nonzero(base.phi < base.phi_max) > 256
+        if design == "iid":                 # units that need several clusters
+            assert np.count_nonzero(base.phi_max - base.phi > 1) > 0
+        self.check(space, part, base)
+
+    def test_exact_ties_go_to_the_lowest_cluster_id(self):
+        # unit 0 is at distance 2 from units 1..4, which are at distance 1
+        # from one another: at s = 1 each of them meets 4 singleton
+        # clusters and unit 0 only its own, so it needs 3 of 4 tied ones
+        dist = np.ones((5, 5))
+        dist[0, :] = dist[:, 0] = 2.0
+        np.fill_diagonal(dist, 0.0)
+        space = build_space_from_dist(dist)
+        part = singleton_partition(5)
+        base = incidence(space, part, 1.0)
+        assert base.phi.tolist() == [1, 4, 4, 4, 4]
+        ext = self.check(space, part, base)
+        assert ext.extra[0].tolist() == [1, 2, 3]
+
+    def test_partition_loaded_through_the_cli(self, tmp_path):
+        # interleaved cluster ids: each cluster's units are scattered over
+        # the population, and clusters are not numbered in any spatial order
+        space, _, _ = build_population(300, 5)
+        assignment = np.random.default_rng(2).permutation(np.arange(300) % 40)
+        path = tmp_path / "clusters.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [("unit_id", "cluster_id"), *enumerate(assignment.tolist())])
+        part = load_clusters(path, list(range(300)))
+        assert np.array_equal(part.assignment, assignment)
+        for s in (2.0, 8.0, 40.0):
+            counts = incidence(space, part, s)
+            want = np.zeros((300, 40), dtype=bool)
+            for i in range(300):
+                want[i, assignment[space.neighborhood(i, s)]] = True
+            assert np.array_equal(counts.incidence, want)
+            assert np.array_equal(counts.phi, want.sum(axis=1))
+            assert np.array_equal(counts.gamma, want.sum(axis=0))
+            self.check(space, part, counts)
 
 
 def _three_cluster_line():
