@@ -186,12 +186,9 @@ def load_clusters(path, ids):
     assignment[_unit_index(path, ids, [u for u, _ in rows])] = [c for _, c in rows]
     if np.any(assignment < 0):
         raise SystemExit(f"{path} does not assign every unit a cluster")
-    n_clusters = int(assignment.max()) + 1
-    clusters = [np.flatnonzero(assignment == c) for c in range(n_clusters)]
-    if any(c.size == 0 for c in clusters):
+    if not np.bincount(assignment).all():
         raise SystemExit(f"{path} has empty cluster ids; renumber 0..C-1")
-    return ClusterPartition(assignment=assignment, clusters=clusters,
-                            seeds=[int(c[0]) for c in clusters], g=0.0)
+    return ClusterPartition(assignment)
 
 
 def load_outcomes(path, ids):
@@ -398,14 +395,17 @@ def _unmatched(config, side):
 
 
 def _value(rows, side):
-    """The number an operand stands for; NaN for a row without it."""
+    """The number an operand stands for; NaN for a row without it, or for a
+    series without a slope (finite RMSEs at fewer than three sizes)."""
     if isinstance(side, float):
         return side
     _, metric, est, design, n = side
+    if metric == "slope":
+        slopes = {(e, d): v for e, d, v, _ in harness.slopes_table(rows)}
+        return slopes.get((est, design), math.nan)
     series = [r for r in rows if (r.estimator, r.design) == (est, design)
               and n in (None, r.n)]
-    value = harness.rate_slope(series) if metric == "slope" else \
-        getattr(series[0], metric)
+    value = getattr(series[0], metric)
     return math.nan if value is None else value
 
 

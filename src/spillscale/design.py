@@ -40,36 +40,27 @@ def scaling_rule(n: int, eta: float, c0: float = 1.0) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ClusterPartition:
-    """Disjoint clusters covering the population, one per cover seed."""
+    """Disjoint clusters covering the population: unit -> cluster id, the
+    ids 0..C-1 each naming a nonempty cluster."""
 
-    assignment: np.ndarray          # unit -> cluster id
-    clusters: list                  # list of unit-id arrays
-    seeds: list                     # cover member that grew each cluster
-    g: float                        # size parameter used to grow clusters
+    assignment: np.ndarray
 
     @property
     def n(self) -> int:
         return self.assignment.shape[0]
 
-    @property
+    @cached_property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return int(self.assignment.max()) + 1
 
+    @cached_property
     def by_cluster(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, starts): unit ids grouped cluster by cluster and where each
-        group starts, for a ufunc's `reduceat` over a unit axis taken in that
-        order; it needs every cluster nonempty, as every constructor ensures."""
-        sizes = np.array([members.size for members in self.clusters])
-        return np.concatenate(self.clusters), np.cumsum(sizes) - sizes
-
-    def validate(self):
-        seen = np.zeros(self.n, dtype=bool)
-        for members in self.clusters:
-            if seen[members].any():
-                raise ValueError("clusters overlap")
-            seen[members] = True
-        if not seen.all():
-            raise ValueError("clusters do not cover the population")
+        """(order, starts): unit ids grouped cluster by cluster, ascending
+        within each, and where each group starts, for a ufunc's `reduceat`
+        over a unit axis taken in that order; it needs every cluster
+        nonempty, as every constructor ensures."""
+        sizes = np.bincount(self.assignment)
+        return np.argsort(self.assignment, kind="stable"), np.cumsum(sizes) - sizes
 
 
 def greedy_cover(space: PremetricSpace, g: float) -> list:
@@ -88,37 +79,38 @@ def scaling_clusters(space: PremetricSpace, g: float) -> ClusterPartition:
     Each cluster is the not-yet-assigned part of its seed's g-neighborhood;
     seeds whose neighborhood was fully absorbed earlier produce no cluster.
     """
-    cover = greedy_cover(space, g)
     r = space.radius(g)
     assignment = np.full(space.n, -1, dtype=np.int64)
-    clusters, seeds = [], []
-    for u in cover:
-        members = np.flatnonzero((space.dist[u] <= r) & (assignment < 0))
-        if members.size == 0:
-            continue
-        assignment[members] = len(clusters)
-        clusters.append(members)
-        seeds.append(u)
-    return ClusterPartition(assignment=assignment, clusters=clusters,
-                            seeds=seeds, g=float(g))
+    n_clusters = 0
+    for u in greedy_cover(space, g):
+        members = (space.dist[u] <= r) & (assignment < 0)
+        if members.any():
+            assignment[members] = n_clusters
+            n_clusters += 1
+    return ClusterPartition(assignment)
 
 
 def singleton_partition(n: int) -> ClusterPartition:
     """One unit per cluster: the i.i.d. benchmark design."""
-    assignment = np.arange(n, dtype=np.int64)
-    clusters = [np.array([i]) for i in range(n)]
-    return ClusterPartition(assignment=assignment, clusters=clusters,
-                            seeds=list(range(n)), g=0.0)
+    return ClusterPartition(np.arange(n, dtype=np.int64))
 
 
 @dataclass
 class IncidenceCounts:
     """Incidence at one size s; the one reader of purity and shared clusters."""
 
-    phi: np.ndarray                 # per unit: clusters meeting N(i, s)
-    gamma: np.ndarray               # per cluster: neighborhoods meeting it
-    incidence: np.ndarray           # n x C boolean
+    incidence: np.ndarray           # n x C boolean: cluster c meets N(i, s)
     s: float
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Per unit: the clusters meeting N(i, s)."""
+        return self.incidence.sum(axis=1)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Per cluster: the neighborhoods meeting it."""
+        return self.incidence.sum(axis=0)
 
     @property
     def phi_max(self) -> int:
@@ -158,7 +150,7 @@ def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> Incidenc
     a time, as 64-bit words: a bitwise or of 0/1 bytes is their logical or.
     """
     r = space.radius(s)
-    order, starts = partition.by_cluster()
+    order, starts = partition.by_cluster
     inc = np.empty((space.n, partition.n_clusters), dtype=bool)
     for rows in row_blocks(space.n):
         b = rows.stop - rows.start
@@ -166,8 +158,7 @@ def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> Incidenc
         near[:, :b] = (space.dist[rows] <= r).T[order]
         words = np.bitwise_or.reduceat(near.view(np.int64), starts, axis=0)
         inc[rows] = words.view(bool)[:, :b].T      # cluster c meets N(i, s)
-    return IncidenceCounts(phi=inc.sum(axis=1), gamma=inc.sum(axis=0),
-                           incidence=inc, s=float(s))
+    return IncidenceCounts(incidence=inc, s=float(s))
 
 
 def stilde_indices(levels: list, B) -> np.ndarray:
@@ -209,7 +200,7 @@ class ExtendedNeighborhoods(IncidenceCounts):
 def cluster_distances(space: PremetricSpace, partition: ClusterPartition,
                       units=slice(None)) -> np.ndarray:
     """len(units) x C matrix of min distance from each unit to each cluster."""
-    order, starts = partition.by_cluster()
+    order, starts = partition.by_cluster
     # `take` keeps the gathered block C-contiguous, where `[:, order]` on a
     # float table does not and more than doubles the reduction's time
     return np.minimum.reduceat(np.take(space.dist[units], order, axis=1),
@@ -239,8 +230,7 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
             D[np.arange(units.size), nearest] = np.inf
             take = need > k
             inc[units[take], nearest[take]] = True
-    return ExtendedNeighborhoods(phi=inc.sum(axis=1), gamma=inc.sum(axis=0),
-                                 incidence=inc, s=base.s,
+    return ExtendedNeighborhoods(incidence=inc, s=base.s,
                                  base_incidence=base.incidence,
                                  assignment=partition.assignment)
 
@@ -256,7 +246,8 @@ class DesignDraw:
 def cluster_bits(partition: ClusterPartition, d) -> np.ndarray:
     """Cluster bits behind unit treatments d; ValueError if a cluster is mixed."""
     d = np.asarray(d)
-    b = d[[members[0] for members in partition.clusters]]
+    order, starts = partition.by_cluster
+    b = d[order[starts]]                   # each cluster's first member
     mixed = partition.assignment[d != b[partition.assignment]]
     if mixed.size:
         raise ValueError(f"treatments are not constant within cluster {mixed.min()}")

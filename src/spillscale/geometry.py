@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EUCLIDEAN = "euclidean"
-IDENTITY = "identity"
 AUDIT_SUBSETS = 5               # random subsets Q per size in the k4 audit
 _ROW_BLOCK = 256                # rows per block of an n x n temporary
 
@@ -44,33 +42,34 @@ class InterferenceBudget:
 
 @dataclass(frozen=True, eq=False)
 class PremetricSpace:
-    """Population of n units with a pairwise distance table.
+    """Population of n units with an n x n pairwise distance table.
 
-    coords/q are present only for Euclidean populations, in which case
-    dist is the L2 distance matrix and radius_rule(s) = s**(1/q).  Abstract
-    populations supply dist directly and use the identity radius rule.
-    Instances are immutable; all operations on them are pure.
+    coords (n x q) are present exactly for Euclidean populations, in which
+    case dist is the L2 distance matrix and radius_rule(s) = s**(1/q).
+    Abstract populations supply dist alone and use the identity radius
+    rule.  Instances are immutable; all operations on them are pure.
     """
 
-    n: int
     dist: np.ndarray
-    rule: str = EUCLIDEAN
     coords: np.ndarray | None = None
-    q: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self.dist.shape[0]
 
     def radius(self, s) -> float:
         """Distance threshold of the size-s neighborhood."""
         if np.any(np.asarray(s) <= 0):
             raise ValueError("neighborhood size s must be > 0")
-        if self.rule == EUCLIDEAN:
-            return np.power(s, 1.0 / self.q)
-        return s
+        if self.coords is None:
+            return s
+        return np.power(s, 1.0 / self.coords.shape[1])
 
     def size_of_radius(self, r):
         """Inverse of radius(): the size parameter whose threshold is r."""
-        if self.rule == EUCLIDEAN:
-            return np.power(r, float(self.q))
-        return r
+        if self.coords is None:
+            return r
+        return np.power(r, float(self.coords.shape[1]))
 
     def neighborhood(self, i: int, s) -> np.ndarray:
         """Unit ids j with dist[i, j] <= radius(s); always contains i."""
@@ -133,7 +132,7 @@ def build_space(coords) -> PremetricSpace:
     np.fill_diagonal(dist, 0.0)
     if np.count_nonzero(dist == 0.0) > n:
         raise GeometryError("duplicate coordinates: rho(i,j)=0 for i != j")
-    return PremetricSpace(n=n, dist=dist, rule=EUCLIDEAN, coords=coords, q=q)
+    return PremetricSpace(dist, coords)
 
 
 def build_space_from_dist(dist) -> PremetricSpace:
@@ -148,7 +147,7 @@ def build_space_from_dist(dist) -> PremetricSpace:
     n = dist.shape[0]
     if np.count_nonzero(dist <= 0.0) > n:     # the n zeros of the diagonal
         raise GeometryError("off-diagonal distances must be strictly positive")
-    return PremetricSpace(n=n, dist=dist, rule=IDENTITY)
+    return PremetricSpace(dist)
 
 
 def uniform_disk(n: int, rng: np.random.Generator) -> np.ndarray:

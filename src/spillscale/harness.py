@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -247,11 +248,13 @@ def rate_slope(rows: list) -> float:
 
 
 def slopes_table(rows: list) -> list:
-    """(estimator, design, slope, n_points) for every series with >= 3 sizes."""
+    """(estimator, design, slope, n_points) for every series with a finite
+    RMSE at >= 3 sizes; n_points counts the finite points."""
     out = []
     combos = sorted({(r.estimator, r.design) for r in rows})
     for est, design in combos:
-        series = [r for r in rows if r.estimator == est and r.design == design]
+        series = [r for r in rows if r.estimator == est and r.design == design
+                  and np.isfinite(r.rmse)]
         if len({r.n for r in series}) >= 3:
             out.append((est, design, rate_slope(series), len(series)))
     return out
@@ -259,13 +262,9 @@ def slopes_table(rows: list) -> list:
 
 # --- config file parsing (key = value, lists comma-separated) ---------------
 
-_LIST_FIELDS = {"n_list", "designs", "estimators"}
-_INT_FIELDS = {"reps", "base_seed", "ow_max_n", "ow_mc_draws"}
-_FLOAT_FIELDS = {"eta", "c0", "p", "ci_level"}
-
 
 def parse_config(text: str) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
+    kinds = get_type_hints(ExperimentConfig)    # list, int or float per key
     kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -274,16 +273,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _LIST_FIELDS:
+            if kinds[key] is list:
                 items = [v.strip() for v in value.split(",") if v.strip()]
                 kwargs[key] = [int(v) for v in items] if key == "n_list" else items
-            elif key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                kwargs[key] = float(value)
+            else:
+                kwargs[key] = kinds[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     if "n_list" not in kwargs:

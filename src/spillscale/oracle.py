@@ -28,7 +28,6 @@ class AssignmentEnumeration:
 
     assignments: np.ndarray         # 2**C x C bits
     probs: np.ndarray               # p**treated * (1-p)**untreated
-    p: float
 
     @property
     def count(self) -> int:
@@ -52,7 +51,7 @@ def enumerate_assignments(partition: ClusterPartition, p: float) -> AssignmentEn
     k = bits.sum(axis=1).astype(float)
     # log-space keeps tiny probabilities stable before the final exp
     probs = np.exp(k * np.log(p) + (C - k) * np.log1p(-p))
-    return AssignmentEnumeration(assignments=bits, probs=probs, p=float(p))
+    return AssignmentEnumeration(assignments=bits, probs=probs)
 
 
 @dataclass(frozen=True)

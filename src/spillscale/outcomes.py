@@ -10,6 +10,7 @@ drawn once per population.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,18 +30,19 @@ class LinearOutcomes:
     beta0: float
     A: np.ndarray
     eps: np.ndarray
-    theta: float
 
     def __post_init__(self):
-        n = self.A.shape[0]
-        if abs(float(self.eps.sum())) > 1e-9 * n:
+        if abs(float(self.eps.sum())) > 1e-9 * self.n:
             raise OutcomeModelError("residuals must sum to zero")
-        if not np.isclose(self.theta, self.A.sum() / n, rtol=1e-12, atol=0):
-            raise OutcomeModelError("theta must equal 1'A1/n")
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def theta(self) -> float:
+        """The estimand, the average global effect 1'A1/n."""
+        return float(self.A.sum() / self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +50,6 @@ class GuessMatrix:
     """Researcher's deterministic guess for the spillover matrix."""
 
     A_hat: np.ndarray
-    strength: float                 # |1'A_hat 1| / n
 
     @property
     def n(self) -> int:
@@ -72,7 +73,7 @@ def make_linear(A, eps=None, beta0: float = 0.0) -> LinearOutcomes:
     if eps is None:
         eps = np.zeros(n)
     eps = np.asarray(eps, dtype=float) - np.mean(eps)
-    return LinearOutcomes(beta0=float(beta0), A=A, eps=eps, theta=float(A.sum() / n))
+    return LinearOutcomes(beta0=float(beta0), A=A, eps=eps)
 
 
 def make_sim_dgp(space: PremetricSpace, seed: int) -> LinearOutcomes:
@@ -94,7 +95,7 @@ def make_sim_dgp(space: PremetricSpace, seed: int) -> LinearOutcomes:
     e = gen.standard_normal(n)
     eps = (np.sqrt(n) / np.linalg.norm(A, "fro")) * (A @ e)
     eps = eps - eps.mean()
-    return LinearOutcomes(beta0=0.0, A=A, eps=eps, theta=float(A.sum() / n))
+    return LinearOutcomes(beta0=0.0, A=A, eps=eps)
 
 
 def make_guess(space: PremetricSpace, seed: int, scale: float = 1.1,
@@ -120,10 +121,7 @@ def make_guess(space: PremetricSpace, seed: int, scale: float = 1.1,
     A_hat *= 2.0
     A_hat *= n
     A_hat /= total
-    strength = abs(A_hat.sum()) / n
-    if strength <= 1e-12:
-        raise OutcomeModelError("guess strength is degenerate")
-    return GuessMatrix(A_hat=A_hat, strength=float(strength))
+    return GuessMatrix(A_hat=A_hat)
 
 
 def realize(outcomes, d) -> np.ndarray:

@@ -152,10 +152,6 @@ class OwWeightTable:
     p: float
     polish_adopted: int = 0         # active-set candidates solve_qp moved to
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.array([level.s for level in self.levels])
-
     def constraint_gap(self, marg: np.ndarray, n: int) -> float:
         lhs = np.sum(self.W * marg, axis=1)
         return float(np.max(np.abs(lhs - 1.0 / (self.p * n))))

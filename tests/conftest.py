@@ -213,6 +213,25 @@ def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
     return out
 
 
+# --- cluster members: the reference for `ClusterPartition.by_cluster` -------
+# A partition stores only its assignment; `by_cluster` derives the grouped
+# unit order from one stable `argsort`.  Below is the form it replaced: each
+# cluster's members by one `flatnonzero` scan, concatenated in id order.
+
+
+def cluster_members(partition) -> list:
+    """Per cluster id, its unit ids ascending."""
+    return [np.flatnonzero(partition.assignment == c)
+            for c in range(partition.n_clusters)]
+
+
+def concatenated_by_cluster(partition) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts) of `by_cluster`, from the per-cluster scans."""
+    members = cluster_members(partition)
+    sizes = np.array([m.size for m in members])
+    return np.concatenate(members), np.cumsum(sizes) - sizes
+
+
 # --- per-unit overlap padding: the reference for the row-blocked extension --
 # `design.extend_uniform_overlap` ranks candidate clusters one block of
 # deficient units at a time, by repeated `argmin` over a min-distance table
@@ -224,8 +243,9 @@ def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
 
 def lexsort_extension(space: PremetricSpace, partition, base) -> tuple[np.ndarray, list]:
     """(padded incidence, extra) of `extend_uniform_overlap`, unit by unit."""
+    clusters = cluster_members(partition)
     D = np.empty((space.n, partition.n_clusters))
-    for c, members in enumerate(partition.clusters):
+    for c, members in enumerate(clusters):
         D[:, c] = space.dist[:, members].min(axis=1)
     inc = base.incidence.copy()
     extra = [np.empty(0, dtype=np.int64) for _ in range(space.n)]
@@ -236,5 +256,5 @@ def lexsort_extension(space: PremetricSpace, partition, base) -> tuple[np.ndarra
         chosen = order[:need]
         inc[i, chosen] = True
         extra[i] = np.sort(np.concatenate(
-            [partition.clusters[c] for c in chosen]))
+            [clusters[c] for c in chosen]))
     return inc, extra

@@ -920,6 +920,24 @@ class TestReplicateCommand:
         assert lines[0].startswith(f"assert {asserts[0]}: "
                                    f"{float(slope['slope']):.6g} > -100 ")
 
+    def test_slope_with_fewer_than_three_finite_rmses(self, tmp_path, capsys):
+        # every n = 6 draw leaves a Hajek group empty, so its RMSE is NaN:
+        # the series has no slope, slopes.csv omits it and a slope
+        # assertion reads NaN and fails (exit 3), not a traceback
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 6, 8, 10\nestimators = hajek\nreps = 1\n"
+                       "base_seed = 1\n")
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "a"), "--assert",
+                   "slope:hajek:scaling_clusters < 0"])
+        assert rc == 3
+        rows = read_csv(tmp_path / "a/results.csv")
+        assert [r["reps_ok"] for r in rows] == ["0", "1", "1"]
+        assert (tmp_path / "a/slopes.csv").read_text() == \
+            "estimator,design,slope,n_points\n"
+        assert "assert slope:hajek:scaling_clusters < 0: nan < 0 -> FAIL" \
+            in capsys.readouterr().out
+
     def test_hac_clip_counts_printed(self, tmp_path, capsys):
         cfg = tmp_path / "config.txt"
         cfg.write_text(CONFIG.replace("ht, ols", "ht, hajek, ols"))

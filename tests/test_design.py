@@ -15,7 +15,8 @@ from spillscale.geometry import build_space_from_dist
 from spillscale.harness import build_population
 from spillscale.owopt import interacting_pairs
 
-from conftest import lexsort_extension, line_space, saturation_indicators
+from conftest import (cluster_members, concatenated_by_cluster,
+                      lexsort_extension, line_space, saturation_indicators)
 
 
 class TestScalingRule:
@@ -66,7 +67,7 @@ class TestScalingClusters:
         space = line_space(4)
         part = scaling_clusters(space, 10.0)
         assert part.n_clusters == 1
-        assert part.clusters[0].size == 4
+        assert part.assignment.tolist() == [0, 0, 0, 0]
 
     def test_singletons_when_g_tiny(self):
         space = line_space(4, spacing=3.0)
@@ -80,17 +81,23 @@ class TestScalingClusters:
             space = ss.build_space(pts)
             g = float(rng.uniform(1.0, 12.0))
             part = scaling_clusters(space, g)
-            part.validate()
+            # every unit has an id in 0..C-1 (bincount rejects -1), and
+            # each id names a nonempty cluster
+            assert np.bincount(part.assignment).min() > 0
+            cover = greedy_cover(space, g)
             M = space.neighborhood_matrix(g)
-            for seed, members in zip(part.seeds, part.clusters):
-                assert M[seed][members].all()   # cluster inside seed nbhd
+            for members in cluster_members(part):
+                # each cluster lies in some cover seed's g-neighborhood
+                assert any(M[seed][members].all() for seed in cover)
 
     def test_cluster_ids_in_cover_order(self, disk500):
+        # cluster 0 grows from the first cover seed: its whole neighborhood
         space, _, _ = disk500
         part = scaling_clusters(space, 5.0)
-        assert part.assignment[part.clusters[0]].max() == 0
-        sizes = [c.size for c in part.clusters]
-        assert sum(sizes) == space.n
+        first = greedy_cover(space, 5.0)[0]
+        assert np.array_equal(np.flatnonzero(part.assignment == 0),
+                              space.neighborhood(first, 5.0))
+        assert np.bincount(part.assignment).sum() == space.n
 
     def test_peak_memory_is_one_neighborhood_matrix(self):
         # the cover takes every unit as a member, so its candidate block is
@@ -105,6 +112,39 @@ class TestScalingClusters:
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * n * n
+
+
+def interleaved_partition(tmp_path):
+    """(assignment, partition) of 300 units in 40 interleaved clusters,
+    loaded through the CLI: each cluster's units are scattered over the
+    population, and clusters are not numbered in any spatial order."""
+    assignment = np.random.default_rng(2).permutation(np.arange(300) % 40)
+    path = tmp_path / "clusters.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [("unit_id", "cluster_id"), *enumerate(assignment.tolist())])
+    return assignment, load_clusters(path, list(range(300)))
+
+
+class TestByCluster:
+    """`by_cluster` (one stable argsort of the assignment) against the
+    concatenated per-cluster scans it replaced."""
+
+    @pytest.mark.parametrize("kind", ["scaling", "singleton", "interleaved"])
+    def test_matches_concatenated_scans(self, kind, tmp_path):
+        if kind == "scaling":
+            space = build_population(700, 3)[0]
+            part = scaling_clusters(space, scaling_rule(700, 1.0))
+        elif kind == "singleton":
+            part = singleton_partition(700)
+        else:
+            part = interleaved_partition(tmp_path)[1]
+        order, starts = part.by_cluster
+        want_order, want_starts = concatenated_by_cluster(part)
+        assert order.dtype == starts.dtype == np.int64
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(starts, want_starts)
+        assert part.by_cluster is part.by_cluster       # computed once
 
 
 class TestIncidence:
@@ -248,7 +288,7 @@ class TestExtendUniformOverlap:
         # the gap only from the inner units, so the outer pair is extended
         space = ss.build_space(np.array([[0.0], [1.0], [10.0], [11.0]]))
         part = scaling_clusters(space, 1.0)
-        assert [c.tolist() for c in part.clusters] == [[0, 1], [2, 3]]
+        assert part.assignment.tolist() == [0, 0, 1, 1]
         base = incidence(space, part, 9.0)
         assert base.phi.tolist() == [1, 2, 2, 1]
         ext = extend_uniform_overlap(space, part, base)
@@ -348,15 +388,8 @@ class TestExtensionAgainstLexsort:
         assert ext.extra[0].tolist() == [1, 2, 3]
 
     def test_partition_loaded_through_the_cli(self, tmp_path):
-        # interleaved cluster ids: each cluster's units are scattered over
-        # the population, and clusters are not numbered in any spatial order
         space, _, _ = build_population(300, 5)
-        assignment = np.random.default_rng(2).permutation(np.arange(300) % 40)
-        path = tmp_path / "clusters.csv"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(
-                [("unit_id", "cluster_id"), *enumerate(assignment.tolist())])
-        part = load_clusters(path, list(range(300)))
+        assignment, part = interleaved_partition(tmp_path)
         assert np.array_equal(part.assignment, assignment)
         for s in (2.0, 8.0, 40.0):
             counts = incidence(space, part, s)

@@ -243,14 +243,14 @@ class TestOls:
 class TestShrinkage:
     def test_scaled_exposure_identity(self):
         # singleton clusters make A_hat = kappa * incidence/phi reproduce
-        # exactly T_guess = kappa * T, so shrink = ols * strength / kappa
+        # exactly T_guess = kappa * T, so shrink = ols * (1'A_hat 1 / n) / kappa
         space = line_space(6, spacing=4.0)
         part = singleton_partition(6)
         ctx = DesignContext(space, part, 1.0, 0.5)
         draw = draw_treatments(part, 0.5, seed=3)
         kappa = 2.5
         A_hat = kappa * ctx.extended.incidence.astype(float) / ctx.extended.phi_max
-        guess = ss.GuessMatrix(A_hat=A_hat, strength=abs(A_hat.sum()) / 6)
+        guess = ss.GuessMatrix(A_hat=A_hat)
         rng = np.random.default_rng(5)
         Y = rng.normal(size=6)
         block = DrawBlock(ctx, Y, draw.d, draw.b, guess=guess)
@@ -263,7 +263,7 @@ class TestShrinkage:
         space = line_space(4, spacing=4.0)
         part = singleton_partition(4)
         draw = draw_treatments(part, 0.5, seed=1)
-        guess = ss.GuessMatrix(A_hat=np.zeros((4, 4)), strength=1.0)
+        guess = ss.GuessMatrix(A_hat=np.zeros((4, 4)))
         block = one_draw(space, part, 1.0, np.ones(4), draw.d, guess=guess)
         assert np.isnan(block.first_stage[0])
         assert np.isnan(block.shrink[0])

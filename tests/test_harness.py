@@ -177,6 +177,19 @@ class TestRateSlope:
         assert text.splitlines()[0] == "estimator,design,slope,n_points"
         assert "ht,scaling_clusters,-0.5" in text
 
+    def test_slopes_count_finite_rmse_sizes(self):
+        # a size where every draw failed has RMSE NaN: it is no point of the
+        # fit, so three sizes with one NaN give no slope, and four give a
+        # slope over three points
+        rows = [self._row(n, n ** -0.5) for n in (100, 200, 400)]
+        rows.append(self._row(50, np.nan, est="hajek"))
+        rows += [self._row(n, n ** -0.25, est="hajek") for n in (100, 200)]
+        assert harness.slopes_table(rows) == [
+            ("ht", "scaling_clusters", pytest.approx(-0.5, abs=1e-12), 3)]
+        rows.append(self._row(400, 400 ** -0.25, est="hajek"))
+        assert harness.slopes_table(rows)[0] == (
+            "hajek", "scaling_clusters", pytest.approx(-0.25, abs=1e-12), 3)
+
 
 class TestConfigParsing:
     def test_full_roundtrip(self):

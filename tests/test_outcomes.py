@@ -18,6 +18,7 @@ class TestSimDgp:
     def test_estimand_is_two(self, n, seed):
         space, outcomes, _ = harness.build_population(n, seed)
         assert outcomes.theta == pytest.approx(2.0, abs=1e-12)
+        assert outcomes.theta == float(outcomes.A.sum() / n)    # derived
         assert age(outcomes) == pytest.approx(2.0, abs=1e-9)
 
     def test_single_unit(self):
@@ -120,7 +121,6 @@ class TestGuess:
     def test_normalized_total_exact(self):
         space, _, guess = harness.build_population(60, 4)
         assert guess.A_hat.sum() / 60 == pytest.approx(2.0, abs=1e-12)
-        assert guess.strength == pytest.approx(2.0, abs=1e-12)
 
     def test_parameter_degeneration_recovers_truth(self):
         space, outcomes, _ = harness.build_population(25, 9)
@@ -147,7 +147,7 @@ class TestGuess:
 class TestValidation:
     def test_uncentered_residuals_rejected(self):
         with pytest.raises(OutcomeModelError):
-            ss.LinearOutcomes(beta0=0.0, A=np.eye(3), eps=np.ones(3), theta=1.0)
+            ss.LinearOutcomes(beta0=0.0, A=np.eye(3), eps=np.ones(3))
 
     def test_oracle_outcomes_delegate(self):
         oracle = ss.OutcomeOracle(n=3, evaluator=lambda d: d * 2.0)
