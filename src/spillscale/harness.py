@@ -237,14 +237,23 @@ def _size_rows(config: ExperimentConfig, n: int) -> list:
     return rows
 
 
-def rate_slope(rows: list) -> float:
-    """Least-squares slope of log RMSE on log n over one estimator/design."""
+def _rate_fit(rows: list):
+    """(slope, n_points) of log RMSE on log n over the rows with a finite
+    RMSE, or None when those span fewer than 3 distinct n."""
     pts = [(r.n, r.rmse) for r in rows if np.isfinite(r.rmse)]
     if len({n for n, _ in pts}) < 3:
-        raise ValueError("rate_slope needs at least 3 distinct n")
+        return None
     x = np.log([float(n) for n, _ in pts])
     y = np.log([v for _, v in pts])
-    return float(np.polyfit(x, y, 1)[0])
+    return float(np.polyfit(x, y, 1)[0]), len(pts)
+
+
+def rate_slope(rows: list) -> float:
+    """Least-squares slope of log RMSE on log n over one estimator/design."""
+    fit = _rate_fit(rows)
+    if fit is None:
+        raise ValueError("rate_slope needs at least 3 distinct n")
+    return fit[0]
 
 
 def slopes_table(rows: list) -> list:
@@ -253,10 +262,10 @@ def slopes_table(rows: list) -> list:
     out = []
     combos = sorted({(r.estimator, r.design) for r in rows})
     for est, design in combos:
-        series = [r for r in rows if r.estimator == est and r.design == design
-                  and np.isfinite(r.rmse)]
-        if len({r.n for r in series}) >= 3:
-            out.append((est, design, rate_slope(series), len(series)))
+        fit = _rate_fit([r for r in rows
+                         if r.estimator == est and r.design == design])
+        if fit is not None:
+            out.append((est, design) + fit)
     return out
 
 

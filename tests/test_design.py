@@ -84,11 +84,19 @@ class TestScalingClusters:
             # every unit has an id in 0..C-1 (bincount rejects -1), and
             # each id names a nonempty cluster
             assert np.bincount(part.assignment).min() > 0
-            cover = greedy_cover(space, g)
+            # cluster k grows from the k-th cover seed whose g-neighborhood
+            # still held unassigned units when it was reached, and lies
+            # inside that neighborhood
             M = space.neighborhood_matrix(g)
-            for members in cluster_members(part):
-                # each cluster lies in some cover seed's g-neighborhood
-                assert any(M[seed][members].all() for seed in cover)
+            clusters = cluster_members(part)
+            assigned = np.zeros(space.n, dtype=bool)
+            k = 0
+            for seed in greedy_cover(space, g):
+                if (M[seed] & ~assigned).any():
+                    assert M[seed][clusters[k]].all()
+                    assigned[clusters[k]] = True
+                    k += 1
+            assert k == part.n_clusters and assigned.all()
 
     def test_cluster_ids_in_cover_order(self, disk500):
         # cluster 0 grows from the first cover seed: its whole neighborhood
