@@ -23,8 +23,8 @@ import numpy as np
 from . import harness, oracle, owopt
 from .design import (ClusterPartition, cluster_bits, draw_treatments,
                      incidence, scaling_clusters, scaling_rule)
-from .estimators import (UNDEFINED, DesignContext, DrawBlock, check_hac_window,
-                         effective_grid, interval)
+from .estimators import (UNDEFINED, WITH_CI, DesignContext, DrawBlock,
+                         check_hac_window, interval)
 from .geometry import (GeometryError, InterferenceBudget, build_space,
                        build_space_from_dist)
 from .outcomes import make_guess, make_sim_dgp, realize
@@ -81,6 +81,7 @@ _probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _level = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _count = _checked(int, lambda v: v > 0, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _sizes(text):
@@ -218,10 +219,16 @@ def load_outcomes(path, ids):
     return Y, d.astype(np.int8)
 
 
+def _h(args, space) -> float:
+    """--h where the command has it and it is given, else the scaling rule's h."""
+    h = getattr(args, "h", None)
+    return h if h is not None else scaling_rule(space.n, args.eta, args.c0)
+
+
 def cmd_design(args):
     out = _output("design", "--out", args.out)
     space, ids = load_population(args.population)
-    h = scaling_rule(space.n, args.eta, args.c0)
+    h = _h(args, space)
     partition = scaling_clusters(space, h)
     draw = draw_treatments(partition, args.p, args.seed)
     counts = incidence(space, partition, h)
@@ -242,7 +249,7 @@ def cmd_design(args):
 
 def cmd_estimate(args):
     out = args.out and _output("estimate", "--out", args.out, is_dir=False)
-    want_ci = args.estimator in ("hajek", "ols") and args.ci_level > 0
+    want_ci = args.estimator in WITH_CI and args.ci_level > 0
     if want_ci:
         try:
             check_hac_window(args.eta)
@@ -257,7 +264,7 @@ def cmd_estimate(args):
         b = cluster_bits(partition, d)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
+    h = _h(args, space)
     guess = make_guess(space, args.guess_seed) if args.estimator == "shrink" else None
     block = DrawBlock(DesignContext(space, partition, h, args.p, args.eta),
                       Y, d, b, guess=guess)
@@ -285,9 +292,9 @@ def cmd_ow_weights(args):
     out = _output("ow-weights", "--out", args.out)
     space, ids = load_population(args.population)
     partition = load_clusters(args.clusters, ids)
-    h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
+    h = _h(args, space)
     grid = args.grid or owopt.default_ow_grid(h)
-    top = effective_grid(space, grid)[-1]
+    top = owopt.effective_grid(space, grid)[-1]
     if not owopt.reaches_h(top, h):
         print(f"ow-weights: --grid must reach the estimator size h = {h:g}, "
               f"but its largest size is {top:g}", file=sys.stderr)
@@ -299,14 +306,14 @@ def cmd_ow_weights(args):
             mc_draws=args.mc_draws, seed=args.seed)
     except owopt.UnseenSaturationError as exc:      # main() names the command
         raise type(exc)(f"{exc}; raise --mc-draws (now {args.mc_draws})") from None
-    rows = [(u, f"{tables.grid[s]:.12g}", f"{ow.W[i, s]:.12g}")
+    rows = [(u, tables.grid[s], ow.W[i, s])
             for i, u in enumerate(ids) for s in range(tables.grid.size)]
     _write(out / "weights.csv", harness.csv_text(["unit_id", "s", "w"], rows))
     _write(out / "qp_report.csv", harness.csv_text(
         ["objective", "kkt_residual", "iterations", "converged",
          "ipw_objective"],
-        [(f"{ow.objective_value:.12g}", f"{ow.kkt_residual:.12g}",
-          ow.iterations, int(ow.converged), f"{start.objective_value:.12g}")]))
+        [(ow.objective_value, ow.kkt_residual, ow.iterations,
+          int(ow.converged), start.objective_value)]))
     print(f"objective={ow.objective_value:.6g} "
           f"ipw_start={start.objective_value:.6g} iters={ow.iterations}")
     return 0
@@ -318,7 +325,7 @@ def cmd_oracle(args):
     space, ids = load_population(args.population)
     partition = load_clusters(args.clusters, ids)
     outcomes = make_sim_dgp(space, args.seed)
-    h = args.h if args.h is not None else scaling_rule(space.n, args.eta, args.c0)
+    h = _h(args, space)
     if dump:
         if space.n > 500:
             raise SystemExit("--dump-matrices is limited to n <= 500")
@@ -354,11 +361,12 @@ def _operand(token):
         m = re.fullmatch(r"(\w+):(\w+):(\w+)(?::(\d+))?", token) or [None] * 5
     if m[1] in _METRICS and m[2] in harness.ESTIMATORS and \
             m[3] in harness.DESIGNS and not (m[1] == "slope" and m[4]) and \
-            (m[1] != "coverage" or m[2] in ("hajek", "ols")):
+            (m[1] != "coverage" or m[2] in WITH_CI):
         return token, m[1], m[2], m[3], m[4] and int(m[4])
     raise argparse.ArgumentTypeError(
         f"{token!r} is not a number or metric:estimator:design[:n] (metric in "
-        f"{', '.join(_METRICS)}; slope takes no n, coverage only hajek, ols)")
+        f"{', '.join(_METRICS)}; slope takes no n, coverage only "
+        f"{', '.join(WITH_CI)})")
 
 
 def _assertion(text):
@@ -455,7 +463,7 @@ def build_parser():
     d.add_argument("--eta", type=_positive, default=1.0)
     d.add_argument("--c0", type=_positive, default=1.0)
     d.add_argument("--p", type=_probability, default=0.5)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_design)
 
@@ -470,7 +478,7 @@ def build_parser():
     e.add_argument("--h", type=_positive, default=None)
     e.add_argument("--p", type=_probability, default=0.5)
     e.add_argument("--ci-level", type=_level, default=0.95, dest="ci_level")
-    e.add_argument("--guess-seed", type=int, default=0, dest="guess_seed")
+    e.add_argument("--guess-seed", type=_seed, default=0, dest="guess_seed")
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_estimate)
 
@@ -487,7 +495,7 @@ def build_parser():
                    help="comma-separated sizes; default h*2^(-5..2)")
     w.add_argument("--method", choices=["exact", "mc"], default="mc")
     w.add_argument("--mc-draws", type=_count, default=100_000, dest="mc_draws")
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=_seed, default=0)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_ow_weights)
 
@@ -499,7 +507,7 @@ def build_parser():
     o.add_argument("--eta", type=_positive, default=1.0)
     o.add_argument("--c0", type=_positive, default=1.0)
     o.add_argument("--h", type=_positive, default=None)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_seed, default=0)
     o.add_argument("--dump-matrices", default=None, dest="dump_matrices",
                    help="directory for A.csv and A_hat.csv, created if missing")
     o.set_defaults(func=cmd_oracle)

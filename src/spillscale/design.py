@@ -79,11 +79,10 @@ def scaling_clusters(space: PremetricSpace, g: float) -> ClusterPartition:
     Each cluster is the not-yet-assigned part of its seed's g-neighborhood;
     seeds whose neighborhood was fully absorbed earlier produce no cluster.
     """
-    r = space.radius(g)
     assignment = np.full(space.n, -1, dtype=np.int64)
     n_clusters = 0
     for u in greedy_cover(space, g):
-        members = (space.dist[u] <= r) & (assignment < 0)
+        members = space.neighborhood_matrix(g, u) & (assignment < 0)
         if members.any():
             assignment[members] = n_clusters
             n_clusters += 1
@@ -145,17 +144,16 @@ class IncidenceCounts:
 def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> IncidenceCounts:
     """Exact phi/gamma counts by direct intersection tests.
 
-    Per row block, the distance test `dist <= radius(s)` is transposed into
+    Per row block, the neighborhood matrix's rows are transposed into
     cluster order and or-reduced over each cluster's units eight booleans at
     a time, as 64-bit words: a bitwise or of 0/1 bytes is their logical or.
     """
-    r = space.radius(s)
     order, starts = partition.by_cluster
     inc = np.empty((space.n, partition.n_clusters), dtype=bool)
     for rows in row_blocks(space.n):
         b = rows.stop - rows.start
         near = np.zeros((space.n, -(-b // 8) * 8), dtype=bool)    # whole words
-        near[:, :b] = (space.dist[rows] <= r).T[order]
+        near[:, :b] = space.neighborhood_matrix(s, rows).T[order]
         words = np.bitwise_or.reduceat(near.view(np.int64), starts, axis=0)
         inc[rows] = words.view(bool)[:, :b].T      # cluster c meets N(i, s)
     return IncidenceCounts(incidence=inc, s=float(s))

@@ -31,6 +31,7 @@ from .geometry import PremetricSpace, row_blocks
 from .outcomes import GuessMatrix
 
 HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
+WITH_CI = ("hajek", "ols")      # the estimators with a HAC interval
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ class DrawBlock:
         return _dot((2.0 * self.D - 1.0) * W, self.Y)
 
     def variance(self, name: str) -> np.ndarray:
-        """Unclipped spatial HAC sums e' lam e of the "hajek" or "ols" estimates.
+        """Unclipped spatial HAC sums e' lam e of a WITH_CI estimator's estimates.
 
         e = w (Y - mean(Y) - estimate (T - p)) with the estimator's own
         weights w, which carry the 1/n scale, so the sum estimates the
@@ -188,8 +189,9 @@ class DrawBlock:
         the treated share of the clusters meeting the base neighborhood.
         e is built in place by that formula's operations, in its order.
         """
-        if name not in ("hajek", "ols"):
-            raise ValueError(f"HAC variance is for hajek and ols, not {name!r}")
+        if name not in WITH_CI:
+            raise ValueError(f"HAC variance is for {' and '.join(WITH_CI)}, "
+                             f"not {name!r}")
         ols = name == "ols"
         c = (self.T if ols else self.ctx.counts.share(self.treated)) - self.ctx.p
         c *= self.ols if ols else self.hajek
@@ -224,19 +226,6 @@ def interval(estimate: float, sigma2: float, level: float) -> VarianceResult:
     return VarianceResult(variance_hat=max(float(sigma2), 0.0),
                           ci=(level, estimate - half, estimate + half),
                           truncated=bool(sigma2 < 0.0))
-
-
-def effective_grid(space: PremetricSpace, grid) -> np.ndarray:
-    """Ascending grid with the saturation floor s0 prepended.
-
-    s0 is the largest size at which every unit's neighborhood is just itself,
-    so own treatment status keeps every s_tilde well defined.
-    """
-    s0 = space.saturation_floor()
-    grid = np.asarray(sorted(set(float(s) for s in np.atleast_1d(grid))))
-    if np.any(grid <= 0):
-        raise ValueError("grid sizes must be positive")
-    return np.concatenate([[s0], grid[grid > s0]])
 
 
 def check_hac_window(eta: float):

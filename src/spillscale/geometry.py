@@ -72,14 +72,16 @@ class PremetricSpace:
         return np.power(r, float(self.coords.shape[1]))
 
     def neighborhood(self, i: int, s) -> np.ndarray:
-        """Unit ids j with dist[i, j] <= radius(s); always contains i."""
+        """Unit ids j in N(i, s), ascending; always contains i."""
         if not 0 <= i < self.n:
             raise ValueError(f"unit id {i} out of range [0, {self.n})")
-        return np.flatnonzero(self.dist[i] <= self.radius(s))
+        return np.flatnonzero(self.neighborhood_matrix(s, i))
 
-    def neighborhood_matrix(self, s) -> np.ndarray:
-        """Boolean n x n matrix M with M[i, j] = (j in N(i, s))."""
-        return self.dist <= self.radius(s)
+    def neighborhood_matrix(self, s, rows=slice(None)) -> np.ndarray:
+        """M[k, j] = (j in N(i, s)) for the k-th unit i of `rows` (all by
+        default): the package's one neighborhood test, dist <= radius(s).
+        An int or slice compares a view; an index array copies its rows."""
+        return self.dist[rows] <= self.radius(s)
 
     def min_positive_distance(self) -> float:
         dmin = np.inf
@@ -93,7 +95,7 @@ class PremetricSpace:
         """Largest size s0 with N(i, s0) = {i} for every unit.
 
         Backed off a relative epsilon below the minimum pairwise distance so
-        the <= comparison in neighborhood() cannot capture the closest pair.
+        the <= test of neighborhood_matrix() cannot capture the closest pair.
         For n = 1 any size works; returns 1.0.
         """
         dmin = self.min_positive_distance()
@@ -171,8 +173,6 @@ class GeometryAudit:
     k3_hat: float
     k4_hat: float
     k5_hat: float
-    s_grid: list = field(default_factory=list)
-    tested_units: list = field(default_factory=list)
     passes: dict = field(default_factory=dict)
 
     def evaluate(self, thresholds: dict) -> dict:
@@ -266,10 +266,7 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60) -> Geomet
     if not s_grid or min(s_grid) <= 0:
         raise ValueError("s_grid must be nonempty with positive sizes")
     n = space.n
-    if n > max_units:
-        tested = list(np.linspace(0, n - 1, max_units).astype(int))
-    else:
-        tested = list(range(n))
+    tested = np.linspace(0, n - 1, min(n, max_units)).astype(int)
 
     k3 = 0.0
     k5 = 0.0
@@ -293,21 +290,19 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60) -> Geomet
                 continue
             pack = greedy_packing(q_mask, M)
             k4 = max(k4, len(pack) * s / n)
-    return GeometryAudit(k3_hat=k3, k4_hat=k4, k5_hat=k5,
-                         s_grid=s_grid, tested_units=tested)
+    return GeometryAudit(k3_hat=k3, k4_hat=k4, k5_hat=k5)
 
 
-def default_audit_grid(n: int, points: int = 16) -> np.ndarray:
-    """Logarithmic s-grid from 1 to n used when the caller supplies none."""
-    return np.geomspace(1.0, max(float(n), 2.0), points)
+def default_audit_grid(n: int) -> np.ndarray:
+    """Logarithmic grid of 16 sizes from 1 to n, the default s-grid."""
+    return np.geomspace(1.0, max(float(n), 2.0), 16)
 
 
 def off_neighborhood_sums(A: np.ndarray, space: PremetricSpace, s) -> np.ndarray:
     """Per-unit sum of |A[i, j]| over j outside N(i, s)."""
-    r = space.radius(s)
     sums = np.empty(space.n)
     for rows in row_blocks(space.n):
-        inside = space.dist[rows] <= r
+        inside = space.neighborhood_matrix(s, rows)
         np.abs(np.where(inside, 0.0, A[rows])).sum(axis=1, out=sums[rows])
     return sums
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import owopt
 from .design import (TAG_COORDS, ClusterPartition, draw_bits_batch, rng_for,
                      scaling_clusters, scaling_rule, singleton_partition)
-from .estimators import DesignContext, DrawBlock, check_hac_window, half_width
+from .estimators import WITH_CI, DesignContext, DrawBlock, check_hac_window, half_width
 from .geometry import PremetricSpace, build_space, uniform_disk
 from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
                        realize, sim_budget)
@@ -66,12 +66,12 @@ class ExperimentConfig:
         for key, low in (("reps", 1), ("ow_mc_draws", 1), ("base_seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}")
-        if {"hajek", "ols"} & set(self.estimators):
+        if set(WITH_CI) & set(self.estimators):
             try:
                 check_hac_window(self.eta)
             except ValueError as exc:
-                raise ConfigError(f"{exc}; the hajek and ols rows need "
-                                  f"their intervals") from None
+                raise ConfigError(f"{exc}; the {' and '.join(WITH_CI)} rows "
+                                  f"need their intervals") from None
         return self
 
 
@@ -147,7 +147,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     t0 = time.perf_counter()
     n = space.n
     ctx = DesignContext(space, partition, h, p, eta)
-    need_ci = [name for name in estimators if name in ("hajek", "ols")]
+    need_ci = [name for name in estimators if name in WITH_CI]
 
     ow_table = None
     if "ow" in estimators:
@@ -274,7 +274,7 @@ def slopes_table(rows: list) -> list:
 
 def parse_config(text: str) -> ExperimentConfig:
     kinds = get_type_hints(ExperimentConfig)    # list, int or float per key
-    kwargs = {}
+    kwargs, set_on = {}, {}         # key -> value, line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -284,6 +284,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"lines {set_on[key]} and {lineno}: key "
+                              f"{key!r} is set more than once")
+        set_on[key] = lineno
         try:
             if kinds[key] is list:
                 items = [v.strip() for v in value.split(",") if v.strip()]

@@ -76,21 +76,34 @@ def make_linear(A, eps=None, beta0: float = 0.0) -> LinearOutcomes:
     return LinearOutcomes(beta0=float(beta0), A=A, eps=eps)
 
 
+def decay_kernel(space: PremetricSpace, scale: float, exponent: float,
+                 noise=None) -> np.ndarray:
+    """Spillover kernel (scale*dist + 1)**-exponent, times noise(shape) one
+    row block at a time (draws in row-major order) when given, normalized so
+    1'K1/n = 2; built in place in one n x n array."""
+    K = np.multiply(space.dist, scale)
+    K += 1.0
+    K **= -exponent
+    if noise is not None:
+        for rows in row_blocks(space.n):
+            K[rows] *= noise(K[rows].shape)
+    total = K.sum()
+    K *= 2.0
+    K *= space.n
+    K /= total
+    return K
+
+
 def make_sim_dgp(space: PremetricSpace, seed: int) -> LinearOutcomes:
     """Simulation outcome model on the given population.
 
-    B = (dist+1)**-4, A = 2*B*n/(1'B1), residuals (sqrt(n)/||A||_F) * A @ e
+    A = decay_kernel(space, 1, 4), residuals (sqrt(n)/||A||_F) * A @ e
     with e i.i.d. standard normal drawn once from the population seed and
     then re-centered to sum exactly to zero.  The estimand is 2 by
     normalization.
     """
     n = space.n
-    A = np.add(space.dist, 1.0)             # B, built in place into A
-    A **= -4.0
-    total = A.sum()
-    A *= 2.0
-    A *= n
-    A /= total
+    A = decay_kernel(space, 1.0, 4.0)
     gen = rng_for(seed, TAG_DGP)
     e = gen.standard_normal(n)
     eps = (np.sqrt(n) / np.linalg.norm(A, "fro")) * (A @ e)
@@ -98,30 +111,16 @@ def make_sim_dgp(space: PremetricSpace, seed: int) -> LinearOutcomes:
     return LinearOutcomes(beta0=0.0, A=A, eps=eps)
 
 
-def make_guess(space: PremetricSpace, seed: int, scale: float = 1.1,
-               exponent: float = 4.25, noise_lo: float = 0.9,
-               noise_hi: float = 1.0) -> GuessMatrix:
+def make_guess(space: PremetricSpace, seed: int) -> GuessMatrix:
     """Noisy, structurally wrong but decay-respecting guess for A.
 
-    B_hat = (scale*dist + 1)**-exponent * delta with delta i.i.d.
-    Uniform(noise_lo, noise_hi), normalized like the true matrix so
-    1'A_hat 1 / n = 2 exactly.  Degeneration to the true recipe
-    (scale=1, exponent=4, delta=1) reproduces A.
+    A_hat = decay_kernel(space, 1.1, 4.25) with each entry times an i.i.d.
+    Uniform(0.9, 1) factor from the seed's stream, so 1'A_hat 1 / n = 2
+    exactly, like the true matrix.
     """
-    n = space.n
     gen = rng_for(seed, TAG_GUESS)
-    A_hat = np.multiply(space.dist, scale)  # B_hat, built in place into A_hat
-    A_hat += 1.0
-    A_hat **= -exponent
-    for rows in row_blocks(n):              # delta, drawn in row-major order
-        A_hat[rows] *= gen.uniform(noise_lo, noise_hi, size=A_hat[rows].shape)
-    total = A_hat.sum()
-    if abs(total) <= 1e-12:
-        raise OutcomeModelError("guess matrix has degenerate total mass")
-    A_hat *= 2.0
-    A_hat *= n
-    A_hat /= total
-    return GuessMatrix(A_hat=A_hat)
+    return GuessMatrix(A_hat=decay_kernel(
+        space, 1.1, 4.25, lambda shape: gen.uniform(0.9, 1.0, size=shape)))
 
 
 def realize(outcomes, d) -> np.ndarray:

@@ -18,11 +18,12 @@ import numpy as np
 
 from .design import (TAG_TABLES, ClusterPartition, IncidenceCounts,
                      incidence, rng_for, stilde_indices)
-from .estimators import effective_grid
 from .geometry import InterferenceBudget, PremetricSpace, row_blocks
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14
+QP_TOL = 1e-7                   # solve_qp's convergence residual, read per call
+QP_MAX_ITER = 50_000            # solve_qp's iteration cap, read per call
 
 
 class UnseenSaturationError(ValueError):
@@ -56,6 +57,19 @@ class SaturationTables:
 def interacting_pairs(top: IncidenceCounts) -> np.ndarray:
     """Unit pairs i <= j (self included, row-major) meeting a common cluster."""
     return np.argwhere(np.triu(top.shared()))
+
+
+def effective_grid(space: PremetricSpace, grid) -> np.ndarray:
+    """Ascending grid with the saturation floor s0 prepended.
+
+    s0 is the largest size at which every unit's neighborhood is just itself,
+    so own treatment status keeps every s_tilde well defined.
+    """
+    s0 = space.saturation_floor()
+    grid = np.asarray(sorted(set(float(s) for s in np.atleast_1d(grid))))
+    if np.any(grid <= 0):
+        raise ValueError("grid sizes must be positive")
+    return np.concatenate([[s0], grid[grid > s0]])
 
 
 def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
@@ -302,8 +316,7 @@ def _active_set_polish(Q, marg, r, w_proj, S, rounds: int = 12):
 
 
 def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
-             warm_start: np.ndarray = None, max_iter: int = 50_000,
-             tol: float = 1e-7) -> OwWeightTable:
+             warm_start: np.ndarray = None) -> OwWeightTable:
     """Minimize w'Qw over the per-unit constraint polytope.
 
     Accelerated projected gradient with gradient-scheme restarts, run on the
@@ -365,7 +378,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     it = 0
     adopted = 0
     res = residual_x(x, qx)
-    while res > tol and it < max_iter:
+    while res > QP_TOL and it < QP_MAX_ITER:
         it += 1
         x_new = proj_x(y - step * 2.0 * qy)
         qx_new = matvec(x_new)
@@ -385,7 +398,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
             best_x = x
         if it % 50 == 0:
             res = residual_x(x, qx)
-            if res > tol and it % 1000 == 0:
+            if res > QP_TOL and it % 1000 == 0:
                 # projected step identifies the active face; refine on it
                 x_probe = proj_x(x - step * 2.0 * qx)
                 cand = _active_set_polish(Qt, mt, r, x_probe, S)
@@ -409,7 +422,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
         x = best_x
         qx = matvec(x)
         res = residual_x(x, qx)
-    while res > tol and it < max_iter:
+    while res > QP_TOL and it < QP_MAX_ITER:
         it += 1
         x = proj_x(x - step * 2.0 * qx)
         qx = matvec(x)
@@ -419,7 +432,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     w = x / sd
     return OwWeightTable(W=w.reshape(n, S), levels=None,
                          objective_value=float(w @ (Q @ w)), iterations=it,
-                         kkt_residual=res, converged=res <= tol, p=float(p),
+                         kkt_residual=res, converged=res <= QP_TOL, p=float(p),
                          polish_adopted=adopted)
 
 

@@ -6,10 +6,9 @@ import pytest
 import spillscale as ss
 from spillscale import harness
 from spillscale.design import TAG_TABLES, incidence, rng_for
-from spillscale.estimators import effective_grid
 from spillscale.geometry import PremetricSpace, row_blocks
 from spillscale.oracle import enumerate_assignments
-from spillscale.owopt import _CHUNK, interacting_pairs
+from spillscale.owopt import _CHUNK, effective_grid, interacting_pairs
 
 
 @pytest.fixture(scope="session")

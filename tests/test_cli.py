@@ -689,9 +689,15 @@ class TestArgumentRanges:
         ("oracle", "--p", "0"),
         ("ow-weights", "--grid", "1,x"),
         ("ow-weights", "--grid", "-1,2"),
+        ("design", "--seed", "-1"),
+        ("estimate", "--guess-seed", "-1"),
+        ("ow-weights", "--seed", "-1"),
+        ("oracle", "--seed", "-1"),
     ], ids=["estimate_p", "estimate_ci_level", "design_p", "design_c0",
             "estimate_h", "estimate_eta", "ow_weights_eta", "oracle_p",
-            "ow_weights_grid_not_a_number", "ow_weights_grid_negative"])
+            "ow_weights_grid_not_a_number", "ow_weights_grid_negative",
+            "design_seed", "estimate_guess_seed", "ow_weights_seed",
+            "oracle_seed"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, flag, value):
         # flag=value, so that a value starting with "-" is not read as a flag
         with pytest.raises(SystemExit) as exc:
@@ -824,6 +830,17 @@ class TestReplicateCommand:
         assert f"config error: {extra} more than once" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        # which of two values a key takes is not guessed: both lines named
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 20\nreps = 5\n# reps again\nreps = 7\n")
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "x")])
+        assert rc == 2
+        assert "config error: lines 2 and 4: key 'reps' is set more than " \
+            "once" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_too_few_ow_draws_exits_1(self, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text("n_list = 40\nestimators = ht, ow\nreps = 5\n"
@@ -875,8 +892,12 @@ class TestReplicateCommand:
             "ow_slope"])
     def test_assertion_matching_no_result_exits_2_before_running(
             self, tmp_path, capsys, extra, token, why):
+        # extra's lines replace CONFIG's lines for the same keys, since a
+        # config may set each key once
+        keys = {line.split("=")[0] for line in extra.splitlines()}
         cfg = tmp_path / "config.txt"
-        cfg.write_text(CONFIG + extra)
+        cfg.write_text("".join(f"{line}\n" for line in CONFIG.splitlines()
+                               if line.split("=")[0] not in keys) + extra)
         rc = main(["replicate", "--config", str(cfg), "--out",
                    str(tmp_path / "x"),
                    "--assert", "1 > rmse:ht:scaling_clusters:30",
@@ -977,9 +998,7 @@ class TestReplicateCommand:
         header = (tmp_path / "a/results.csv").read_text().splitlines()[0]
         assert header == ",".join(harness.ResultRow.CSV_COLUMNS)
 
-        solve = owopt.solve_qp
-        monkeypatch.setattr(owopt, "solve_qp",
-                            lambda *a, **k: solve(*a, **{**k, "max_iter": 1}))
+        monkeypatch.setattr(owopt, "QP_MAX_ITER", 1)
         run = replicate("b")
         assert run.err.startswith("warning: OW weights for n=20 "
                                   "design=scaling_clusters did not converge "

@@ -64,6 +64,27 @@ class TestNeighborhood:
         space = line_space(5)
         assert len(space.neighborhood(0, 10.0)) == 5
 
+    @pytest.mark.parametrize("space, s", [
+        (line_space(9), 2.0),
+        (build_space([[x, y] for x in range(5) for y in range(4)]), 4.0),
+        (build_space_from_dist([[0.0, 1.0, 3.0, 2.0], [2.0, 0.0, 1.5, 1.0],
+                                [1.0, 3.0, 0.0, 2.5], [2.0, 0.5, 2.0, 0.0]]),
+         2.0),
+    ], ids=["line", "grid", "asymmetric_table"])
+    def test_matrix_rows_match_full_matrix(self, space, s):
+        # radius(s) is 2 in each space and some pairs sit exactly at
+        # distance 2: an int, a slice and an index array select the same
+        # rows, boundary pairs included, as the full matrix
+        M = space.neighborhood_matrix(s)
+        assert (space.dist == 2.0).any()
+        assert np.array_equal(M, space.dist <= 2.0)
+        rows = np.array([3, 0, 2])
+        assert np.array_equal(space.neighborhood_matrix(s, rows), M[rows])
+        assert np.array_equal(space.neighborhood_matrix(s, slice(1, 3)), M[1:3])
+        for i in range(space.n):
+            assert np.array_equal(space.neighborhood_matrix(s, i), M[i])
+            assert np.array_equal(space.neighborhood(i, s), np.flatnonzero(M[i]))
+
     def test_middle_of_line_both_ends(self):
         space = line_space(3)
         assert set(space.neighborhood(1, 1.0)) == {0, 1, 2}

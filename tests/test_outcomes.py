@@ -9,8 +9,9 @@ from spillscale.design import TAG_COORDS, TAG_DGP, TAG_GUESS, rng_for
 from spillscale.geometry import (audit_interference, build_space,
                                  fit_interference_constant,
                                  off_neighborhood_sums)
-from spillscale.outcomes import (OutcomeModelError, age, make_guess,
-                                 make_linear, make_sim_dgp, realize)
+from spillscale.outcomes import (OutcomeModelError, age, decay_kernel,
+                                 make_guess, make_linear, make_sim_dgp,
+                                 realize)
 
 
 class TestSimDgp:
@@ -124,9 +125,7 @@ class TestGuess:
 
     def test_parameter_degeneration_recovers_truth(self):
         space, outcomes, _ = harness.build_population(25, 9)
-        perfect = make_guess(space, 9, scale=1.0, exponent=4.0,
-                             noise_lo=1.0, noise_hi=1.0)
-        assert np.allclose(perfect.A_hat, outcomes.A, atol=1e-12)
+        assert np.array_equal(decay_kernel(space, 1, 4), outcomes.A)
 
     def test_guess_respects_decay_and_row_bound(self):
         space, outcomes, guess = harness.build_population(200, 5)
