@@ -6,13 +6,13 @@ from .design import (ClusterPartition, DesignDraw, ExtendedNeighborhoods,
                      greedy_cover, incidence, scaling_clusters, scaling_rule,
                      singleton_partition)
 from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
-                       audit_geometry, audit_interference, build_space,
-                       build_space_from_dist, uniform_disk)
-from .harness import ExperimentConfig, ResultRow, rate_slope, run_experiment
+                       audit_geometry, build_space, build_space_from_dist,
+                       uniform_disk)
+from .harness import ExperimentConfig, ResultRow, run_experiment
 from .oracle import (AssignmentEnumeration, enumerate_assignments,
                      exact_expectation)
-from .outcomes import (GuessMatrix, LinearOutcomes, OutcomeOracle, age,
-                       make_guess, make_sim_dgp, realize)
+from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
+                       realize)
 from .owopt import (OwWeightTable, SaturationTables, assemble_objective,
                     ipw_weight_table, optimize_weights, saturation_tables,
                     solve_qp)

@@ -85,14 +85,16 @@ _seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _sizes(text):
-    """argparse type: comma-separated sizes, rejected (exit 2) unless each
-    is a positive finite number."""
+    """argparse type: comma-separated sizes, rejected (exit 2) unless there
+    is at least one and each is a positive finite number."""
     try:
-        return [_positive(v) for v in text.split(",") if v.strip()]
+        sizes = [_positive(v) for v in text.split(",") if v.strip()]
     except (ValueError, argparse.ArgumentTypeError):
+        sizes = []
+    if not sizes:
         raise argparse.ArgumentTypeError(
-            f"{text} is not a comma-separated list of positive finite "
-            f"numbers") from None
+            f"{text} is not a comma-separated list of positive finite numbers")
+    return sizes
 
 
 def _number(path, column, text, kind):
@@ -170,14 +172,21 @@ def _unit_index(path, ids, rows):
     return np.array([index[u] for u in rows], dtype=np.int64)
 
 
+def _columns(reader):
+    """A DictReader's column names by their stripped, lowercased form, the
+    header rule `load_population` applies too."""
+    return {name.strip().lower(): name for name in reader.fieldnames or ()}
+
+
 def load_clusters(path, ids):
     """clusters.csv (unit_id, cluster_id), keyed by the population's ids."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if not {"unit_id", "cluster_id"} <= set(reader.fieldnames or ()):
+        cols = _columns(reader)
+        if not {"unit_id", "cluster_id"} <= cols.keys():
             raise SystemExit(f"{path} must have unit_id and cluster_id columns")
-        rows = [tuple(_number(path, col, r[col], int)
-                      for col in ("unit_id", "cluster_id"))
+        rows = [tuple(_number(path, cols[key], r[cols[key]], int)
+                      for key in ("unit_id", "cluster_id"))
                 for r in reader]
     outside = next((c for _, c in rows if not 0 <= c < len(ids)), None)
     if outside is not None:        # C <= n, so a larger id leaves a gap
@@ -197,7 +206,7 @@ def load_outcomes(path, ids):
     n = len(ids)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        cols = {name.strip().lower(): name for name in reader.fieldnames or ()}
+        cols = _columns(reader)
         if "y" not in cols or "d" not in cols:
             raise SystemExit(f"{path} must have Y and d columns")
         rows = list(reader)
@@ -421,7 +430,7 @@ def cmd_replicate(args):
     out = _output("replicate", "--out", args.out)
     try:
         config = harness.parse_config(Path(args.config).read_text())
-    except (harness.ConfigError, FileNotFoundError) as exc:
+    except (harness.ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     unmatched = next((why for _, _, *sides in args.assertion for side in sides
@@ -527,7 +536,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (oracle.EnumerationError, owopt.UnseenSaturationError) as exc:
+    except (oracle.EnumerationError, owopt.UnseenSaturationError, OSError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

@@ -115,10 +115,6 @@ class IncidenceCounts:
     def phi_max(self) -> int:
         return int(self.phi.max())
 
-    @property
-    def sum_gamma_sq(self) -> float:
-        return float(np.sum(self.gamma.astype(float) ** 2))
-
     def treated(self, B) -> np.ndarray:
         """n x m treated clusters meeting each N(i, s), for C x m bits B: float32
         BLAS products by row block, exact as partial sums are integers <= C < 2**24."""
@@ -196,7 +192,7 @@ class ExtendedNeighborhoods(IncidenceCounts):
 
 
 def cluster_distances(space: PremetricSpace, partition: ClusterPartition,
-                      units=slice(None)) -> np.ndarray:
+                      units) -> np.ndarray:
     """len(units) x C matrix of min distance from each unit to each cluster."""
     order, starts = partition.by_cluster
     # `take` keeps the gathered block C-contiguous, where `[:, order]` on a

@@ -11,7 +11,7 @@ only N(i,s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,16 +173,6 @@ class GeometryAudit:
     k3_hat: float
     k4_hat: float
     k5_hat: float
-    passes: dict = field(default_factory=dict)
-
-    def evaluate(self, thresholds: dict) -> dict:
-        """pass/fail per assumption given user thresholds (k3, k4, k5)."""
-        self.passes = {
-            name: bool(getattr(self, f"{name}_hat") <= thresholds[name])
-            for name in ("k3", "k4", "k5")
-            if name in thresholds
-        }
-        return self.passes
 
 
 def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -293,11 +283,6 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60) -> Geomet
     return GeometryAudit(k3_hat=k3, k4_hat=k4, k5_hat=k5)
 
 
-def default_audit_grid(n: int) -> np.ndarray:
-    """Logarithmic grid of 16 sizes from 1 to n, the default s-grid."""
-    return np.geomspace(1.0, max(float(n), 2.0), 16)
-
-
 def off_neighborhood_sums(A: np.ndarray, space: PremetricSpace, s) -> np.ndarray:
     """Per-unit sum of |A[i, j]| over j outside N(i, s)."""
     sums = np.empty(space.n)
@@ -307,27 +292,10 @@ def off_neighborhood_sums(A: np.ndarray, space: PremetricSpace, s) -> np.ndarray
     return sums
 
 
-def audit_interference(A, space: PremetricSpace, budget: InterferenceBudget,
-                       s_grid=None) -> tuple[bool, float]:
-    """Check sum_{j not in N(i,s)} |A[i,j]| <= k1 * s**-eta on a log grid.
-
-    Returns (pass, worst_ratio) where worst_ratio is the largest observed
-    off-neighborhood sum divided by its budget bound, the fitted constant
-    over k1; pass iff ratio <= 1.
-    """
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must be finite")
-    worst = fit_interference_constant(A, space, budget.eta, s_grid) / budget.k1
-    return worst <= 1.0, worst
-
-
 def fit_interference_constant(A, space: PremetricSpace, eta: float,
-                              s_grid=None) -> float:
+                              s_grid) -> float:
     """Smallest k1 making the decay bound hold on the tested grid."""
     A = np.asarray(A, dtype=float)
-    if s_grid is None:
-        s_grid = default_audit_grid(space.n)
     k1 = 0.0
     for s in np.atleast_1d(s_grid):
         off = off_neighborhood_sums(A, space, s)

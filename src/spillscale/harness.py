@@ -237,35 +237,18 @@ def _size_rows(config: ExperimentConfig, n: int) -> list:
     return rows
 
 
-def _rate_fit(rows: list):
-    """(slope, n_points) of log RMSE on log n over the rows with a finite
-    RMSE, or None when those span fewer than 3 distinct n."""
-    pts = [(r.n, r.rmse) for r in rows if np.isfinite(r.rmse)]
-    if len({n for n, _ in pts}) < 3:
-        return None
-    x = np.log([float(n) for n, _ in pts])
-    y = np.log([v for _, v in pts])
-    return float(np.polyfit(x, y, 1)[0]), len(pts)
-
-
-def rate_slope(rows: list) -> float:
-    """Least-squares slope of log RMSE on log n over one estimator/design."""
-    fit = _rate_fit(rows)
-    if fit is None:
-        raise ValueError("rate_slope needs at least 3 distinct n")
-    return fit[0]
-
-
 def slopes_table(rows: list) -> list:
-    """(estimator, design, slope, n_points) for every series with a finite
-    RMSE at >= 3 sizes; n_points counts the finite points."""
+    """(estimator, design, slope, n_points): the least-squares slope of log
+    RMSE on log n for every series with a finite RMSE at >= 3 distinct n;
+    n_points counts the finite points."""
     out = []
-    combos = sorted({(r.estimator, r.design) for r in rows})
-    for est, design in combos:
-        fit = _rate_fit([r for r in rows
-                         if r.estimator == est and r.design == design])
-        if fit is not None:
-            out.append((est, design) + fit)
+    for est, design in sorted({(r.estimator, r.design) for r in rows}):
+        pts = [(r.n, r.rmse) for r in rows if (r.estimator, r.design)
+               == (est, design) and np.isfinite(r.rmse)]
+        if len({n for n, _ in pts}) >= 3:
+            x = np.log([float(n) for n, _ in pts])
+            y = np.log([v for _, v in pts])
+            out.append((est, design, float(np.polyfit(x, y, 1)[0]), len(pts)))
     return out
 
 

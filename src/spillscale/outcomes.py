@@ -56,26 +56,6 @@ class GuessMatrix:
         return self.A_hat.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeOracle:
-    """Black-box deterministic outcome map, for non-linear settings."""
-
-    n: int
-    evaluator: object               # callable: d (n,) -> Y (n,)
-
-    def __call__(self, d):
-        return np.asarray(self.evaluator(np.asarray(d)))
-
-
-def make_linear(A, eps=None, beta0: float = 0.0) -> LinearOutcomes:
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if eps is None:
-        eps = np.zeros(n)
-    eps = np.asarray(eps, dtype=float) - np.mean(eps)
-    return LinearOutcomes(beta0=float(beta0), A=A, eps=eps)
-
-
 def decay_kernel(space: PremetricSpace, scale: float, exponent: float,
                  noise=None) -> np.ndarray:
     """Spillover kernel (scale*dist + 1)**-exponent, times noise(shape) one
@@ -123,30 +103,19 @@ def make_guess(space: PremetricSpace, seed: int) -> GuessMatrix:
         space, 1.1, 4.25, lambda shape: gen.uniform(0.9, 1.0, size=shape)))
 
 
-def realize(outcomes, d) -> np.ndarray:
-    """Outcome vector under the full treatment assignment d; for a linear
-    model d may also be an n x m block, one assignment per column."""
+def realize(outcomes: LinearOutcomes, d) -> np.ndarray:
+    """Outcome vector under the full treatment assignment d, or an n x m
+    block of them, one assignment per column."""
     d = np.asarray(d)
-    linear = isinstance(outcomes, LinearOutcomes)
-    if d.shape[:1] != (outcomes.n,) or d.ndim > (2 if linear else 1):
-        raise ValueError(f"treatment must have shape ({outcomes.n},), or "
-                         f"({outcomes.n}, m) for a linear model")
-    if not linear:
-        return outcomes(d)
+    if d.shape[:1] != (outcomes.n,) or d.ndim > 2:
+        raise ValueError(f"treatment must have shape ({outcomes.n},) or "
+                         f"({outcomes.n}, m)")
     Ad = outcomes.A @ d.astype(float, copy=False)
     return (Ad.T + (outcomes.eps + outcomes.beta0)).T    # offset of each row
 
 
-def age(outcomes) -> float:
-    """Average global effect: mean of Y(1) - Y(0)."""
-    n = outcomes.n
-    y1 = realize(outcomes, np.ones(n, dtype=np.int8))
-    y0 = realize(outcomes, np.zeros(n, dtype=np.int8))
-    return float(np.mean(y1 - y0))
-
-
 def sim_budget(outcomes: LinearOutcomes, space: PremetricSpace, eta: float,
-               s_grid=None) -> InterferenceBudget:
+               s_grid) -> InterferenceBudget:
     """Fit the decay/bound constants realized by a linear outcome model."""
     k1 = fit_interference_constant(outcomes.A, space, eta, s_grid)
     row_mass = np.abs(outcomes.A).sum(axis=1)

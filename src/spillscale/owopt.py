@@ -163,12 +163,7 @@ class OwWeightTable:
     iterations: int
     kkt_residual: float
     converged: bool
-    p: float
     polish_adopted: int = 0         # active-set candidates solve_qp moved to
-
-    def constraint_gap(self, marg: np.ndarray, n: int) -> float:
-        lhs = np.sum(self.W * marg, axis=1)
-        return float(np.max(np.abs(lhs - 1.0 / (self.p * n))))
 
 
 def reaches_h(sizes, h):
@@ -193,8 +188,7 @@ def ipw_weight_table(tables: SaturationTables, h, p: float) -> OwWeightTable:
                                     f"pure size-h neighborhood in the tables' draws")
     W = mask.astype(float)[None, :] / (p * tables.n * cover)[:, None]
     return OwWeightTable(W=W, levels=tables.levels, objective_value=np.nan,
-                         iterations=0, kkt_residual=np.nan, converged=True,
-                         p=float(p))
+                         iterations=0, kkt_residual=np.nan, converged=True)
 
 
 def _row_projector(M: np.ndarray, r: float):
@@ -234,12 +228,12 @@ def _row_projector(M: np.ndarray, r: float):
     return project
 
 
-def _power_lmax(Q: np.ndarray, iters: int = 60, seed: int = 0) -> float:
-    gen = rng_for(seed, TAG_TABLES)
-    v = gen.standard_normal(Q.shape[0])
+def _power_lmax(Q: np.ndarray) -> float:
+    """Largest eigenvalue of PSD Q by 60 power iterations from a seed-0 start."""
+    v = rng_for(0, TAG_TABLES).standard_normal(Q.shape[0])
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(60):
         w = Q @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -277,21 +271,21 @@ def _active_set_solve(Q, marg, r, free, S):
     return cand
 
 
-def _active_set_polish(Q, marg, r, w_proj, S, rounds: int = 12):
+def _active_set_polish(Q, marg, r, w_proj, S):
     """Primal-dual active-set refinement seeded by a projected iterate.
 
     Coordinates the projection pinned at zero start active.  Each round
     solves the equality-constrained problem on the free set exactly, moves
     newly negative coordinates back to the active set, and releases active
-    coordinates whose KKT multiplier comes out negative.  Returns a
-    feasible candidate (clipped at zero) or None.
+    coordinates whose KKT multiplier comes out negative, for at most 12
+    rounds.  Returns a feasible candidate (clipped at zero) or None.
     """
     n = marg.shape[0]
     flat_m = marg.reshape(-1)
     usable = flat_m > 0
     free = (w_proj > 1e-14) & usable
     best = None
-    for _ in range(rounds):
+    for _ in range(12):
         cand = _active_set_solve(Q, marg, r, free, S)
         if cand is None:
             return best
@@ -432,7 +426,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     w = x / sd
     return OwWeightTable(W=w.reshape(n, S), levels=None,
                          objective_value=float(w @ (Q @ w)), iterations=it,
-                         kkt_residual=res, converged=res <= QP_TOL, p=float(p),
+                         kkt_residual=res, converged=res <= QP_TOL,
                          polish_adopted=adopted)
 
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import os
 import re
@@ -329,6 +330,57 @@ class TestBadNumbers:
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
         assert proc.stderr.strip() == f"{pop}: unit_id value 'a' is not an integer"
+
+
+def os_error(code, path):
+    """The text of the OSError that opening `path` raises with errno `code`."""
+    return str(OSError(code, os.strerror(code), str(path)))
+
+
+class TestInputFiles:
+    """The loaders share one header rule, and an input that cannot be
+    opened exits with a one-line message, not a traceback."""
+
+    FILES = TestBadNumbers.FILES
+
+    @pytest.mark.parametrize("header", ["unit_id, cluster_id",
+                                        "Unit_ID,Cluster_ID"],
+                             ids=["spaced", "capitalized"])
+    def test_clusters_header_variants(self, tmp_path, header):
+        text = "unit_id,cluster_id\n0,1\n1,0\n2,1\n"
+        (tmp_path / "plain.csv").write_text(text)
+        (tmp_path / "variant.csv").write_text(
+            text.replace("unit_id,cluster_id", header))
+        ids = [0, 1, 2]
+        plain = cli.load_clusters(tmp_path / "plain.csv", ids)
+        variant = cli.load_clusters(tmp_path / "variant.csv", ids)
+        assert variant.assignment.tolist() == plain.assignment.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("flag", ["--population", "--clusters", "--outcomes"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_exits_1(self, tmp_path, flag, kind):
+        files = {}
+        for name, text in self.FILES.items():
+            files[name] = tmp_path / name
+            files[name].write_text(text)
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        argv = {"--population": files["pop.csv"],
+                "--clusters": files["clusters.csv"],
+                "--outcomes": files["outcomes.csv"], flag: bad}
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--estimator", "ht", "--h", "1.0"]
+                 + [str(v) for item in argv.items() for v in item])
+        code = errno.EISDIR if kind == "directory" else errno.ENOENT
+        assert exc.value.code == f"estimate: {os_error(code, bad)}"
+
+    def test_config_directory_is_a_config_error(self, tmp_path, capsys):
+        rc = main(["replicate", "--config", str(tmp_path), "--out",
+                   str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"config error: {os_error(errno.EISDIR, tmp_path)}\n"
 
 
 def write_population_ids(path, coords, ids):
@@ -689,6 +741,7 @@ class TestArgumentRanges:
         ("oracle", "--p", "0"),
         ("ow-weights", "--grid", "1,x"),
         ("ow-weights", "--grid", "-1,2"),
+        ("ow-weights", "--grid", ","),
         ("design", "--seed", "-1"),
         ("estimate", "--guess-seed", "-1"),
         ("ow-weights", "--seed", "-1"),
@@ -696,6 +749,7 @@ class TestArgumentRanges:
     ], ids=["estimate_p", "estimate_ci_level", "design_p", "design_c0",
             "estimate_h", "estimate_eta", "ow_weights_eta", "oracle_p",
             "ow_weights_grid_not_a_number", "ow_weights_grid_negative",
+            "ow_weights_grid_empty",
             "design_seed", "estimate_guess_seed", "ow_weights_seed",
             "oracle_seed"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, flag, value):

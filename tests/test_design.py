@@ -319,7 +319,8 @@ class TestExtendUniformOverlap:
             assert np.all(ext.phi == ext.phi_max)
             gamma_ext = ext.incidence.sum(axis=0).astype(float)
             grown = float(np.sum(gamma_ext ** 2))
-            assert grown <= base.phi_max ** 2 * base.sum_gamma_sq + 1e-9
+            base_sq = float(np.sum(base.gamma.astype(float) ** 2))
+            assert grown <= base.phi_max ** 2 * base_sq + 1e-9
 
     def test_extension_counts_its_own_incidence(self):
         space, _, _ = build_population(80, 83)
@@ -334,7 +335,8 @@ class TestExtendUniformOverlap:
         assert np.array_equal(ext.gamma, ext.incidence.sum(axis=0))
 
     def test_nearest_cluster_chosen(self):
-        D = cluster_distances(*_three_cluster_line())
+        space, part = _three_cluster_line()
+        D = cluster_distances(space, part, np.arange(space.n))
         # unit 0 is closest to cluster 1, then cluster 2
         assert D[0, 1] < D[0, 2]
 

@@ -7,8 +7,8 @@ import spillscale as ss
 from spillscale import harness, owopt
 from spillscale.estimators import DesignContext, DrawBlock, interval
 from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
-                                rate_slope, results_csv, run_experiment,
-                                simulate_design, slopes_csv)
+                                results_csv, run_experiment, simulate_design,
+                                slopes_csv)
 from spillscale.outcomes import sim_budget
 
 
@@ -160,16 +160,17 @@ class TestRateSlope:
     def test_exact_power_law(self):
         rows = [self._row(n, 5.0 * n ** (-1.0 / 3.0))
                 for n in (100, 400, 900, 1600)]
-        assert rate_slope(rows) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert harness.slopes_table(rows) == [
+            ("ht", "scaling_clusters", pytest.approx(-1.0 / 3.0, abs=1e-12), 4)]
 
     def test_constant_rmse(self):
         rows = [self._row(n, 0.7) for n in (100, 400, 900)]
-        assert rate_slope(rows) == pytest.approx(0.0, abs=1e-12)
+        assert harness.slopes_table(rows) == [
+            ("ht", "scaling_clusters", pytest.approx(0.0, abs=1e-12), 3)]
 
     def test_needs_three_sizes(self):
         rows = [self._row(100, 1.0), self._row(400, 0.5)]
-        with pytest.raises(ValueError):
-            rate_slope(rows)
+        assert harness.slopes_table(rows) == []
 
     def test_slopes_csv_lists_series(self):
         rows = [self._row(n, n ** -0.5) for n in (100, 200, 400)]

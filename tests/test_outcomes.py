@@ -6,11 +6,10 @@ import pytest
 import spillscale as ss
 from spillscale import harness
 from spillscale.design import TAG_COORDS, TAG_DGP, TAG_GUESS, rng_for
-from spillscale.geometry import (audit_interference, build_space,
-                                 fit_interference_constant,
+from spillscale.geometry import (build_space, fit_interference_constant,
                                  off_neighborhood_sums)
-from spillscale.outcomes import (OutcomeModelError, age, decay_kernel,
-                                 make_guess, make_linear, make_sim_dgp,
+from spillscale.outcomes import (LinearOutcomes, OutcomeModelError,
+                                 decay_kernel, make_guess, make_sim_dgp,
                                  realize)
 
 
@@ -20,7 +19,6 @@ class TestSimDgp:
         space, outcomes, _ = harness.build_population(n, seed)
         assert outcomes.theta == pytest.approx(2.0, abs=1e-12)
         assert outcomes.theta == float(outcomes.A.sum() / n)    # derived
-        assert age(outcomes) == pytest.approx(2.0, abs=1e-9)
 
     def test_single_unit(self):
         space = ss.build_space([[0.0, 0.0]])
@@ -40,10 +38,10 @@ class TestSimDgp:
 
     def test_interference_decay_at_eta_one(self):
         space, outcomes, _ = harness.build_population(400, 7)
-        k1 = fit_interference_constant(outcomes.A, space, 1.0)
-        budget = ss.InterferenceBudget(eta=1.0, k1=k1 * (1 + 1e-9), ybar=10.0)
-        ok, _ = audit_interference(outcomes.A, space, budget)
-        assert ok
+        grid = np.geomspace(1.0, 400.0, 16)
+        k1 = fit_interference_constant(outcomes.A, space, 1.0, grid) * (1 + 1e-9)
+        for s in grid:
+            assert off_neighborhood_sums(outcomes.A, space, s).max() <= k1 / s
 
     def test_fitted_k1_bounded_and_stabilizing(self):
         # uniformly bounded over the simulation sizes; settles at large n
@@ -85,10 +83,12 @@ class TestRealize:
         space, outcomes, _ = harness.build_population(30, 2)
         with pytest.raises(ValueError):
             realize(outcomes, np.zeros(29, dtype=int))
+        with pytest.raises(ValueError, match=r"\(30,\) or \(30, m\)"):
+            realize(outcomes, np.zeros((30, 2, 2), dtype=int))
 
     def test_block_is_one_assignment_per_column(self):
         _, outcomes, _ = harness.build_population(30, 2)
-        outcomes = make_linear(outcomes.A, outcomes.eps, beta0=1.5)
+        outcomes = LinearOutcomes(beta0=1.5, A=outcomes.A, eps=outcomes.eps)
         D = (np.random.default_rng(3).uniform(size=(30, 7)) < 0.5).astype(np.int8)
         Y = realize(outcomes, D)
         assert Y.shape == (30, 7)
@@ -96,26 +96,22 @@ class TestRealize:
             assert np.allclose(Y[:, k], realize(outcomes, D[:, k]),
                                rtol=1e-14, atol=1e-14)
 
-    def test_block_needs_a_linear_model(self):
-        oracle = ss.OutcomeOracle(n=3, evaluator=lambda d: d * 2.0)
-        with pytest.raises(ValueError, match=r"\(3, m\) for a linear model"):
-            realize(oracle, np.ones((3, 2), dtype=int))
-
 
 class TestAge:
+    """The average global effect, `theta`, against Y(1) - Y(0)."""
+
     def test_zero_matrix(self):
-        out = make_linear(np.zeros((4, 4)))
-        assert age(out) == 0.0
+        out = LinearOutcomes(beta0=0.0, A=np.zeros((4, 4)), eps=np.zeros(4))
+        assert out.theta == 0.0
 
     def test_matches_two_evaluation_brute_force(self):
         rng = np.random.default_rng(12)
         A = rng.normal(size=(6, 6))
         eps = rng.normal(size=6)
-        out = make_linear(A, eps, beta0=0.7)
+        out = LinearOutcomes(beta0=0.7, A=A, eps=eps - eps.mean())
         brute = np.mean(realize(out, np.ones(6, dtype=int))
                         - realize(out, np.zeros(6, dtype=int)))
-        assert age(out) == pytest.approx(brute, abs=1e-12)
-        assert age(out) == pytest.approx(A.sum() / 6, abs=1e-10)
+        assert out.theta == pytest.approx(brute, abs=1e-12)
 
 
 class TestGuess:
@@ -129,10 +125,9 @@ class TestGuess:
 
     def test_guess_respects_decay_and_row_bound(self):
         space, outcomes, guess = harness.build_population(200, 5)
-        k1 = fit_interference_constant(outcomes.A, space, 1.0)
-        budget = ss.InterferenceBudget(eta=1.0, k1=k1 * 1.05, ybar=10.0)
-        ok, _ = audit_interference(guess.A_hat, space, budget)
-        assert ok
+        grid = np.geomspace(1.0, 200.0, 16)
+        k1 = fit_interference_constant(outcomes.A, space, 1.0, grid)
+        assert fit_interference_constant(guess.A_hat, space, 1.0, grid) <= k1 * 1.05
         ybar = np.max(np.abs(outcomes.A).sum(axis=1) + np.abs(outcomes.eps))
         assert np.abs(guess.A_hat).sum(axis=1).max() <= ybar
 
@@ -147,12 +142,6 @@ class TestValidation:
     def test_uncentered_residuals_rejected(self):
         with pytest.raises(OutcomeModelError):
             ss.LinearOutcomes(beta0=0.0, A=np.eye(3), eps=np.ones(3))
-
-    def test_oracle_outcomes_delegate(self):
-        oracle = ss.OutcomeOracle(n=3, evaluator=lambda d: d * 2.0)
-        y = realize(oracle, np.array([1, 0, 1]))
-        assert y.tolist() == [2.0, 0.0, 2.0]
-        assert age(oracle) == pytest.approx(2.0)
 
 
 def whole_array_population(coords, seed):
