@@ -51,7 +51,7 @@ def _output(command, flag, path, is_dir=True) -> Path:
 
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -98,13 +98,40 @@ def _sizes(text):
 
 
 def _number(path, column, text, kind):
-    """kind(text) for one CSV cell (kind is int or float), or SystemExit
-    naming the file, the column and the bad value."""
+    """kind(text) for one CSV cell, or SystemExit naming file, column and value."""
     try:
         return kind(text)
-    except (TypeError, ValueError):
+    except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise SystemExit(f"{path}: {column} value {text!r} is not {noun}") from None
+
+
+def _read_text(path) -> str:
+    """An input file's text: UTF-8, a leading byte-order mark dropped.  Not
+    UTF-8 raises OSError naming the file, reported as an unreadable file."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise OSError(f"{path} is not UTF-8 text: byte "
+                      f"0x{exc.object[exc.start]:02x} on line {line}") from None
+
+
+def _read_csv(path, kinds):
+    """Header and rows of a CSV input, blank lines skipped: names stripped and
+    lowercased, a row with more or fewer fields exits 1.  kinds(header) types
+    each column: int or float via `_number`, None keeps the text."""
+    rows = [row for row in csv.reader(io.StringIO(_read_text(path))) if row]
+    names = [name.strip() for name in rows[0]] if rows else []
+    ragged = next((row for row in rows[1:] if len(row) != len(names)), None)
+    if ragged is not None:
+        raise SystemExit(f"{path}: row {ragged} has {len(ragged)} fields "
+                         f"for the {len(names)} columns {names}")
+    header = [name.lower() for name in names]
+    typed = kinds(header)
+    return header, [[text if kind is None else _number(path, name, text, kind)
+                     for name, kind, text in zip(names, typed, row)]
+                    for row in rows[1:]]
 
 
 def load_population(path):
@@ -113,20 +140,12 @@ def load_population(path):
     Returns the space and its sorted unit ids; unit k of the space is the
     k-th id, and the other loaders and outputs key units by these ids.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader, [])]
-        body = [row for row in reader if row]
-    ragged = next((row for row in body if len(row) != len(header)), None)
-    if ragged is not None:
-        raise SystemExit(f"{path}: row {ragged} has {len(ragged)} fields "
-                         f"for the {len(header)} columns {header}")
+    header, body = _read_csv(path, lambda h: (
+        [int, int, float] if h == ["i", "j", "dist"] else
+        [int] + [float] * (len(h) - 1) if h[:1] == ["unit_id"] else [None] * len(h)))
     try:
         if header[:1] == ["unit_id"] and len(header) >= 2:
-            body = sorted(([_number(path, "unit_id", row[0], int)]
-                           + [_number(path, col, v, float)
-                              for col, v in zip(header[1:], row[1:])]
-                           for row in body), key=lambda row: row[0])
+            body.sort(key=lambda row: row[0])
             ids = [row[0] for row in body]
             repeated = _repeated(ids)
             if repeated is not None:
@@ -134,8 +153,6 @@ def load_population(path):
             coords = np.array([row[1:] for row in body], dtype=float)
             return build_space(coords), ids
         if header == ["i", "j", "dist"]:
-            body = [(_number(path, "i", i, int), _number(path, "j", j, int),
-                     _number(path, "dist", d, float)) for i, j, d in body]
             pairs = sorted((i, j) for i, j, _ in body)
             repeated = _repeated(pairs)
             if repeated is not None:
@@ -172,22 +189,14 @@ def _unit_index(path, ids, rows):
     return np.array([index[u] for u in rows], dtype=np.int64)
 
 
-def _columns(reader):
-    """A DictReader's column names by their stripped, lowercased form, the
-    header rule `load_population` applies too."""
-    return {name.strip().lower(): name for name in reader.fieldnames or ()}
-
-
 def load_clusters(path, ids):
     """clusters.csv (unit_id, cluster_id), keyed by the population's ids."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = _columns(reader)
-        if not {"unit_id", "cluster_id"} <= cols.keys():
-            raise SystemExit(f"{path} must have unit_id and cluster_id columns")
-        rows = [tuple(_number(path, cols[key], r[cols[key]], int)
-                      for key in ("unit_id", "cluster_id"))
-                for r in reader]
+    header, rows = _read_csv(path, lambda header: [
+        int if key in ("unit_id", "cluster_id") else None for key in header])
+    if not {"unit_id", "cluster_id"} <= set(header):
+        raise SystemExit(f"{path} must have unit_id and cluster_id columns")
+    unit, cluster = header.index("unit_id"), header.index("cluster_id")
+    rows = [(r[unit], r[cluster]) for r in rows]
     outside = next((c for _, c in rows if not 0 <= c < len(ids)), None)
     if outside is not None:        # C <= n, so a larger id leaves a gap
         raise SystemExit(f"{path}: cluster_id {outside} is outside "
@@ -203,26 +212,20 @@ def load_clusters(path, ids):
 
 def load_outcomes(path, ids):
     """Outcomes CSV (Y, d, optional unit_id keyed by the population's ids)."""
-    n = len(ids)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = _columns(reader)
-        if "y" not in cols or "d" not in cols:
-            raise SystemExit(f"{path} must have Y and d columns")
-        rows = list(reader)
-    if len(rows) != n:
-        raise SystemExit(f"{path} has {len(rows)} rows for {n} units")
-
-    def column(key, kind):
-        return [_number(path, cols[key], r[cols[key]], kind) for r in rows]
-
-    if "unit_id" in cols:
-        pos = _unit_index(path, ids, column("unit_id", int))
+    header, rows = _read_csv(path, lambda header: [
+        {"unit_id": int, "y": float, "d": int}.get(key) for key in header])
+    if not {"y", "d"} <= set(header):
+        raise SystemExit(f"{path} must have Y and d columns")
+    if len(rows) != len(ids):
+        raise SystemExit(f"{path} has {len(rows)} rows for {len(ids)} units")
+    rows = [dict(zip(header, r)) for r in rows]
+    if "unit_id" in header:
+        pos = _unit_index(path, ids, [r["unit_id"] for r in rows])
         rows = [rows[k] for k in np.argsort(pos)]
-    Y = np.array(column("y", float))
+    Y = np.array([r["y"] for r in rows])
     if not np.all(np.isfinite(Y)):
         raise SystemExit(f"{path} has non-finite Y values")
-    d = np.array(column("d", int))
+    d = np.array([r["d"] for r in rows])
     if not np.isin(d, (0, 1)).all():
         raise SystemExit(f"{path} has d values other than 0 and 1")
     return Y, d.astype(np.int8)
@@ -393,7 +396,7 @@ def _unmatched(config, side):
         return None
     token, metric, est, design, n = side
     sizes = {int(v) for v in config.n_list}
-    runs = {v for v in sizes if est != "ow" or v <= config.ow_max_n}
+    runs = {v for v in sizes if est in config.estimators_at(v)}
     need = 3 if metric == "slope" else 1
     if est not in config.estimators:
         why = f"estimator {est} is not in the config's estimators"
@@ -429,7 +432,7 @@ def _value(rows, side):
 def cmd_replicate(args):
     out = _output("replicate", "--out", args.out)
     try:
-        config = harness.parse_config(Path(args.config).read_text())
+        config = harness.parse_config(_read_text(args.config))
     except (harness.ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

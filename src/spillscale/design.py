@@ -14,21 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import PremetricSpace, bool_matmul, greedy_set_cover, row_blocks
-
-# spawn-key purpose tags; keep streams for different uses disjoint even when
-# integer seeds collide (e.g. population seed base+n vs replicate seed base+r)
-TAG_COORDS = 0
-TAG_DGP = 1
-TAG_GUESS = 2
-TAG_TREAT = 3
-TAG_TABLES = 4
-
-
-def rng_for(seed: int, tag: int) -> np.random.Generator:
-    """Philox generator for one (64-bit seed, purpose tag) pair."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag,))
-    return np.random.Generator(np.random.Philox(ss))
+# every stream tag, so that spillscale.design.rng_for and its tags resolve
+from .geometry import (TAG_COORDS, TAG_DGP, TAG_GUESS, TAG_TABLES, TAG_TREAT, rng_for,
+                       PremetricSpace, bool_matmul, greedy_set_cover, row_blocks)
 
 
 def scaling_rule(n: int, eta: float, c0: float = 1.0) -> float:

@@ -18,6 +18,21 @@ import numpy as np
 AUDIT_SUBSETS = 5               # random subsets Q per size in the k4 audit
 _ROW_BLOCK = 256                # rows per block of an n x n temporary
 
+# spawn-key purpose tags; keep streams for different uses disjoint even when
+# integer seeds collide (e.g. population seed base+n vs replicate seed base+r)
+TAG_COORDS = 0
+TAG_DGP = 1
+TAG_GUESS = 2
+TAG_TREAT = 3
+TAG_TABLES = 4
+TAG_AUDIT = 9
+
+
+def rng_for(seed: int, tag: int) -> np.random.Generator:
+    """Philox generator for one (64-bit seed, purpose tag) pair."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag,))
+    return np.random.Generator(np.random.Philox(ss))
+
 
 class GeometryError(ValueError):
     """Invalid population input (non-finite, duplicated, or malformed)."""
@@ -261,7 +276,7 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60) -> Geomet
     k3 = 0.0
     k5 = 0.0
     k4 = 0.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=0, spawn_key=(9,))))
+    rng = rng_for(0, TAG_AUDIT)
     for s in s_grid:
         M = space.neighborhood_matrix(s)
         sizes = M.sum(axis=1)

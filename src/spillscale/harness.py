@@ -18,10 +18,10 @@ from typing import get_type_hints
 import numpy as np
 
 from . import owopt
-from .design import (TAG_COORDS, ClusterPartition, draw_bits_batch, rng_for,
-                     scaling_clusters, scaling_rule, singleton_partition)
+from .design import (ClusterPartition, draw_bits_batch, scaling_clusters,
+                     scaling_rule, singleton_partition)
 from .estimators import WITH_CI, DesignContext, DrawBlock, check_hac_window, half_width
-from .geometry import PremetricSpace, build_space, uniform_disk
+from .geometry import TAG_COORDS, PremetricSpace, build_space, rng_for, uniform_disk
 from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
                        realize, sim_budget)
 
@@ -63,9 +63,11 @@ class ExperimentConfig:
                             ("c0", 0, np.inf)):
             if not lo < getattr(self, key) < hi:
                 raise ConfigError(f"{key} must be in ({lo}, {hi})")
-        for key, low in (("reps", 1), ("ow_mc_draws", 1), ("base_seed", 0)):
+        for key, low in (("reps", 1), ("ow_max_n", 1), ("ow_mc_draws", 1), ("base_seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}")
+        if not any(self.estimators_at(int(n)) for n in self.n_list):
+            raise ConfigError(f"no cell runs: every n is above ow_max_n = {self.ow_max_n}")
         if set(WITH_CI) & set(self.estimators):
             try:
                 check_hac_window(self.eta)
@@ -73,6 +75,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{exc}; the {' and '.join(WITH_CI)} rows "
                                   f"need their intervals") from None
         return self
+
+    def estimators_at(self, n) -> list:
+        """The estimators run at size n: ow only at n <= ow_max_n."""
+        return [e for e in self.estimators if e != "ow" or n <= self.ow_max_n]
 
 
 @dataclass
@@ -216,15 +222,14 @@ def run_experiment(config: ExperimentConfig) -> list:
 def _size_rows(config: ExperimentConfig, n: int) -> list:
     """The cells of one population size; its population is released on
     return, before the next size builds its own."""
+    names = config.estimators_at(n)
+    if not names:
+        return []
     space, outcomes, guess = build_population(n, config.base_seed + n)
     h = scaling_rule(n, config.eta, config.c0)
     rows = []
     for design in config.designs:
         partition = make_partition(space, design, h)
-        names = [e for e in config.estimators
-                 if not (e == "ow" and n > config.ow_max_n)]
-        if not names:
-            continue
         try:
             cell = simulate_design(
                 space, outcomes, guess, partition, h, config.p, config.reps,

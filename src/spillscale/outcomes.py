@@ -14,9 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import TAG_DGP, TAG_GUESS, rng_for
-from .geometry import (InterferenceBudget, PremetricSpace,
-                       fit_interference_constant, row_blocks)
+from .geometry import (TAG_DGP, TAG_GUESS, InterferenceBudget, PremetricSpace,
+                       fit_interference_constant, rng_for, row_blocks)
 
 
 class OutcomeModelError(ValueError):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (TAG_TABLES, ClusterPartition, IncidenceCounts,
-                     incidence, rng_for, stilde_indices)
-from .geometry import InterferenceBudget, PremetricSpace, row_blocks
+from .design import ClusterPartition, IncidenceCounts, incidence, stilde_indices
+from .geometry import (TAG_TABLES, InterferenceBudget, PremetricSpace, rng_for,
+                       row_blocks)
 from .oracle import enumerate_assignments
 
 _CHUNK = 1 << 14

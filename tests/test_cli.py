@@ -383,6 +383,89 @@ class TestInputFiles:
             f"config error: {os_error(errno.EISDIR, tmp_path)}\n"
 
 
+class TestReader:
+    """Every input goes through one reader: UTF-8 with or without a
+    byte-order mark, one header rule and one ragged-row rule."""
+
+    # three units; the outcomes rows are out of id order, so an outcomes
+    # file whose unit_id column is lost is read in the wrong order
+    FILES = {"pop.csv": "unit_id,x1\n0,0.0\n1,1.0\n2,5.0\n",
+             "clusters.csv": "unit_id,cluster_id\n0,0\n1,1\n2,2\n",
+             "outcomes.csv": "unit_id,Y,d\n2,3.0,1\n1,2.0,0\n0,1.0,1\n",
+             "config.txt": "n_list = 20\nestimators = ht\nreps = 5\n"}
+    INPUTS = list(FILES)
+
+    def run(self, tmp_path, capsys, name, data):
+        """The command that reads `name`, with that file's bytes replaced by
+        data: (exit code, stdout and results.csv, stderr)."""
+        for fname, text in self.FILES.items():
+            (tmp_path / fname).write_bytes(text.encode())
+        (tmp_path / name).write_bytes(data)
+        if name == "config.txt":
+            out = tmp_path / "out"
+            rc = main(["replicate", "--config", str(tmp_path / name),
+                       "--out", str(out)])
+            res = out / "results.csv"
+            captured = capsys.readouterr()
+            return rc, res.read_bytes() if res.exists() else None, captured.err
+        rc = main(["estimate", "--population", str(tmp_path / "pop.csv"),
+                   "--outcomes", str(tmp_path / "outcomes.csv"),
+                   "--clusters", str(tmp_path / "clusters.csv"),
+                   "--estimator", "ht", "--h", "1.0"])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, name):
+        plain = self.run(tmp_path, capsys, name, self.FILES[name].encode())
+        marked = self.run(tmp_path, capsys, name,
+                          self.FILES[name].encode("utf-8-sig"))
+        assert marked == plain and plain[0] == 0
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_not_utf8_is_named(self, tmp_path, capsys, name):
+        # a Latin-1 "e acute": in a comment line of the config, at the end
+        # of the header of a table; both on line 1
+        text = self.FILES[name]
+        text = "# caf\xe9\n" + text if name == "config.txt" else \
+            text.replace("\n", "\xe9\n", 1)
+        data = text.encode("latin-1")
+        message = f"{tmp_path / name} is not UTF-8 text: byte 0xe9 on line 1"
+        if name == "config.txt":
+            rc, _, err = self.run(tmp_path, capsys, name, data)
+            assert (rc, err) == (2, f"config error: {message}\n")
+            assert not (tmp_path / "out").exists()
+        else:
+            with pytest.raises(SystemExit) as exc:
+                self.run(tmp_path, capsys, name, data)
+            assert exc.value.code == f"estimate: {message}"
+
+    @pytest.mark.parametrize("name, old, new, fields, columns", [
+        ("clusters.csv", "\n0,0\n", "\n0,0,9\n", "['0', '0', '9'] has 3", 2),
+        ("clusters.csv", "\n1,1\n", "\n1\n", "['1'] has 1", 2),
+        ("outcomes.csv", "\n0,1.0,1\n", "\n0,1.0,1,5\n", "['0', '1.0', '1', '5'] has 4", 3),
+        ("outcomes.csv", "\n1,2.0,0\n", "\n1,2.0\n", "['1', '2.0'] has 2", 3),
+    ], ids=["clusters_long", "clusters_short", "outcomes_long", "outcomes_short"])
+    def test_ragged_row_rejected(self, tmp_path, capsys, name, old, new,
+                                 fields, columns):
+        assert old in self.FILES[name]
+        with pytest.raises(SystemExit, match=re.escape(
+                f"{tmp_path / name}: row {fields} fields for the {columns} columns")):
+            self.run(tmp_path, capsys, name,
+                     self.FILES[name].replace(old, new).encode())
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("clusters.csv", "cluster_id\n0,0\n1,1\n2,2", "cluster_id,Note\n0,0,a\n1,1,b\n2,2,"),
+        ("outcomes.csv", "d\n2,3.0,1\n1,2.0,0\n0,1.0,1", "d,site\n2,3.0,1,x\n1,2.0,0,\n0,1.0,1,y"),
+    ], ids=["clusters", "outcomes"])
+    def test_extra_named_column_loads(self, tmp_path, capsys, name, old, new):
+        assert old in self.FILES[name]
+        plain = self.run(tmp_path, capsys, name, self.FILES[name].encode())
+        extra = self.run(tmp_path, capsys, name,
+                         self.FILES[name].replace(old, new).encode())
+        assert extra == plain and plain[0] == 0
+
+
 def write_population_ids(path, coords, ids):
     """Coordinate CSV keyed by the given unit ids, rows in reverse order."""
     with open(path, "w", newline="") as fh:
@@ -858,7 +941,9 @@ class TestReplicateCommand:
     @pytest.mark.parametrize("text, extra", [
         ("ow_mc_draws = 0", "ow_mc_draws must be >= 1"),
         ("base_seed = -1", "base_seed must be >= 0"),
-    ], ids=["ow_mc_draws", "base_seed"])
+        ("ow_max_n = 0", "ow_max_n must be >= 1"),
+        ("ow_max_n = -3", "ow_max_n must be >= 1"),
+    ], ids=["ow_mc_draws", "base_seed", "ow_max_n_zero", "ow_max_n_negative"])
     def test_config_range_exits_2(self, tmp_path, capsys, text, extra):
         cfg = tmp_path / "config.txt"
         cfg.write_text("n_list = 20\nestimators = ht, ow\nreps = 5\n" + text)
@@ -866,6 +951,19 @@ class TestReplicateCommand:
                    str(tmp_path / "x")])
         assert rc == 2
         assert f"config error: {extra}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_running_no_cell_exits_2(self, tmp_path, capsys):
+        # ow is the only estimator and every n is above ow_max_n, so the run
+        # would write header-only CSVs
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("n_list = 20, 30\nestimators = ow\now_max_n = 19\n"
+                       "reps = 5\n")
+        rc = main(["replicate", "--config", str(cfg), "--out",
+                   str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: no cell runs: every " \
+            "n is above ow_max_n = 19\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text, extra", [
@@ -1061,7 +1159,8 @@ class TestReplicateCommand:
 
 
 # Runs in a child process in which every scipy import raises: the package
-# and each command must need numpy only.
+# and each command must need numpy only.  Its own files are written and read
+# as UTF-8, so that it also runs where a default-encoding open is an error.
 NUMPY_ONLY = r"""
 import sys
 sys.modules["scipy"] = None
@@ -1081,39 +1180,54 @@ main = spillscale.cli.main
 space, dgp, _ = harness.build_population(24, 12)
 pop = work / "pop.csv"
 pop.write_text("unit_id,x1,x2\n" + "".join(
-    f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(space.coords.tolist())))
+    f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(space.coords.tolist())),
+    encoding="utf-8")
 assert main(["design", "--population", str(pop), "--seed", "3",
              "--out", str(work / "design")]) == 0
 clusters = str(work / "design" / "clusters.csv")
-rows = (work / "design" / "treatments.csv").read_text().split()[1:]
+rows = (work / "design" / "treatments.csv").read_text(encoding="utf-8").split()[1:]
 d = np.array([int(r.split(",")[1]) for r in rows], dtype=np.int8)
 Y = outcomes.realize(dgp, d)
 (work / "outcomes.csv").write_text("unit_id,Y,d\n" + "".join(
-    f"{i},{y!r},{b}\n" for i, (y, b) in enumerate(zip(Y.tolist(), d))))
+    f"{i},{y!r},{b}\n" for i, (y, b) in enumerate(zip(Y.tolist(), d))),
+    encoding="utf-8")
 assert main(["estimate", "--population", str(pop), "--outcomes",
              str(work / "outcomes.csv"), "--clusters", clusters,
              "--estimator", "hajek", "--ci-level", "0.9",
              "--out", str(work / "estimate.csv")]) == 0
-row = (work / "estimate.csv").read_text().split()[1].split(",")
+row = (work / "estimate.csv").read_text(encoding="utf-8").split()[1].split(",")
 assert row[3] and row[4], row       # the interval went through half_width
 assert main(["oracle", "--population", str(pop), "--clusters", clusters,
-             "--estimator", "hajek"]) == 0
+             "--estimator", "hajek", "--dump-matrices", str(work / "dump")]) == 0
 assert main(["ow-weights", "--population", str(pop), "--clusters", clusters,
              "--eta", "1", "--k1", "1", "--ybar", "2", "--mc-draws", "200",
              "--out", str(work / "ow")]) == 0
 (work / "config.txt").write_text(
-    "n_list = 20, 30\nestimators = ht, hajek, ols, shrink\nreps = 20\n")
+    "n_list = 20, 30\nestimators = ht, hajek, ols, shrink\nreps = 20\n",
+    encoding="utf-8")
 assert main(["replicate", "--config", str(work / "config.txt"),
              "--out", str(work / "replicate")]) == 0
 assert scipy_keys() == ["scipy"], scipy_keys()
 """
 
 
+def run_numpy_only(work, *flags):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *flags, "-c", NUMPY_ONLY, str(work)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+
+
 class TestNumpyOnlyRuntime:
     def test_import_and_commands_without_scipy(self, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_ONLY, str(tmp_path)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        proc = run_numpy_only(tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_commands_open_files_with_an_explicit_encoding(self, tmp_path):
+        # every command's reads and writes name their encoding: an open that
+        # falls back on the locale's warns under -X warn_default_encoding,
+        # and the warning is an error here
+        proc = run_numpy_only(tmp_path, "-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning")
         assert proc.returncode == 0, proc.stderr

@@ -247,3 +247,14 @@ class TestOwGate:
             n_list=[30], estimators=["ht", "ow"], reps=10, base_seed=2,
             ow_max_n=20, ow_mc_draws=5000))
         assert {r.estimator for r in rows} == {"ht"}
+
+    def test_size_without_cells_builds_no_population(self, monkeypatch):
+        built = []
+        build = harness.build_population
+        monkeypatch.setattr(harness, "build_population",
+                            lambda n, seed: built.append(n) or build(n, seed))
+        rows = run_experiment(ExperimentConfig(
+            n_list=[20, 30], estimators=["ow"], reps=4, base_seed=2,
+            ow_max_n=20, ow_mc_draws=5000))
+        assert built == [20]
+        assert [(r.n, r.estimator) for r in rows] == [(20, "ow")]
