@@ -119,9 +119,13 @@ def _read_text(path) -> str:
 
 def _read_csv(path, kinds):
     """Header and rows of a CSV input, blank lines skipped: names stripped and
-    lowercased, a row with more or fewer fields exits 1.  kinds(header) types
-    each column: int or float via `_number`, None keeps the text."""
-    rows = [row for row in csv.reader(io.StringIO(_read_text(path))) if row]
+    lowercased; a row with more or fewer fields, or text the csv module
+    rejects, exits 1.  kinds(header) types each column: int or float via
+    `_number`, None keeps the text."""
+    try:
+        rows = [row for row in csv.reader(io.StringIO(_read_text(path))) if row]
+    except csv.Error as exc:
+        raise SystemExit(f"{path}: {exc}") from None
     names = [name.strip() for name in rows[0]] if rows else []
     ragged = next((row for row in rows[1:] if len(row) != len(names)), None)
     if ragged is not None:
@@ -279,7 +283,7 @@ def cmd_estimate(args):
     h = _h(args, space)
     guess = make_guess(space, args.guess_seed) if args.estimator == "shrink" else None
     block = DrawBlock(DesignContext(space, partition, h, args.p, args.eta),
-                      Y, d, b, guess=guess)
+                      Y, b, guess=guess)
 
     estimate = float(getattr(block, args.estimator)[0])
     var = lo = hi = ""
@@ -352,7 +356,11 @@ def cmd_oracle(args):
         Y = realize(outcomes, B[:, partition.assignment].T)
         return getattr(DrawBlock(ctx, Y, B=B.T), args.estimator)
 
-    res = oracle.exact_expectation(run, enum)
+    try:
+        res = oracle.exact_expectation(run, enum)
+    except oracle.UndefinedError:
+        raise SystemExit(f"oracle: estimator {args.estimator} is defined on none of "
+                         f"the 2^{partition.n_clusters} assignments") from None
     print(f"estimator={args.estimator} n={space.n} C={partition.n_clusters} "
           f"h={h:.6g} p={args.p}")
     print(f"exact_mean={res.mean:.12g} p_defined={res.p_defined:.12g} "

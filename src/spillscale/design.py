@@ -87,7 +87,6 @@ class IncidenceCounts:
     """Incidence at one size s; the one reader of purity and shared clusters."""
 
     incidence: np.ndarray           # n x C boolean: cluster c meets N(i, s)
-    s: float
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -140,7 +139,7 @@ def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> Incidenc
         near[:, :b] = space.neighborhood_matrix(s, rows).T[order]
         words = np.bitwise_or.reduceat(near.view(np.int64), starts, axis=0)
         inc[rows] = words.view(bool)[:, :b].T      # cluster c meets N(i, s)
-    return IncidenceCounts(incidence=inc, s=float(s))
+    return IncidenceCounts(incidence=inc)
 
 
 def stilde_indices(levels: list, B) -> np.ndarray:
@@ -212,8 +211,7 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
             D[np.arange(units.size), nearest] = np.inf
             take = need > k
             inc[units[take], nearest[take]] = True
-    return ExtendedNeighborhoods(incidence=inc, s=base.s,
-                                 base_incidence=base.incidence,
+    return ExtendedNeighborhoods(incidence=inc, base_incidence=base.incidence,
                                  assignment=partition.assignment)
 
 

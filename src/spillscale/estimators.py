@@ -80,17 +80,17 @@ class DesignContext:
 class DrawBlock:
     """The estimators over m draws of one design, one draw per column.
 
-    Y and D are n x m outcomes and unit treatments, B is C x m cluster bits
-    (1-D inputs are one draw, m = 1); `guess` serves shrink and `weights`
-    (an `owopt.OwWeightTable`) ow; D and B are kept as int8 and float32.
+    Y is n x m outcomes, B is C x m cluster bits kept as float32 (1-D inputs
+    are one draw, m = 1) and unit treatments are B[assignment], built where
+    read; `guess` serves shrink and `weights` (an `owopt.OwWeightTable`) ow.
     Of the n x m arrays, only those that several estimators read are kept.
     Each estimate is an (m,) array, NaN where undefined.
     """
 
-    def __init__(self, ctx: DesignContext, Y=None, D=None, B=None,
+    def __init__(self, ctx: DesignContext, Y=None, B=None,
                  guess: GuessMatrix | None = None, weights=None):
         self.ctx, self.guess, self.weights = ctx, guess, weights
-        self.Y, self.D, self.B = _cols(Y), _cols(D, np.int8), _cols(B, np.float32)
+        self.Y, self.B = _cols(Y), _cols(B, np.float32)
         self.ybar = None if Y is None else self.Y.mean(axis=0)
 
     @cached_property
@@ -162,7 +162,7 @@ class DrawBlock:
     @cached_property
     def first_stage(self) -> np.ndarray:
         """Cov(T, A_hat d), NaN where numerically zero."""
-        Tg = self.guess.A_hat @ self.D.astype(np.float64)
+        Tg = self.guess.A_hat @ self.B[self.ctx.partition.assignment].astype(np.float64)
         cov = _dot(self.T, Tg) / self.T.shape[0] - self.tbar * Tg.mean(axis=0)
         return np.where(np.abs(cov) > 1e-12, cov, np.nan)
 
@@ -178,7 +178,7 @@ class DrawBlock:
         """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i, s_tilde on the weights' levels."""
         idx = design.stilde_indices(self.weights.levels, self.B)
         W = np.take_along_axis(self.weights.W, idx, axis=1)
-        return _dot((2.0 * self.D - 1.0) * W, self.Y)
+        return _dot((2.0 * self.B[self.ctx.partition.assignment] - 1.0) * W, self.Y)
 
     def variance(self, name: str) -> np.ndarray:
         """Unclipped spatial HAC sums e' lam e of a WITH_CI estimator's estimates.

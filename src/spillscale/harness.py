@@ -171,9 +171,8 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         sl = slice(lo, min(lo + BLOCK, reps))
         B = draw_bits_batch(partition.n_clusters, p,
                             range(base_seed + sl.start, base_seed + sl.stop))
-        D = B[:, partition.assignment].T                # n x m int8
-        block = DrawBlock(ctx, realize(outcomes, D), D, B.T, guess=guess,
-                          weights=ow_table)
+        block = DrawBlock(ctx, realize(outcomes, B[:, partition.assignment].T),
+                          B.T, guess=guess, weights=ow_table)
         for name in estimators:
             estimates[name][sl] = getattr(block, name)
         for name in need_ci:

@@ -22,6 +22,10 @@ class EnumerationError(ValueError):
     """Exact enumeration requested beyond the cluster-count cutoff."""
 
 
+class UndefinedError(ValueError):
+    """An expectation's fn is undefined on every assignment."""
+
+
 @dataclass(frozen=True, eq=False)
 class AssignmentEnumeration:
     """Every cluster assignment with its exact probability."""
@@ -79,6 +83,6 @@ def exact_expectation(fn, enumeration: AssignmentEnumeration) -> ExactExpectatio
     ok = ~np.isnan(values)
     mass = float(enumeration.probs[ok].sum())
     if mass == 0.0:
-        raise ValueError("fn undefined on every assignment")
+        raise UndefinedError("fn undefined on every assignment")
     return ExactExpectation(mean=float(enumeration.probs[ok] @ values[ok]) / mass,
                             p_defined=mass)

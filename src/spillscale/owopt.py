@@ -13,6 +13,7 @@ the inverse-probability weights, which are a feasible point of the class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +41,15 @@ class SaturationTables:
     """
 
     grid: np.ndarray                # ascending, grid[0] = floor s0
-    marg: np.ndarray                # n x S, P(s_tilde_i = s)
     pairs: np.ndarray               # (P, 2) unit ids with i <= j
     joint: np.ndarray               # (P, S, S), P(s_tilde_i = s, s_tilde_j = t)
     levels: list                    # IncidenceCounts at each grid size
+
+    @cached_property
+    def marg(self) -> np.ndarray:
+        """n x S, P(s_tilde_i = s): i is in N(i, s), so the self-pairs' diagonals."""
+        diag = np.arange(self.n_sizes)
+        return self.joint[self.pairs[:, 0] == self.pairs[:, 1]][:, diag, diag]
 
     @property
     def n(self) -> int:
@@ -121,10 +127,7 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
         for r, (i, j) in enumerate(pairs.tolist()):
             code = idx[i].astype(code_type) * S + idx[j]
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
-    # i is in N(i, s): each unit's marginal is its self-pair joint's diagonal
-    marg = joint[pairs[:, 0] == pairs[:, 1]][:, np.arange(S), np.arange(S)]
-    return SaturationTables(grid=grid_eff, marg=marg, pairs=pairs, joint=joint,
-                            levels=levels)
+    return SaturationTables(grid=grid_eff, pairs=pairs, joint=joint, levels=levels)
 
 
 def objective_kernel(grid: np.ndarray, budget: InterferenceBudget) -> np.ndarray:
@@ -309,7 +312,7 @@ def _active_set_polish(Q, marg, r, w_proj, S):
     return best
 
 
-def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
+def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float,
              warm_start: np.ndarray = None) -> OwWeightTable:
     """Minimize w'Qw over the per-unit constraint polytope.
 
@@ -322,7 +325,7 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float, n: int,
     Raises ValueError when a row or column of Q whose diagonal is not
     positive has a nonzero entry, which no PSD Q has.
     """
-    S = marg.shape[1]
+    n, S = marg.shape
     r = 1.0 / (p * n)
     if warm_start is None:
         start = np.zeros_like(marg)
@@ -444,7 +447,7 @@ def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
     Q = assemble_objective(tables, budget)
     start = ipw_weight_table(tables, h, p)
     start.objective_value = float(start.W.reshape(-1) @ (Q @ start.W.reshape(-1)))
-    ow = solve_qp(Q, tables.marg, p, space.n, warm_start=start.W)
+    ow = solve_qp(Q, tables.marg, p, warm_start=start.W)
     ow.levels = tables.levels
     return tables, start, ow
 

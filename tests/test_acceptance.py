@@ -221,7 +221,7 @@ class TestCriterion8OwDominance:
                 continue           # MC table too sparse for a feasible start
             Q = owopt.assemble_objective(tab, budget)
             w0 = start.W.reshape(-1)
-            ow = owopt.solve_qp(Q, tab.marg, p, n, warm_start=start.W)
+            ow = owopt.solve_qp(Q, tab.marg, p, warm_start=start.W)
             assert ow.objective_value <= float(w0 @ Q @ w0) + 1e-12
             done += 1
         ok = done == 50
@@ -260,7 +260,7 @@ class TestCriterion9QpSolver:
         budget = ss.InterferenceBudget(eta=1.0, k1=0.5, ybar=1.0)
         Q = owopt.assemble_objective(tab, budget)
         start = owopt.ipw_weight_table(tab, s1, p)
-        ow = owopt.solve_qp(Q, tab.marg, p, space.n, warm_start=start.W)
+        ow = owopt.solve_qp(Q, tab.marg, p, warm_start=start.W)
         brute, _ = bruteforce_polytope_min(Q, tab.marg, p, space.n, start.W)
         gap = abs(ow.objective_value - brute)
         ok = gap <= 1e-4 and ow.kkt_residual < 1e-7

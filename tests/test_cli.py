@@ -140,7 +140,7 @@ class TestEstimateCommand:
         if estimator in ("hajek", "ols"):
             assert float(row["ci_lo"]) <= want <= float(row["ci_hi"])
             block = DrawBlock(DesignContext(space, part, h, 0.5, 1.0), Y,
-                              draw.d, draw.b)
+                              draw.b)
             res = interval(getattr(block, estimator)[0],
                            block.variance(estimator)[0], 0.95)
             assert float(row["var_hat"]) == pytest.approx(res.variance_hat,
@@ -454,6 +454,14 @@ class TestReader:
             self.run(tmp_path, capsys, name,
                      self.FILES[name].replace(old, new).encode())
 
+    def test_oversized_cell_is_named(self, tmp_path, capsys):
+        # a coordinate longer than the csv module's field limit
+        data = self.FILES["pop.csv"].replace("0.0", "1" * 200_000).encode()
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, capsys, "pop.csv", data)
+        assert exc.value.code == (f"{tmp_path / 'pop.csv'}: field larger than "
+                                  f"field limit (131072)")
+
     @pytest.mark.parametrize("name, old, new", [
         ("clusters.csv", "cluster_id\n0,0\n1,1\n2,2", "cluster_id,Note\n0,0,a\n1,1,b\n2,2,"),
         ("outcomes.csv", "d\n2,3.0,1\n1,2.0,0\n0,1.0,1", "d,site\n2,3.0,1,x\n1,2.0,0,\n0,1.0,1,y"),
@@ -667,6 +675,18 @@ class TestOracleCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "exact_mean=" in out and "theta=" in out
+
+    def test_estimator_defined_nowhere_exits_1(self, tmp_path):
+        # one cluster: every assignment treats all units or none, so Hajek
+        # has an empty group on both
+        pop, clu = tmp_path / "pop.csv", tmp_path / "clusters.csv"
+        pop.write_text("unit_id,x1\n0,0\n1,1\n2,2\n")
+        clu.write_text("unit_id,cluster_id\n0,0\n1,0\n2,0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--population", str(pop), "--clusters", str(clu),
+                  "--estimator", "hajek"])
+        assert exc.value.code == ("oracle: estimator hajek is defined on none "
+                                  "of the 2^1 assignments")
 
     def test_unsupported_estimator_rejected_at_parsing(self, tmp_path):
         space, _, _ = harness.build_population(6, 3)

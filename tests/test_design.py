@@ -330,7 +330,7 @@ class TestExtendUniformOverlap:
         ext = extend_uniform_overlap(space, part, base)
         assert isinstance(ext, ss.IncidenceCounts)
         assert np.any(base.phi < base.phi_max)
-        assert ext.phi_max == base.phi_max and ext.s == base.s
+        assert ext.phi_max == base.phi_max
         assert np.all(ext.phi == ext.phi_max)
         assert np.array_equal(ext.gamma, ext.incidence.sum(axis=0))
 

@@ -22,7 +22,7 @@ from conftest import (SaturationProfile, line_space, per_row, saturation,
 def one_draw(space, part, h, Y, d, p=0.5, eta=1.0, guess=None) -> DrawBlock:
     """The library's single-draw call: a one-column block on the draw's
     cluster bits."""
-    return DrawBlock(DesignContext(space, part, h, p, eta), Y, d,
+    return DrawBlock(DesignContext(space, part, h, p, eta), Y,
                      cluster_bits(part, d), guess=guess)
 
 
@@ -253,7 +253,7 @@ class TestShrinkage:
         guess = ss.GuessMatrix(A_hat=A_hat)
         rng = np.random.default_rng(5)
         Y = rng.normal(size=6)
-        block = DrawBlock(ctx, Y, draw.d, draw.b, guess=guess)
+        block = DrawBlock(ctx, Y, draw.b, guess=guess)
         got = block.shrink[0]
         want = block.ols[0] * (A_hat.sum() / 6) / kappa
         assert got == pytest.approx(want, abs=1e-10)
@@ -367,7 +367,7 @@ class TestPurityOnClusterIncidence:
             ctx = DesignContext(space, part, h, 0.5)
             for b in bits:
                 d = b[part.assignment]
-                sat, dis = DrawBlock(ctx, D=d, B=b).pure
+                sat, dis = DrawBlock(ctx, B=b).pure
                 want_sat, want_dis = saturation_indicators(space, d, h)
                 assert np.array_equal(sat[:, 0], want_sat)
                 assert np.array_equal(dis[:, 0], want_dis)
@@ -404,7 +404,7 @@ class TestDesignContext:
         monkeypatch.setattr(design, "incidence",
                             lambda *args: sizes.append(args[2]) or real(*args))
         block = DrawBlock(DesignContext(space, part, h, 0.5),
-                          realize(outcomes, draw.d), draw.d, draw.b)
+                          realize(outcomes, draw.d), draw.b)
         for name in order:
             getattr(block, name)
         assert sizes == [h]
@@ -437,7 +437,7 @@ class TestBlockMatchesWholeArrayReference:
                                    range(seed, seed + harness.BLOCK))
         D = B[:, ctx.partition.assignment].T
         Y = realize(outcomes, D)
-        block = DrawBlock(ctx, Y, D, B.T, guess=guess)
+        block = DrawBlock(ctx, Y, B.T, guess=guess)
         want = whole_array_estimates(ctx, Y, D, B.T, guess)
         got = {name: getattr(block, name) for name in ("ht", "hajek", "ols", "shrink")}
         got["var_hajek"], got["var_ols"] = block.variance("hajek"), block.variance("ols")

@@ -70,8 +70,8 @@ def test_single_draw_values_pinned(instance, seed):
     want = GOLDEN[seed]
     draw = ss.draw_treatments(part, P, seed)
     Y = ss.realize(outcomes, draw.d)
-    block = DrawBlock(DesignContext(space, part, h, P, ETA), Y, draw.d,
-                      draw.b, guess=guess)
+    block = DrawBlock(DesignContext(space, part, h, P, ETA), Y, draw.b,
+                      guess=guess)
 
     assert block.ht[0] == pytest.approx(want["ht"], rel=1e-12)
     haj = block.hajek[0]

@@ -5,6 +5,7 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness, owopt
+from spillscale.design import draw_bits_batch
 from spillscale.estimators import DesignContext, DrawBlock, interval
 from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
                                 results_csv, run_experiment, simulate_design,
@@ -55,8 +56,8 @@ class TestBatchedEngineMatchesReference:
         for r in range(reps):
             # the draw's own seeded treatments, as a one-draw block
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d,
-                              draw.b, guess=guess, weights=ow_tab)
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b,
+                              guess=guess, weights=ow_tab)
             for name in ("ht", "ols", "shrink", "ow"):
                 assert cell.estimates[name][r] == pytest.approx(
                     getattr(block, name)[0], abs=1e-10)
@@ -65,6 +66,24 @@ class TestBatchedEngineMatchesReference:
             else:
                 assert cell.estimates["hajek"][r] == pytest.approx(
                     block.hajek[0], abs=1e-10)
+
+    def test_bits_alone_give_the_cells_shrink_and_ow(self):
+        # a block takes cluster bits alone and reads the unit treatments
+        # through the partition; on the cell's own draws (one harness block)
+        # shrink and ow equal the cell's estimates bit for bit
+        n, base_seed, reps = 40, 23, 30
+        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        h = ss.scaling_rule(n, 1.0)
+        part = ss.scaling_clusters(space, h)
+        cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
+                               base_seed, ["shrink", "ow"], ow_mc_draws=5000)
+        B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
+        Y = ss.realize(outcomes, B[:, part.assignment].T)
+        ctx = DesignContext(space, part, h, 0.5)
+        shrink = DrawBlock(ctx, Y, B=B.T, guess=guess).shrink
+        ow = DrawBlock(ctx, Y, B=B.T, weights=cell.ow_table).ow
+        assert np.array_equal(shrink, cell.estimates["shrink"], equal_nan=True)
+        assert np.array_equal(ow, cell.estimates["ow"])
 
     def test_ci_coverage_flags_match(self):
         n, base_seed, reps = 40, 77, 25
@@ -76,7 +95,7 @@ class TestBatchedEngineMatchesReference:
         ctx = DesignContext(space, part, h, 0.5, 1.0)
         for r in range(reps):
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d, draw.b)
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b)
             res = interval(block.ols[0], block.variance("ols")[0], 0.95)
             covered = res.ci[1] <= outcomes.theta <= res.ci[2]
             assert bool(cell.covers["ols"][r]) == covered
@@ -94,7 +113,7 @@ class TestBatchedEngineMatchesReference:
         want = {"hajek": 0, "ols": 0}
         for r in range(reps):
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d, draw.b)
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b)
             for name in want:
                 want[name] += int(block.variance(name)[0] < 0.0)
         assert cell.hac_clipped == want

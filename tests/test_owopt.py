@@ -329,7 +329,7 @@ class TestSolveQp:
         tab = saturation_tables(space, part, [2.0], 0.5, method="exact")
         budget = ss.InterferenceBudget(eta=1.0, k1=1.0, ybar=1.0)
         Q = assemble_objective(tab, budget)
-        ow = solve_qp(Q, tab.marg, 0.5, 1)
+        ow = solve_qp(Q, tab.marg, 0.5)
         # marg mass sits on the top size; the constraint pins that weight
         assert ow.W[0, -1] == pytest.approx(1.0 / (0.5 * 1 * tab.marg[0, -1]))
         assert ow.converged
@@ -342,7 +342,7 @@ class TestSolveQp:
         Q[i, j] = 0.5
         marg = np.array([[0.5, 0.0, 0.5]])
         with pytest.raises(ValueError, match="diagonal"):
-            solve_qp(Q, marg, 0.5, 1)
+            solve_qp(Q, marg, 0.5)
 
     def test_objective_never_above_warm_start(self):
         rng = np.random.default_rng(7)
@@ -358,7 +358,7 @@ class TestSolveQp:
             Q = assemble_objective(tab, budget)
             start = ipw_weight_table(tab, g, p)
             w0 = start.W.reshape(-1)
-            ow = solve_qp(Q, tab.marg, p, n, warm_start=start.W)
+            ow = solve_qp(Q, tab.marg, p, warm_start=start.W)
             assert ow.objective_value <= float(w0 @ Q @ w0) + 1e-12
             assert np.all(ow.W >= 0)
             gap = np.abs((ow.W * tab.marg).sum(axis=1) - 1.0 / (p * n))
@@ -373,7 +373,7 @@ class TestSolveQp:
         Q = assemble_objective(tab, budget)
         n = space.n
         start = ipw_weight_table(tab, 4.0, p)
-        ow = solve_qp(Q, tab.marg, p, n, warm_start=start.W)
+        ow = solve_qp(Q, tab.marg, p, warm_start=start.W)
         assert ow.kkt_residual < 1e-7
 
         # independent oracle: cyclic per-unit grid scans over the feasible
@@ -434,8 +434,8 @@ class TestIpwWeightTable:
         ctx = DesignContext(space, part, g, 0.5)
         for seed in range(12):
             draw = draw_treatments(part, 0.5, seed)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.d,
-                              draw.b, weights=start)
+            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b,
+                              weights=start)
             assert block.ow[0] == pytest.approx(block.ht[0], abs=1e-10)
 
 
@@ -446,7 +446,7 @@ class TestOwEstimate:
         start = ipw_weight_table(tab, g, 0.5)
         draw = draw_treatments(part, 0.5, 0)
         block = DrawBlock(DesignContext(space, part, g, 0.5), np.zeros(space.n),
-                          draw.d, draw.b, weights=start)
+                          draw.b, weights=start)
         assert block.ow[0] == 0.0
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
@@ -469,12 +469,12 @@ class TestOwEstimate:
         D = np.array([draw.d for draw in draws]).T
         Y = ss.realize(outcomes, D)
         ctx = DesignContext(space, part, h, 0.5)
-        block = DrawBlock(ctx, Y, D, np.array([draw.b for draw in draws]).T,
+        block = DrawBlock(ctx, Y, np.array([draw.b for draw in draws]).T,
                           weights=weights)
         for r, draw in enumerate(draws):
             idx = saturation(space, draw.d, tab.grid).idx
             want = np.sum((2.0 * draw.d - 1.0) * W[np.arange(n), idx] * Y[:, r])
-            got = DrawBlock(ctx, Y[:, r], draw.d, draw.b, weights=weights).ow[0]
+            got = DrawBlock(ctx, Y[:, r], draw.b, weights=weights).ow[0]
             assert got == pytest.approx(want, rel=1e-13)
             assert block.ow[r] == pytest.approx(want, rel=1e-13)
 
@@ -486,8 +486,7 @@ class TestOwEstimate:
         tab = saturation_tables(space, part, [4.0], p, method="exact")
         budget = ss.InterferenceBudget(eta=1.0, k1=0.5, ybar=1.0)
         Q = assemble_objective(tab, budget)
-        ow = solve_qp(Q, tab.marg, p, space.n,
-                      warm_start=ipw_weight_table(tab, 4.0, p).W)
+        ow = solve_qp(Q, tab.marg, p, warm_start=ipw_weight_table(tab, 4.0, p).W)
         enum = enumerate_assignments(part, p)
         idx = stilde_indices(tab.levels, enum.assignments.T).T
         for i in range(space.n):
