@@ -353,7 +353,7 @@ def cmd_oracle(args):
     ctx = DesignContext(space, partition, h, args.p, args.eta)
 
     def run(B):
-        Y = realize(outcomes, B[:, partition.assignment].T)
+        Y = realize(outcomes, B.T, ctx.cluster_sums(outcomes.A))
         return getattr(DrawBlock(ctx, Y, B=B.T), args.estimator)
 
     try:

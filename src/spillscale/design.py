@@ -188,6 +188,20 @@ def cluster_distances(space: PremetricSpace, partition: ClusterPartition,
                                starts, axis=1)
 
 
+def cluster_sums(partition: ClusterPartition, M) -> np.ndarray:
+    """n x C sums of M's columns within each cluster, so that M @ d equals
+    cluster_sums(partition, M) @ b for unit treatments d = b[assignment];
+    M itself when the assignment is arange(n).  Built one row block at a
+    time, by the `reduceat` over `by_cluster` that `cluster_distances` runs."""
+    if np.array_equal(partition.assignment, np.arange(partition.n)):
+        return M
+    order, starts = partition.by_cluster
+    out = np.empty((M.shape[0], partition.n_clusters))
+    for rows in row_blocks(M.shape[0]):
+        np.add.reduceat(np.take(M[rows], order, axis=1), starts, axis=1, out=out[rows])
+    return out
+
+
 def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
                            base: IncidenceCounts) -> ExtendedNeighborhoods:
     """Append whole nearest clusters until `base`'s phi is uniform at phi_max.

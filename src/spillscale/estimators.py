@@ -55,14 +55,23 @@ def _dot(a, b) -> np.ndarray:
 
 
 class DesignContext:
-    """Incidence at h, its extension and the dependency graph of one design,
-    each computed on first use and kept for one Monte Carlo cell or one
-    command; nothing is cached across contexts."""
+    """Incidence at h, its extension, the dependency graph and the cluster
+    sums of one design, each computed on first use and kept for one Monte
+    Carlo cell or one command; nothing is cached across contexts."""
 
     def __init__(self, space: PremetricSpace, partition: ClusterPartition,
                  h, p: float, eta: float = 1.0):
         self.space, self.partition = space, partition
         self.h, self.p, self.eta = h, p, eta
+        self._sums = {}             # id(M) -> (M, its cluster sums)
+
+    def cluster_sums(self, M) -> np.ndarray:
+        """`design.cluster_sums` of the n x n matrix M over this partition,
+        built once per matrix: M is kept beside its sums, so its id is not
+        reused while the context lives."""
+        if id(M) not in self._sums:
+            self._sums[id(M)] = (M, design.cluster_sums(self.partition, M))
+        return self._sums[id(M)][1]
 
     @cached_property
     def extended(self) -> ExtendedNeighborhoods:
@@ -161,8 +170,9 @@ class DrawBlock:
 
     @cached_property
     def first_stage(self) -> np.ndarray:
-        """Cov(T, A_hat d), NaN where numerically zero."""
-        Tg = self.guess.A_hat @ self.B[self.ctx.partition.assignment].astype(np.float64)
+        """Cov(T, A_hat d), NaN where numerically zero; A_hat d is taken from
+        the cluster sums of A_hat and the bits."""
+        Tg = self.ctx.cluster_sums(self.guess.A_hat) @ self.B.astype(np.float64)
         cov = _dot(self.T, Tg) / self.T.shape[0] - self.tbar * Tg.mean(axis=0)
         return np.where(np.abs(cov) > 1e-12, cov, np.nan)
 
@@ -188,6 +198,12 @@ class DrawBlock:
         estimate's variance directly.  OLS centres on its exposure; Hajek on
         the treated share of the clusters meeting the base neighborhood.
         e is built in place by that formula's operations, in its order.
+        The Hajek sum is the last reader of `treated` and `hajek_weights`
+        and releases each after its read; a later read recomputes it.
+
+        lam is symmetric, so each block of rows R adds e_R' lam[R, R] e_R
+        and twice e_R' lam[R, R.stop:] e[R.stop:], one float64 cast of
+        lam[R, R.start:] per block.
         """
         if name not in WITH_CI:
             raise ValueError(f"HAC variance is for {' and '.join(WITH_CI)}, "
@@ -195,14 +211,21 @@ class DrawBlock:
         ols = name == "ols"
         c = (self.T if ols else self.ctx.counts.share(self.treated)) - self.ctx.p
         c *= self.ols if ols else self.hajek
+        if not ols:
+            del self.treated
         e = self.Y - self.ybar
         e -= c
         del c
         e *= self.ols_weights if ols else self.hajek_weights
-        lam_e = np.empty_like(e)
-        for rows in row_blocks(e.shape[0]):     # lam stays boolean
-            np.matmul(self.ctx.lam[rows], e, out=lam_e[rows])
-        return _dot(e, lam_e)
+        if not ols:
+            del self.hajek_weights
+        total = np.zeros(e.shape[1])
+        for rows in row_blocks(e.shape[0]):
+            lam = self.ctx.lam[rows, rows.start:].astype(np.float64)
+            lam[:, rows.stop - rows.start:] *= 2.0
+            total += _dot(e[rows], lam @ e[rows.start:])
+            del lam                 # before the next block casts its own
+        return total
 
 
 # the tag `estimate` writes into fail_flags when the estimator is undefined

@@ -171,7 +171,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         sl = slice(lo, min(lo + BLOCK, reps))
         B = draw_bits_batch(partition.n_clusters, p,
                             range(base_seed + sl.start, base_seed + sl.stop))
-        block = DrawBlock(ctx, realize(outcomes, B[:, partition.assignment].T),
+        block = DrawBlock(ctx, realize(outcomes, B.T, ctx.cluster_sums(outcomes.A)),
                           B.T, guess=guess, weights=ow_table)
         for name in estimators:
             estimates[name][sl] = getattr(block, name)

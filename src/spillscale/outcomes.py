@@ -102,14 +102,20 @@ def make_guess(space: PremetricSpace, seed: int) -> GuessMatrix:
         space, 1.1, 4.25, lambda shape: gen.uniform(0.9, 1.0, size=shape)))
 
 
-def realize(outcomes: LinearOutcomes, d) -> np.ndarray:
+def realize(outcomes: LinearOutcomes, d, A=None) -> np.ndarray:
     """Outcome vector under the full treatment assignment d, or an n x m
-    block of them, one assignment per column."""
+    block of them, one assignment per column.
+
+    Given A = design.cluster_sums(partition, outcomes.A), d holds cluster
+    bits instead (C or C x m) and the outcomes are those of the unit
+    treatments d[assignment], from an n x C product in place of an n x n one.
+    """
+    A = outcomes.A if A is None else A
     d = np.asarray(d)
-    if d.shape[:1] != (outcomes.n,) or d.ndim > 2:
-        raise ValueError(f"treatment must have shape ({outcomes.n},) or "
-                         f"({outcomes.n}, m)")
-    Ad = outcomes.A @ d.astype(float, copy=False)
+    if d.shape[:1] != (A.shape[1],) or d.ndim > 2:
+        raise ValueError(f"treatment must have shape ({A.shape[1]},) or "
+                         f"({A.shape[1]}, m)")
+    Ad = A @ d.astype(float, copy=False)
     return (Ad.T + (outcomes.eps + outcomes.beta0)).T    # offset of each row
 
 

@@ -168,9 +168,12 @@ def whole_array_saturation_tables(space, partition, grid, p, method="mc",
 # `DrawBlock` keeps only the n x m arrays that more than one estimator reads,
 # counts treated clusters in float32 and builds each HAC residual in place.
 # Below are the formulas it replaced, one expression each: float64 counts,
-# both IPW weight arrays kept and e = w * (Y - ybar - estimate * (c - p)).
-# The counts are the same integers, and every other array goes through the
-# same operations in the same order, so the two agree bit for bit.
+# both IPW weight arrays kept, e = w * (Y - ybar - estimate * (c - p)), the
+# guess applied to unit treatments (A_hat @ D) and the whole of lam @ e.
+# The counts are the same integers, and ht, hajek and ols go through the
+# same operations in the same order, so they agree bit for bit.  shrink and
+# the HAC sums add the same terms in another order (over cluster sums, and
+# over one side of the symmetric lam), so they agree to rounding.
 
 
 def whole_array_estimates(ctx, Y, D, B, guess) -> dict:

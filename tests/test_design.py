@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale.design import (cluster_distances, draw_treatments,
-                               extend_uniform_overlap, greedy_cover,
+from spillscale.design import (ClusterPartition, cluster_distances, cluster_sums,
+                               draw_treatments, extend_uniform_overlap, greedy_cover,
                                incidence, scaling_clusters, scaling_rule,
                                singleton_partition)
 from spillscale.cli import load_clusters
@@ -153,6 +153,44 @@ class TestByCluster:
         assert np.array_equal(order, want_order)
         assert np.array_equal(starts, want_starts)
         assert part.by_cluster is part.by_cluster       # computed once
+
+
+class TestClusterSums:
+    """`cluster_sums` against the product with the n x C cluster indicator."""
+
+    @pytest.mark.parametrize("kind", ["scaling", "interleaved"])
+    def test_matches_indicator_product(self, kind, tmp_path):
+        if kind == "scaling":
+            space = build_population(700, 3)[0]
+            part = scaling_clusters(space, scaling_rule(700, 1.0))
+        else:
+            part = interleaved_partition(tmp_path)[1]
+        M = np.random.default_rng(4).uniform(size=(part.n, part.n))
+        indicator = np.zeros((part.n, part.n_clusters))
+        indicator[np.arange(part.n), part.assignment] = 1.0
+        np.testing.assert_allclose(cluster_sums(part, M), M @ indicator, rtol=1e-12)
+
+    def test_singletons_in_order_give_the_matrix_itself(self):
+        M = np.random.default_rng(0).uniform(size=(40, 40))
+        assert cluster_sums(singleton_partition(40), M) is M
+        shuffled = ClusterPartition(np.random.default_rng(1).permutation(40))
+        assert np.array_equal(cluster_sums(shuffled, M)[:, shuffled.assignment], M)
+
+    def test_traced_peak_is_output_plus_one_row_block(self):
+        n = 1000
+        space, outcomes, _ = build_population(n, 5)
+        part = scaling_clusters(space, scaling_rule(n, 1.0))
+        part.by_cluster                     # the partition's, built once
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cluster_sums(part, outcomes.A)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the output and one gathered 256-row block, plus 16 KiB for the
+        # views and index objects of the loop
+        assert peak <= (n * part.n_clusters + 256 * n) * 8 + 2 ** 14
 
 
 class TestIncidence:

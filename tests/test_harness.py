@@ -17,9 +17,10 @@ class TestBlockWorkingSet:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_traced_peak_of_two_blocks(self, monkeypatch, design):
         # a block of m = BLOCK draws at n = 900 holds at most 7 n x m
-        # float64 arrays at once, the HAC sums included: 6.2 and 6.8 here,
-        # 11.4 and 12.4 when every weight array was cached and the counts
-        # were float64
+        # float64 arrays at once, the HAC sums included: 5.6 and 6.2 here
+        # (the cell's two n x C cluster sums included), 6.1 and 6.7 with a
+        # whole n x m lam @ e buffer, 11.4 and 12.4 when every weight array
+        # was cached and the counts were float64
         n, m = 900, harness.BLOCK
         space, outcomes, guess = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
@@ -78,12 +79,34 @@ class TestBatchedEngineMatchesReference:
         cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
                                base_seed, ["shrink", "ow"], ow_mc_draws=5000)
         B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
-        Y = ss.realize(outcomes, B[:, part.assignment].T)
         ctx = DesignContext(space, part, h, 0.5)
+        Y = ss.realize(outcomes, B.T, ctx.cluster_sums(outcomes.A))
         shrink = DrawBlock(ctx, Y, B=B.T, guess=guess).shrink
         ow = DrawBlock(ctx, Y, B=B.T, weights=cell.ow_table).ow
         assert np.array_equal(shrink, cell.estimates["shrink"], equal_nan=True)
         assert np.array_equal(ow, cell.estimates["ow"])
+
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_outcomes_from_cluster_sums(self, monkeypatch, design):
+        # the cell reads a block's outcomes off the cluster sums of A and
+        # the bits; they equal the product of A with the unit treatments
+        n, base_seed, reps = 300, 9, 40
+        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        h = ss.scaling_rule(n, 1.0)
+        part = harness.make_partition(space, design, h)
+        seen = []
+
+        class Recording(DrawBlock):
+            def __init__(self, ctx, Y, *args, **kwargs):
+                seen.append(Y)
+                super().__init__(ctx, Y, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "DrawBlock", Recording)
+        simulate_design(space, outcomes, guess, part, h, 0.5, reps, base_seed, ["ht"])
+        B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
+        assert len(seen) == 1
+        np.testing.assert_allclose(seen[0], ss.realize(outcomes, B[:, part.assignment].T),
+                                   rtol=1e-12)
 
     def test_ci_coverage_flags_match(self):
         n, base_seed, reps = 40, 77, 25
@@ -121,6 +144,29 @@ class TestBatchedEngineMatchesReference:
         rows = harness.summarize(cell, n, "scaling_clusters", reps)
         assert {r.estimator: r.hac_clipped for r in rows} == {"ht": None, **want}
         assert "hac_clipped" not in results_csv(rows)
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
+    def test_per_draw_results_do_not_depend_on_block_size(self, monkeypatch, design):
+        # every per-draw value is a column of its block, built by the same
+        # operations whichever block the draw falls in
+        n, reps = 300, 600
+        space, outcomes, guess = harness.build_population(n, 7 + n)
+        h = ss.scaling_rule(n, 1.0)
+        part = harness.make_partition(space, design, h)
+        cells = []
+        for block in (512, 100, 7):
+            monkeypatch.setattr(harness, "BLOCK", block)
+            cells.append(simulate_design(space, outcomes, guess, part, h, 0.5, reps, 7,
+                                         ["ht", "hajek", "ols", "shrink"]))
+        first = cells[0]
+        for cell in cells[1:]:
+            for name, values in first.estimates.items():
+                assert np.array_equal(cell.estimates[name], values, equal_nan=True), name
+            for name, flags in first.covers.items():
+                assert np.array_equal(cell.covers[name], flags), name
+            assert cell.hac_clipped == first.hac_clipped
 
 
 class TestDeterminism:
