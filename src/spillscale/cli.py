@@ -25,7 +25,7 @@ from .design import (ClusterPartition, cluster_bits, draw_treatments,
                      incidence, scaling_clusters, scaling_rule)
 from .estimators import (UNDEFINED, WITH_CI, DesignContext, DrawBlock,
                          check_hac_window, interval)
-from .geometry import (GeometryError, InterferenceBudget, build_space,
+from .geometry import (SEED_LIMIT, GeometryError, InterferenceBudget, build_space,
                        build_space_from_dist)
 from .outcomes import make_guess, make_sim_dgp, realize
 
@@ -81,7 +81,7 @@ _probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _level = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _count = _checked(int, lambda v: v > 0, "a positive integer")
-_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_seed = _checked(int, lambda v: 0 <= v < SEED_LIMIT, "an integer in [0, 2**64)")
 
 
 def _sizes(text):

@@ -16,7 +16,8 @@ import numpy as np
 
 # every stream tag, so that spillscale.design.rng_for and its tags resolve
 from .geometry import (TAG_COORDS, TAG_DGP, TAG_GUESS, TAG_TABLES, TAG_TREAT, rng_for,
-                       PremetricSpace, bool_matmul, greedy_set_cover, row_blocks)
+                       PremetricSpace, bool_matmul, greedy_set_cover, philox_keys,
+                       row_blocks)
 
 
 def scaling_rule(n: int, eta: float, c0: float = 1.0) -> float:
@@ -249,10 +250,19 @@ def cluster_bits(partition: ClusterPartition, d) -> np.ndarray:
 
 
 def draw_bits_batch(n_clusters: int, p: float, seeds) -> np.ndarray:
-    """m x C int8 Bernoulli(p) cluster bits, row k from seeds[k]'s stream."""
-    B = np.empty((len(seeds), n_clusters), dtype=np.int8)
-    for k, s in enumerate(seeds):
-        B[k] = rng_for(int(s), TAG_TREAT).uniform(size=n_clusters) < p
+    """m x C int8 Bernoulli(p) cluster bits, row k from seeds[k]'s stream:
+    rng_for(seeds[k], TAG_TREAT).uniform(size=C) < p.  One Philox is reset
+    to each row's key, counter 0 and an empty buffer, the state a fresh
+    Philox(key=...) starts in; `random` is `uniform`'s 0 + 1 * x."""
+    keys = philox_keys(seeds, TAG_TREAT)
+    B = np.empty((keys.shape[0], n_clusters), dtype=np.int8)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    zeros = (0, 0, 0, 0)
+    for k, key in enumerate(keys.tolist()):
+        bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        B[k] = gen.random(n_clusters) < p
     return B
 
 

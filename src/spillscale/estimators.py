@@ -171,8 +171,13 @@ class DrawBlock:
     @cached_property
     def first_stage(self) -> np.ndarray:
         """Cov(T, A_hat d), NaN where numerically zero; A_hat d is taken from
-        the cluster sums of A_hat and the bits."""
-        Tg = self.ctx.cluster_sums(self.guess.A_hat) @ self.B.astype(np.float64)
+        the cluster sums of A_hat and the bits, one float64 cast of a block
+        of bit columns at a time (a column's GEMM bits do not depend on the
+        split)."""
+        sums = self.ctx.cluster_sums(self.guess.A_hat)
+        Tg = np.empty((sums.shape[0], self.B.shape[1]))
+        for cols in row_blocks(self.B.shape[1]):
+            np.matmul(sums, self.B[:, cols].astype(np.float64), out=Tg[:, cols])
         cov = _dot(self.T, Tg) / self.T.shape[0] - self.tbar * Tg.mean(axis=0)
         return np.where(np.abs(cov) > 1e-12, cov, np.nan)
 

@@ -27,11 +27,71 @@ TAG_TREAT = 3
 TAG_TABLES = 4
 TAG_AUDIT = 9
 
+SEED_LIMIT = 2**64             # seeds lie in [0, SEED_LIMIT)
+_WORD = 0xFFFFFFFF
+
+
+def _hash_schedule(init: int, mult: int, count: int) -> np.ndarray:
+    """The count + 1 hash constants init, init*mult, ... mod 2**32 (column)."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence, O'Neill's seed_seq hash: 20 hashmix calls mix the
+# pool, 4 more draw the two 64-bit Philox key words out of it
+_HASH_MIX = _hash_schedule(0x43B0D7E5, 0x931E8875, 20)
+_HASH_OUT = _hash_schedule(0x8B51F9DD, 0x58F38DED, 4)
+_OTHER_WORDS = [np.array([j for j in range(4) if j != i]) for i in range(4)]
+
+
+def _hashmix(v, consts, start: int, count: int):
+    """count hashmix calls, row r of v with constant pair start + r."""
+    v = (v ^ consts[start:start + count]) * consts[start + 1:start + count + 1]
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = x * 0xCA01F9DD - y * 0x4973F715
+    return r ^ (r >> 16)
+
+
+def philox_keys(seeds, tag: int) -> np.ndarray:
+    """m x 2 uint64 Philox keys: row k is
+    SeedSequence(entropy=seeds[k], spawn_key=(tag,)).generate_state(2, uint64).
+
+    A seed in [0, 2**64) is two 32-bit entropy words, always padded to a
+    4-word pool because the spawn key is not empty, and the tag is a fifth
+    word, so one fixed mixing schedule (numpy's `SeedSequence.mix_entropy`
+    and `generate_state`) serves every seed; it runs on uint32 arrays,
+    whose products wrap mod 2**32 as the hash's do.  ValueError on a seed
+    outside [0, 2**64).
+    """
+    seeds = [int(s) for s in seeds]
+    if seeds and not (min(seeds) >= 0 and max(seeds) < SEED_LIMIT):
+        bad = next(s for s in seeds if not 0 <= s < SEED_LIMIT)
+        raise ValueError(f"seed {bad} is outside [0, 2**64)")
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)
+    pool[0] = s & _WORD
+    pool[1] = s >> 32
+    pool = _hashmix(pool, _HASH_MIX, 0, 4)
+    start = 4
+    for i, rest in enumerate(_OTHER_WORDS):
+        pool[rest] = _mix(pool[rest], _hashmix(pool[i], _HASH_MIX, start, 3))
+        start += 3
+    pool = _mix(pool, _hashmix(np.uint32(tag), _HASH_MIX, start, 4))
+    # each seed's four output words, read as two little-endian 64-bit words
+    # as generate_state reads them
+    words = _hashmix(pool, _HASH_OUT, 0, 4).T.astype("<u4", order="C")
+    return words.view("<u8").astype(np.uint64)
+
 
 def rng_for(seed: int, tag: int) -> np.random.Generator:
-    """Philox generator for one (64-bit seed, purpose tag) pair."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag,))
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator for one (seed in [0, 2**64), purpose tag) pair: the
+    stream of Philox(SeedSequence(seed, spawn_key=(tag,)))."""
+    return np.random.Generator(np.random.Philox(key=philox_keys([seed], tag)[0]))
 
 
 class GeometryError(ValueError):

@@ -21,7 +21,8 @@ from . import owopt
 from .design import (ClusterPartition, draw_bits_batch, scaling_clusters,
                      scaling_rule, singleton_partition)
 from .estimators import WITH_CI, DesignContext, DrawBlock, check_hac_window, half_width
-from .geometry import TAG_COORDS, PremetricSpace, build_space, rng_for, uniform_disk
+from .geometry import (SEED_LIMIT, TAG_COORDS, PremetricSpace, build_space, rng_for,
+                       uniform_disk)
 from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
                        realize, sim_budget)
 
@@ -66,6 +67,9 @@ class ExperimentConfig:
         for key, low in (("reps", 1), ("ow_max_n", 1), ("ow_mc_draws", 1), ("base_seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}")
+        # treatment seeds are base_seed + r, population and table seeds base_seed + n
+        if self.base_seed + max(self.reps - 1, *map(int, self.n_list)) >= SEED_LIMIT:
+            raise ConfigError("base_seed + max(reps - 1, max(n_list)) must be < 2**64")
         if not any(self.estimators_at(int(n)) for n in self.n_list):
             raise ConfigError(f"no cell runs: every n is above ow_max_n = {self.ow_max_n}")
         if set(WITH_CI) & set(self.estimators):

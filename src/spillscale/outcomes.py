@@ -116,7 +116,8 @@ def realize(outcomes: LinearOutcomes, d, A=None) -> np.ndarray:
         raise ValueError(f"treatment must have shape ({A.shape[1]},) or "
                          f"({A.shape[1]}, m)")
     Ad = A @ d.astype(float, copy=False)
-    return (Ad.T + (outcomes.eps + outcomes.beta0)).T    # offset of each row
+    np.add(Ad.T, outcomes.eps + outcomes.beta0, out=Ad.T)    # offset of each row
+    return Ad
 
 
 def sim_budget(outcomes: LinearOutcomes, space: PremetricSpace, eta: float,

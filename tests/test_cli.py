@@ -849,18 +849,24 @@ class TestArgumentRanges:
         ("estimate", "--guess-seed", "-1"),
         ("ow-weights", "--seed", "-1"),
         ("oracle", "--seed", "-1"),
+        ("design", "--seed", str(2**64)),
+        ("estimate", "--guess-seed", str(2**64)),
     ], ids=["estimate_p", "estimate_ci_level", "design_p", "design_c0",
             "estimate_h", "estimate_eta", "ow_weights_eta", "oracle_p",
             "ow_weights_grid_not_a_number", "ow_weights_grid_negative",
             "ow_weights_grid_empty",
             "design_seed", "estimate_guess_seed", "ow_weights_seed",
-            "oracle_seed"])
+            "oracle_seed", "design_seed_2_64", "estimate_guess_seed_2_64"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, flag, value):
         # flag=value, so that a value starting with "-" is not read as a flag
         with pytest.raises(SystemExit) as exc:
             main(self._argv(tmp_path, command) + [f"{flag}={value}"])
         assert exc.value.code == 2
         assert f"argument {flag}: {value} is not" in capsys.readouterr().err
+
+    def test_largest_seed_is_taken(self, tmp_path, capsys):
+        assert main(self._argv(tmp_path, "design") + [f"--seed={2**64 - 1}"]) == 0
+        assert f"seed={2**64 - 1}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, flag, below, taken_is", [
         ("design", "--out", "", "file"), ("replicate", "--out", "", "file"),

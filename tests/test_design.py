@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale.design import (ClusterPartition, cluster_distances, cluster_sums,
-                               draw_treatments, extend_uniform_overlap, greedy_cover,
+from spillscale.design import (TAG_TREAT, ClusterPartition, cluster_distances,
+                               cluster_sums, draw_bits_batch, draw_treatments,
+                               extend_uniform_overlap, greedy_cover, rng_for,
                                incidence, scaling_clusters, scaling_rule,
                                singleton_partition)
 from spillscale.cli import load_clusters
@@ -454,6 +456,26 @@ def _three_cluster_line():
     space = ss.build_space(np.array([[0.0], [5.0], [5.5], [12.0]]))
     part = scaling_clusters(space, 1.0)
     return space, part
+
+
+class TestDrawBitsBatch:
+    @pytest.mark.parametrize("n_clusters", [1, 13, 900])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+    def test_rows_are_each_seeds_own_stream(self, n_clusters, p):
+        seeds = [2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 5, 2**64 - 1]
+        B = draw_bits_batch(n_clusters, p, seeds)
+        ref = [rng_for(s, TAG_TREAT).uniform(size=n_clusters) < p for s in seeds]
+        assert B.dtype == np.int8
+        assert np.array_equal(B, np.array(ref, dtype=np.int8))
+
+    def test_no_seeds(self):
+        assert draw_bits_batch(5, 0.5, []).shape == (0, 5)
+
+    def test_bits_are_pinned(self):
+        # recorded from the per-seed SeedSequence construction
+        B = draw_bits_batch(126, 0.5, range(7, 2007))
+        assert hashlib.sha256(B.tobytes()).hexdigest() == (
+            "eccaf96d8b7508cde85ebb8b73ffd0415432c68b66fd8c17d0a0339082f7b8c4")
 
 
 class TestDrawTreatments:

@@ -2,14 +2,55 @@ import numpy as np
 import pytest
 
 import spillscale as ss
+from spillscale import geometry
 from spillscale.design import TAG_COORDS, rng_for, scaling_rule
 from spillscale.geometry import (GeometryError, audit_geometry, bool_matmul,
                                  build_space, build_space_from_dist,
                                  fit_interference_constant, greedy_packing,
                                  greedy_set_cover, off_neighborhood_sums,
-                                 uniform_disk)
+                                 philox_keys, uniform_disk)
 
 from conftest import line_space
+
+
+TAGS = sorted({getattr(geometry, name) for name in dir(geometry) if name.startswith("TAG_")})
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def seed_sequence_key(seed, tag):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(tag,)).generate_state(2, np.uint64)
+
+
+class TestPhiloxKeys:
+    def test_tags_are_the_known_ones(self):
+        assert TAGS == [0, 1, 2, 3, 4, 9]
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_equal_seed_sequence_state(self, tag):
+        random = np.random.default_rng(tag).integers(0, 2**64, 1000, dtype=np.uint64)
+        seeds = EDGE_SEEDS + [int(s) for s in random]
+        keys = philox_keys(seeds, tag)
+        assert keys.dtype == np.uint64 and keys.shape == (len(seeds), 2)
+        assert np.array_equal(keys, [seed_sequence_key(s, tag) for s in seeds])
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_rng_for_is_the_seed_sequence_stream(self, seed):
+        ref = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(3,))))
+        gen = rng_for(seed, 3)
+        assert np.array_equal(gen.uniform(size=7), ref.uniform(size=7))
+        assert np.array_equal(gen.standard_normal(9), ref.standard_normal(9))
+        assert np.array_equal(gen.integers(0, 10, 5), ref.integers(0, 10, 5))
+
+    def test_empty(self):
+        assert philox_keys([], 3).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            philox_keys([5, seed], 3)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            rng_for(seed, 3)
 
 
 class TestBuildSpace:

@@ -17,10 +17,11 @@ class TestBlockWorkingSet:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_traced_peak_of_two_blocks(self, monkeypatch, design):
         # a block of m = BLOCK draws at n = 900 holds at most 7 n x m
-        # float64 arrays at once, the HAC sums included: 5.6 and 6.2 here
-        # (the cell's two n x C cluster sums included), 6.1 and 6.7 with a
-        # whole n x m lam @ e buffer, 11.4 and 12.4 when every weight array
-        # was cached and the counts were float64
+        # float64 arrays at once, the HAC sums included: 5.6 and 5.7 here
+        # (the cell's two n x C cluster sums included), 6.1 on iid when
+        # shrink's first stage cast all C x m bits at once, 6.1 and 6.7 with
+        # a whole n x m lam @ e buffer, 11.4 and 12.4 when every weight
+        # array was cached and the counts were float64
         n, m = 900, harness.BLOCK
         space, outcomes, guess = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
@@ -300,6 +301,19 @@ class TestConfigParsing:
             parse_config("n_list = 100\nestimators = ht\neta = nan")
         with pytest.raises(ConfigError, match="c0 must be in"):
             parse_config("n_list = 100\nc0 = inf")
+
+    def test_every_seed_below_2_64(self):
+        # treatment seeds run to base_seed + reps - 1, population seeds to
+        # base_seed + max(n_list)
+        top = 2**64 - 1
+        for reps, n_list in ((10, [5]), (3, [20])):
+            biggest = max(reps - 1, *n_list)
+            ExperimentConfig(n_list=n_list, reps=reps, base_seed=top - biggest).validate()
+            with pytest.raises(ConfigError, match="must be < 2\\*\\*64"):
+                ExperimentConfig(n_list=n_list, reps=reps,
+                                 base_seed=top - biggest + 1).validate()
+        with pytest.raises(ConfigError, match="must be < 2\\*\\*64"):
+            parse_config(f"n_list = 100\nbase_seed = {2**64}")
 
     def test_n_below_two(self):
         with pytest.raises(ConfigError):
