@@ -52,30 +52,20 @@ class ClusterPartition:
         return np.argsort(self.assignment, kind="stable"), np.cumsum(sizes) - sizes
 
 
-def greedy_cover(space: PremetricSpace, g: float) -> list:
-    """Greedy max-coverage g-cover of the population (ties by lowest id).
-
-    Every unit ends up inside N(u, g) of some returned u; the pick order is
-    deterministic given the input ordering.
-    """
+def greedy_cover(space: PremetricSpace, g: float) -> tuple[list, np.ndarray]:
+    """Greedy max-coverage g-cover of the population (ties by lowest id):
+    the picks u in pick order and, per unit, the index of the first pick
+    whose N(u, g) holds it."""
     return greedy_set_cover(np.ones(space.n, dtype=bool),
                             space.neighborhood_matrix(g))
 
 
 def scaling_clusters(space: PremetricSpace, g: float) -> ClusterPartition:
-    """Partition by growing one cluster per cover seed, in cover order.
-
-    Each cluster is the not-yet-assigned part of its seed's g-neighborhood;
-    seeds whose neighborhood was fully absorbed earlier produce no cluster.
-    """
-    assignment = np.full(space.n, -1, dtype=np.int64)
-    n_clusters = 0
-    for u in greedy_cover(space, g):
-        members = space.neighborhood_matrix(g, u) & (assignment < 0)
-        if members.any():
-            assignment[members] = n_clusters
-            n_clusters += 1
-    return ClusterPartition(assignment)
+    """One cluster per cover pick, in pick order: the part of its
+    g-neighborhood that no earlier pick covered.  None is empty: rho(i, i)
+    = 0, so while unit i is uncovered, candidate i would cover one new unit
+    and the greedy pick, which covers the most, covers at least one."""
+    return ClusterPartition(greedy_cover(space, g)[1])
 
 
 def singleton_partition(n: int) -> ClusterPartition:
@@ -113,8 +103,9 @@ class IncidenceCounts:
         return out
 
     def pure(self, treated) -> tuple[np.ndarray, np.ndarray]:
-        """(saturated, dissaturated) from `treated`: all or none treated."""
-        return treated == self.phi[:, None], treated == 0.0
+        """(saturated, dissaturated) from `treated`: all or none treated;
+        phi is compared as float32 (exact), so no float64 copy is made."""
+        return treated == self.phi.astype(np.float32)[:, None], treated == 0.0
 
     def share(self, treated) -> np.ndarray:
         """Treated share of the phi clusters meeting each N(i, s), from `treated`."""

@@ -112,9 +112,10 @@ class DrawBlock:
         """(saturated, dissaturated): all or none of those clusters treated."""
         return self.ctx.counts.pure(self.treated)
 
-    @property
+    @cached_property
     def ipw(self) -> tuple[np.ndarray, np.ndarray]:
-        """Saturated and dissaturated weights 1/p**phi and 1/(1-p)**phi."""
+        """Saturated and dissaturated weights 1/p**phi and 1/(1-p)**phi;
+        `hajek_weights` takes them over and renormalizes them in place."""
         sat, dis = self.pure
         phi, p = self.ctx.counts.phi.astype(float)[:, None], self.ctx.p
         return sat * p ** -phi, dis * (1.0 - p) ** -phi
@@ -143,6 +144,7 @@ class DrawBlock:
     def hajek_weights(self) -> np.ndarray:
         """Each group's weights renormalized to sum to 1, NaN if it is empty."""
         w1, w0 = self.ipw
+        del self.ipw                # its arrays are overwritten below
         s1, s0 = w1.sum(axis=0), w0.sum(axis=0)
         w1 /= np.where(s1 > 0, s1, np.nan)      # in place, same bits
         w0 /= np.where(s0 > 0, s0, np.nan)

@@ -267,12 +267,13 @@ def bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
+def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> tuple[list, np.ndarray]:
     """Greedy s-cover of the `members` mask by neighborhoods of its own units.
 
-    Returns the picked unit ids in coverage order (ties to the lowest id).
-    Greedy never beats the minimal cover, so len() is an upper bound on the
-    covering number.
+    Returns the picked unit ids in coverage order (ties to the lowest id)
+    and, per member in id order, the index of the pick that first covered
+    it.  Greedy never beats the minimal cover, so the pick count is an
+    upper bound on the covering number.
     """
     members = np.asarray(members, dtype=bool)
     cand = np.flatnonzero(members)
@@ -283,16 +284,17 @@ def greedy_set_cover(members: np.ndarray, nbhd_matrix: np.ndarray) -> list:
     # gains[k]: members still uncovered in candidate k's neighborhood, kept
     # exact by subtracting each pick's newly covered columns
     gains = sets.sum(axis=1, dtype=np.int64)
-    picked = []
+    labels, picked = np.empty(len(cand), dtype=np.int64), []    # every label set below
     while uncovered.any():
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise GeometryError("neighborhoods cannot cover the member set")
-        picked.append(int(cand[best]))
         newly = sets[best] & uncovered
+        labels[newly] = len(picked)
+        picked.append(int(cand[best]))
         gains -= sets[:, newly].sum(axis=1, dtype=np.int64)
         uncovered &= ~newly
-    return picked
+    return picked, labels
 
 
 def greedy_packing(candidates: np.ndarray, in_nbhd: np.ndarray) -> list:
@@ -348,7 +350,7 @@ def audit_geometry(space: PremetricSpace, s_grid, max_units: int = 60) -> Geomet
             u_set = M[nbhd].any(axis=0)
             v_set = M[:, nbhd].any(axis=1)
             for target in (u_set, v_set):
-                k5 = max(k5, float(len(greedy_set_cover(target, M))))
+                k5 = max(k5, float(len(greedy_set_cover(target, M)[0])))
         for _ in range(AUDIT_SUBSETS):
             q_mask = rng.uniform(size=n) < 0.5
             if not q_mask.any():

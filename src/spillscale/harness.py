@@ -150,9 +150,11 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     ow_mc_draws=100_000) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
-    Replicate r uses treatment seed base_seed + r.  Estimator failures
-    (empty Hajek group, degenerate exposure, weak first stage) are recorded
-    as NaN, never raised.
+    Replicate r uses treatment seed base_seed + r, in blocks of BLOCK draws;
+    a last block of 1-3 draws joins the one before (OpenBLAS multiplies
+    fewer than 4 columns by another kernel) unless it is the only block.
+    Estimator failures (empty Hajek group, degenerate exposure, weak first
+    stage) are recorded as NaN, never raised.
     """
     t0 = time.perf_counter()
     n = space.n
@@ -171,8 +173,8 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
     clipped = dict.fromkeys(need_ci, 0)
 
-    for lo in range(0, reps, BLOCK):
-        sl = slice(lo, min(lo + BLOCK, reps))
+    starts = [lo for lo in range(0, reps, BLOCK) if lo == 0 or reps - lo >= 4]
+    for sl in map(slice, starts, starts[1:] + [reps]):
         B = draw_bits_batch(partition.n_clusters, p,
                             range(base_seed + sl.start, base_seed + sl.stop))
         block = DrawBlock(ctx, realize(outcomes, B.T, ctx.cluster_sums(outcomes.A)),

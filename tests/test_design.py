@@ -39,28 +39,46 @@ class TestScalingRule:
             scaling_rule(10, -1.0)
 
 
+def per_seed_clusters(space, g):
+    """The scaling-cluster partition rebuilt after the cover, seed by seed:
+    each seed's g-neighborhood row, less the units already assigned, is the
+    next cluster, and a seed with nothing left makes none."""
+    assignment = np.full(space.n, -1, dtype=np.int64)
+    n_clusters = 0
+    for u in greedy_cover(space, g)[0]:
+        members = space.neighborhood_matrix(g, u) & (assignment < 0)
+        if members.any():
+            assignment[members] = n_clusters
+            n_clusters += 1
+    return assignment
+
+
 class TestGreedyCover:
     def test_middle_point_covers_line(self):
         space = line_space(3)
-        assert greedy_cover(space, 1.0) == [1]
+        cover, labels = greedy_cover(space, 1.0)
+        assert cover == [1] and labels.tolist() == [0, 0, 0]
 
     def test_spread_line_needs_everyone(self):
         space = line_space(3, spacing=2.0)
-        assert greedy_cover(space, 1.0) == [0, 1, 2]
+        cover, labels = greedy_cover(space, 1.0)
+        assert cover == [0, 1, 2] and labels.tolist() == [0, 1, 2]
 
     def test_cover_property_random(self, disk500):
         space, _, _ = disk500
         for g in (2.0, 8.0):
-            cover = greedy_cover(space, g)
+            cover, labels = greedy_cover(space, g)
             M = space.neighborhood_matrix(g)
             assert M[cover].any(axis=0).all()
+            # each unit's label is the first pick whose neighborhood holds it
+            assert np.array_equal(labels, M[cover].argmax(axis=0))
 
     def test_cover_size_vs_packing_bound(self, disk500):
         # greedy covers stay within the audited packing budget K4 * n / g
         space, _, _ = disk500
         g = scaling_rule(space.n, 1.0)
         audit = ss.audit_geometry(space, [g], max_units=40)
-        cover = greedy_cover(space, g)
+        cover, _ = greedy_cover(space, g)
         assert len(cover) <= max(audit.k4_hat, 1.0) * space.n / g * 2.0
 
 
@@ -86,25 +104,38 @@ class TestScalingClusters:
             # every unit has an id in 0..C-1 (bincount rejects -1), and
             # each id names a nonempty cluster
             assert np.bincount(part.assignment).min() > 0
-            # cluster k grows from the k-th cover seed whose g-neighborhood
-            # still held unassigned units when it was reached, and lies
-            # inside that neighborhood
+            # every cover pick forms a cluster, and cluster k lies inside
+            # the g-neighborhood of pick k
+            cover, _ = greedy_cover(space, g)
+            assert part.n_clusters == len(cover)
             M = space.neighborhood_matrix(g)
-            clusters = cluster_members(part)
-            assigned = np.zeros(space.n, dtype=bool)
-            k = 0
-            for seed in greedy_cover(space, g):
-                if (M[seed] & ~assigned).any():
-                    assert M[seed][clusters[k]].all()
-                    assigned[clusters[k]] = True
-                    k += 1
-            assert k == part.n_clusters and assigned.all()
+            for k, members in enumerate(cluster_members(part)):
+                assert M[cover[k]][members].all()
+
+    @pytest.mark.parametrize("kind", ["euclidean", "tied_table"])
+    def test_matches_per_seed_rebuild(self, kind):
+        # the cover's own labels against the partition rebuilt from each
+        # seed's neighborhood row, also on asymmetric tables of integer
+        # distances, with many ties in the neighborhoods and the gains
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            n = int(rng.integers(20, 90))
+            if kind == "euclidean":
+                space = ss.build_space(rng.uniform(-8, 8, size=(n, 2)))
+                g = float(rng.uniform(0.5, 30.0))
+            else:
+                dist = rng.integers(1, rng.integers(3, 13), size=(n, n)).astype(float)
+                np.fill_diagonal(dist, 0.0)
+                space = build_space_from_dist(dist)
+                g = float(rng.integers(1, 6))
+            part = scaling_clusters(space, g)
+            assert np.array_equal(part.assignment, per_seed_clusters(space, g))
 
     def test_cluster_ids_in_cover_order(self, disk500):
         # cluster 0 grows from the first cover seed: its whole neighborhood
         space, _, _ = disk500
         part = scaling_clusters(space, 5.0)
-        first = greedy_cover(space, 5.0)[0]
+        first = greedy_cover(space, 5.0)[0][0]
         assert np.array_equal(np.flatnonzero(part.assignment == 0),
                               space.neighborhood(first, 5.0))
         assert np.bincount(part.assignment).sum() == space.n

@@ -142,6 +142,20 @@ class TestHajek:
         block = one_draw(space, part, 1.0, Y, d)
         assert block.hajek_weights[:, 0] @ Y == pytest.approx(block.hajek[0])
 
+    def test_ht_and_hajek_share_the_ipw_pair_in_either_order(self):
+        # a block builds the IPW pair once; hajek_weights renormalizes it in
+        # place and drops it, so an HT read after Hajek rebuilds it
+        space, outcomes, _ = harness.build_population(80, 3)
+        h = ss.scaling_rule(80, 1.0)
+        ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
+        B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5, range(16))
+        Y = realize(outcomes, B[:, ctx.partition.assignment].T)
+        first, second = DrawBlock(ctx, Y, B.T), DrawBlock(ctx, Y, B.T)
+        ht, hajek = first.ht, first.hajek
+        assert "ipw" not in vars(first)
+        assert np.array_equal(second.hajek, hajek, equal_nan=True)
+        assert np.array_equal(second.ht, ht)
+
     def test_smaller_bias_than_ht_in_simulation(self):
         space, outcomes, guess = harness.build_population(400, 7 + 400)
         h = ss.scaling_rule(400, 1.0)

@@ -231,26 +231,31 @@ class TestAudits:
         for s in (4.0, 16.0):
             M = space.neighborhood_matrix(s)
             members = rng.uniform(size=space.n) < 0.4
-            cover = greedy_set_cover(members, M)
+            cover, labels = greedy_set_cover(members, M)
             assert np.all(M[cover][:, members].any(axis=0))
+            # each member's label names a pick whose neighborhood holds it
+            assert np.all(M[np.array(cover)[labels], np.flatnonzero(members)])
             pack = greedy_packing(members, M)
             inside = M[np.ix_(np.flatnonzero(members), pack)]
             assert inside.sum(axis=1).max() <= 1
 
     def test_greedy_cover_matches_naive_rescan(self):
         # the pick rule written out: rescan every candidate's uncovered
-        # members at each pick, ties to the lowest id
+        # members at each pick, ties to the lowest id, and label the
+        # members each pick newly covers with its index
         def naive(members, M):
             cand = np.flatnonzero(members)
             uncovered = set(cand.tolist())
-            picked = []
+            picked, label = [], {}
             while uncovered:
                 gains = [len(uncovered & set(np.flatnonzero(M[c]).tolist()))
                          for c in cand]
                 best = int(cand[int(np.argmax(gains))])
+                newly = uncovered & set(np.flatnonzero(M[best]).tolist())
+                label.update(dict.fromkeys(newly, len(picked)))
                 picked.append(best)
-                uncovered -= set(np.flatnonzero(M[best]).tolist())
-            return picked
+                uncovered -= newly
+            return picked, [label[c] for c in cand.tolist()]
 
         rng = np.random.default_rng(5)
         for trial in range(6):
@@ -258,7 +263,8 @@ class TestAudits:
             space = build_space(uniform_disk(n, rng))
             M = space.neighborhood_matrix(float(rng.uniform(1.0, 8.0)))
             members = rng.uniform(size=n) < rng.uniform(0.3, 1.0)
-            assert greedy_set_cover(members, M) == naive(members, M)
+            cover, labels = greedy_set_cover(members, M)
+            assert (cover, labels.tolist()) == naive(members, M)
 
     def test_design_scale_constants_golden(self):
         # the design-scale audit (n = 600, seed 7); values recorded from the

@@ -151,23 +151,26 @@ class TestBlockSize:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_per_draw_results_do_not_depend_on_block_size(self, monkeypatch, design):
         # every per-draw value is a column of its block, built by the same
-        # operations whichever block the draw falls in
-        n, reps = 300, 600
+        # operations whichever block the draw falls in; at 601 draws a
+        # block of 100 leaves a 1-draw tail, which joins the block before it
+        n = 300
         space, outcomes, guess = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
-        cells = []
-        for block in (512, 100, 7):
-            monkeypatch.setattr(harness, "BLOCK", block)
-            cells.append(simulate_design(space, outcomes, guess, part, h, 0.5, reps, 7,
-                                         ["ht", "hajek", "ols", "shrink"]))
-        first = cells[0]
-        for cell in cells[1:]:
-            for name, values in first.estimates.items():
-                assert np.array_equal(cell.estimates[name], values, equal_nan=True), name
-            for name, flags in first.covers.items():
-                assert np.array_equal(cell.covers[name], flags), name
-            assert cell.hac_clipped == first.hac_clipped
+        for reps, blocks in ((600, (512, 100, 7)), (601, (512, 100))):
+            cells = []
+            for block in blocks:
+                monkeypatch.setattr(harness, "BLOCK", block)
+                cells.append(simulate_design(space, outcomes, guess, part, h, 0.5,
+                                             reps, 7, ["ht", "hajek", "ols", "shrink"]))
+            first = cells[0]
+            for cell in cells[1:]:
+                for name, values in first.estimates.items():
+                    assert np.array_equal(cell.estimates[name], values,
+                                          equal_nan=True), (reps, name)
+                for name, flags in first.covers.items():
+                    assert np.array_equal(cell.covers[name], flags), (reps, name)
+                assert cell.hac_clipped == first.hac_clipped
 
 
 class TestDeterminism:
