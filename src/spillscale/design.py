@@ -107,9 +107,10 @@ class IncidenceCounts:
         phi is compared as float32 (exact), so no float64 copy is made."""
         return treated == self.phi.astype(np.float32)[:, None], treated == 0.0
 
-    def share(self, treated) -> np.ndarray:
-        """Treated share of the phi clusters meeting each N(i, s), from `treated`."""
-        return treated / self.phi[:, None]
+    def share(self, treated, units=slice(None)) -> np.ndarray:
+        """Treated share of the phi clusters meeting each N(i, s) of the
+        given units (all by default), from `treated`."""
+        return treated[units] / self.phi[units, None]
 
     def shared(self) -> np.ndarray:
         """n x n: N(i, s) and N(j, s) meet a common cluster."""

@@ -31,6 +31,7 @@ from .geometry import PremetricSpace, row_blocks
 from .outcomes import GuessMatrix
 
 HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
+HAC_ROWS = 64                   # rows per block of the banded HAC sum
 WITH_CI = ("hajek", "ols")      # the estimators with a HAC interval
 
 
@@ -52,6 +53,87 @@ def _cols(x, dtype=np.float64):
 def _dot(a, b) -> np.ndarray:
     """Column-wise dot products of two n x m arrays."""
     return np.einsum("im,im->m", a, b)
+
+
+@dataclass(frozen=True, eq=False)
+class Band:
+    """The upper band of a symmetric dependency graph lam, its units in
+    `band_order`.  For the k-th block R of HAC_ROWS rows in that order (the
+    last one shorter), blocks[k] is lam[R, R.start:stop], where stop is one
+    past the last column that a row of R reaches, and at least R.stop; with
+    lam's symmetry the blocks hold every nonzero of lam."""
+
+    order: np.ndarray
+    blocks: list
+
+    @classmethod
+    def of(cls, lam) -> Band:
+        order = band_order(lam)
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)        # each unit's place in order
+        blocks = []
+        for rows in row_blocks(order.size, HAC_ROWS):
+            reach = lam[order[rows]]
+            stop = int(where[reach.any(axis=0)].max(initial=rows.stop - 1)) + 1
+            blocks.append(reach[:, order[rows.start:stop]])
+        return cls(order=order, blocks=blocks)
+
+    def quadratic(self, e) -> np.ndarray:
+        """Column sums e' lam e of an n x m array e whose rows are in band
+        order.  lam is symmetric, so each block of rows R adds
+        e_R' lam[R, R] e_R and twice e_R' lam[R, R.stop:stop] e[R.stop:stop],
+        from one float64 cast of its block, lam[R, R.start:stop]."""
+        total = np.zeros(e.shape[1])
+        for rows, block in zip(row_blocks(e.shape[0], HAC_ROWS), self.blocks):
+            lam = block.astype(np.float64)
+            lam[:, rows.stop - rows.start:] *= 2.0
+            total += _dot(e[rows], lam @ e[rows.start:rows.start + lam.shape[1]])
+            del lam                 # before the next block casts its own
+        return total
+
+
+def band_order(lam) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the symmetric boolean graph lam.
+
+    Units with no neighbour but themselves come last, all at once.  Each
+    other component is searched breadth first from a pseudo-peripheral
+    unit (George & Liu, 1979) with one set of array operations per level,
+    and its levels are listed in turn (Cuthill & McKee, 1969), then the
+    whole list is reversed.  Every edge then joins units of one level or
+    of adjacent levels, so each row's nonzeros lie within a narrow band.
+    """
+    degree = lam.sum(axis=1, dtype=np.int32) - lam.diagonal()
+    seen = degree == 0
+    parts = [np.flatnonzero(seen)]
+    while not seen.all():
+        rest = np.flatnonzero(~seen)
+        levels = _levels(lam, degree, rest[np.argmin(degree[rest])], seen)
+        while True:
+            last = levels[-1]
+            deeper = _levels(lam, degree, last[np.argmin(degree[last])], seen)
+            if len(deeper) <= len(levels):
+                break
+            levels = deeper
+        parts.extend(levels)
+        seen[np.concatenate(levels)] = True
+    return np.concatenate(parts)[::-1]
+
+
+def _levels(lam, degree, root, seen) -> list:
+    """Breadth-first levels of root's component among the units not `seen`;
+    each level's units ordered by the first unit of the level before that
+    neighbours them, then by degree, then by id."""
+    seen = seen.copy()
+    seen[root] = True
+    levels, level = [], np.array([root])
+    while level.size:
+        levels.append(level)
+        rows = lam[level]
+        nxt = np.flatnonzero(rows.any(axis=0) & ~seen)
+        first = rows[:, nxt].argmax(axis=0)
+        level = nxt[np.lexsort((degree[nxt], first))]
+        seen[level] = True
+    return levels
 
 
 class DesignContext:
@@ -82,8 +164,10 @@ class DesignContext:
         return design.incidence(self.space, self.partition, self.h)
 
     @cached_property
-    def lam(self) -> np.ndarray:
-        return dependency_graph(self.space, self.partition, self.h, self.eta)
+    def band(self) -> Band:
+        """The dependency graph's band, the only form of the graph this
+        context keeps."""
+        return Band.of(dependency_graph(self.space, self.partition, self.h, self.eta))
 
 
 class DrawBlock:
@@ -160,9 +244,11 @@ class DrawBlock:
         var = _dot(self.T, self.T) / self.T.shape[0] - self.tbar ** 2
         return np.where(var > 1e-12, var, np.nan)
 
-    @property
-    def ols_weights(self) -> np.ndarray:
-        w = self.T - self.tbar
+    def ols_weights(self, units) -> np.ndarray:
+        """(T - tbar) / (n var_t) of the given units, in their order, built on
+        each call in one new array."""
+        w = self.T[units]
+        w -= self.tbar
         w /= self.T.shape[0] * self.var_t
         return w
 
@@ -204,35 +290,32 @@ class DrawBlock:
         weights w, which carry the 1/n scale, so the sum estimates the
         estimate's variance directly.  OLS centres on its exposure; Hajek on
         the treated share of the clusters meeting the base neighborhood.
-        e is built in place by that formula's operations, in its order.
-        The Hajek sum is the last reader of `treated` and `hajek_weights`
-        and releases each after its read; a later read recomputes it.
-
-        lam is symmetric, so each block of rows R adds e_R' lam[R, R] e_R
-        and twice e_R' lam[R, R.stop:] e[R.stop:], one float64 cast of
-        lam[R, R.start:] per block.
+        e is built with its rows in the context's band order, one row block
+        at a time, by that formula's operations in its order, each starting
+        from a gather of the block's rows: every entry has the bits it has
+        in unit order, and no other n x m array is made.  The Hajek sum is
+        the last reader of `treated` and `hajek_weights` and releases each
+        after its read; a later read recomputes it.  `Band.quadratic` then
+        sums e' lam e over the band.
         """
         if name not in WITH_CI:
             raise ValueError(f"HAC variance is for {' and '.join(WITH_CI)}, "
                              f"not {name!r}")
         ols = name == "ols"
-        c = (self.T if ols else self.ctx.counts.share(self.treated)) - self.ctx.p
-        c *= self.ols if ols else self.hajek
+        band, estimate = self.ctx.band, self.ols if ols else self.hajek
+        e = np.empty_like(self.Y)
+        for rows in row_blocks(e.shape[0], HAC_ROWS):
+            units = band.order[rows]
+            c = self.T[units] if ols else self.ctx.counts.share(self.treated, units)
+            c -= self.ctx.p
+            c *= estimate
+            e[rows] = self.Y[units]
+            e[rows] -= self.ybar
+            e[rows] -= c
+            e[rows] *= self.ols_weights(units) if ols else self.hajek_weights[units]
         if not ols:
-            del self.treated
-        e = self.Y - self.ybar
-        e -= c
-        del c
-        e *= self.ols_weights if ols else self.hajek_weights
-        if not ols:
-            del self.hajek_weights
-        total = np.zeros(e.shape[1])
-        for rows in row_blocks(e.shape[0]):
-            lam = self.ctx.lam[rows, rows.start:].astype(np.float64)
-            lam[:, rows.stop - rows.start:] *= 2.0
-            total += _dot(e[rows], lam @ e[rows.start:])
-            del lam                 # before the next block casts its own
-        return total
+            del self.treated, self.hajek_weights
+        return band.quadratic(e)
 
 
 # the tag `estimate` writes into fail_flags when the estimator is undefined

@@ -179,11 +179,11 @@ class PremetricSpace:
         return float(self.size_of_radius(dmin * (1.0 - 1e-9)))
 
 
-def row_blocks(n: int):
-    """Slices of consecutive rows covering range(n), each at most
-    _ROW_BLOCK long: the unit in which n x n temporaries are built."""
-    for lo in range(0, n, _ROW_BLOCK):
-        yield slice(lo, min(lo + _ROW_BLOCK, n))
+def row_blocks(n: int, size: int = _ROW_BLOCK):
+    """Slices of consecutive rows covering range(n), each at most `size`
+    long (_ROW_BLOCK, the unit in which n x n temporaries are built)."""
+    for lo in range(0, n, size):
+        yield slice(lo, min(lo + size, n))
 
 
 def build_space(coords) -> PremetricSpace:

@@ -150,9 +150,12 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     ow_mc_draws=100_000) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
-    Replicate r uses treatment seed base_seed + r, in blocks of BLOCK draws;
-    a last block of 1-3 draws joins the one before (OpenBLAS multiplies
-    fewer than 4 columns by another kernel) unless it is the only block.
+    Replicate r uses treatment seed base_seed + r, in blocks of BLOCK draws.
+    A block of k draws, k not a multiple of 8, is padded with all-control
+    draws up to the next multiple, and their values are dropped: OpenBLAS
+    computes the columns of a last partial group of 8 otherwise than those
+    of a full one, and numpy reduces a single column by another loop, so
+    the pad keeps each draw's bits independent of the block it lands in.
     Estimator failures (empty Hajek group, degenerate exposure, weak first
     stage) are recorded as NaN, never raised.
     """
@@ -173,16 +176,17 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
     clipped = dict.fromkeys(need_ci, 0)
 
-    starts = [lo for lo in range(0, reps, BLOCK) if lo == 0 or reps - lo >= 4]
-    for sl in map(slice, starts, starts[1:] + [reps]):
+    for sl in (slice(lo, min(lo + BLOCK, reps)) for lo in range(0, reps, BLOCK)):
+        k = sl.stop - sl.start
         B = draw_bits_batch(partition.n_clusters, p,
                             range(base_seed + sl.start, base_seed + sl.stop))
+        B = np.pad(B, ((0, -k % 8), (0, 0)))       # whole groups of 8 draws
         block = DrawBlock(ctx, realize(outcomes, B.T, ctx.cluster_sums(outcomes.A)),
                           B.T, guess=guess, weights=ow_table)
         for name in estimators:
-            estimates[name][sl] = getattr(block, name)
+            estimates[name][sl] = getattr(block, name)[:k]
         for name in need_ci:
-            sigma2 = block.variance(name)
+            sigma2 = block.variance(name)[:k]
             clipped[name] += int((sigma2 < 0.0).sum())
             half = half_width(sigma2, ci_level)
             covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half

@@ -6,6 +6,7 @@ import pytest
 import spillscale as ss
 from spillscale import harness
 from spillscale.design import TAG_TABLES, incidence, rng_for
+from spillscale.estimators import dependency_graph
 from spillscale.geometry import PremetricSpace, row_blocks
 from spillscale.oracle import enumerate_assignments
 from spillscale.owopt import _CHUNK, effective_grid, interacting_pairs
@@ -169,11 +170,13 @@ def whole_array_saturation_tables(space, partition, grid, p, method="mc",
 # counts treated clusters in float32 and builds each HAC residual in place.
 # Below are the formulas it replaced, one expression each: float64 counts,
 # both IPW weight arrays kept, e = w * (Y - ybar - estimate * (c - p)), the
-# guess applied to unit treatments (A_hat @ D) and the whole of lam @ e.
-# The counts are the same integers, and ht, hajek and ols go through the
-# same operations in the same order, so they agree bit for bit.  shrink and
-# the HAC sums add the same terms in another order (over cluster sums, and
-# over one side of the symmetric lam), so they agree to rounding.
+# guess applied to unit treatments (A_hat @ D) and the whole of lam @ e,
+# with lam from `dependency_graph` in unit order.  The counts are the same
+# integers, and ht, hajek and ols go through the same operations in the
+# same order, so they agree bit for bit.  shrink and the HAC sums add the
+# same terms in another order (over cluster sums, and over one side of the
+# band of the symmetric lam, its units in band order), so they agree to
+# rounding.
 
 
 def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
@@ -203,11 +206,13 @@ def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
            "ols": cov_ty / var_t,
            "shrink": cov_ty / first * (guess.A_hat.sum() / guess.n)}
 
+    lam = dependency_graph(ctx.space, ctx.partition, ctx.h, ctx.eta)
+
     def hac(w, estimate, c):
         e = w * (Y - ybar - estimate * (c - p))
         lam_e = np.empty_like(e)
         for rows in row_blocks(n):
-            np.matmul(ctx.lam[rows], e, out=lam_e[rows])
+            np.matmul(lam[rows], e, out=lam_e[rows])
         return dot(e, lam_e)
 
     out["var_hajek"] = hac(hajek_w, out["hajek"], treated / counts.phi[:, None])

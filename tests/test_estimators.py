@@ -7,12 +7,15 @@ import spillscale as ss
 from spillscale import design, harness
 from spillscale.design import (cluster_bits, draw_treatments, incidence,
                                scaling_clusters, singleton_partition)
-from spillscale.estimators import (HAC_EPSILON, UNDEFINED, DesignContext,
-                                   DrawBlock, check_hac_window, half_width,
-                                   interval)
-from spillscale.geometry import fit_interference_constant
+from spillscale import estimators
+from spillscale.estimators import (HAC_EPSILON, HAC_ROWS, UNDEFINED, Band,
+                                   DesignContext, DrawBlock, band_order,
+                                   check_hac_window, dependency_graph,
+                                   half_width, interval)
+from spillscale.geometry import (build_space_from_dist, fit_interference_constant,
+                                 row_blocks, uniform_disk)
 from spillscale.oracle import enumerate_assignments, exact_expectation
-from spillscale.outcomes import realize
+from spillscale.outcomes import make_guess, make_sim_dgp, realize
 from spillscale.owopt import default_ow_grid, saturation_tables, stilde_indices
 
 from conftest import (SaturationProfile, line_space, per_row, saturation,
@@ -251,7 +254,7 @@ class TestOls:
         ctx, b, T = exposure_draw(4)
         Y = np.random.default_rng(4).normal(size=T.size)
         block = DrawBlock(ctx, Y, B=b)
-        assert block.ols_weights[:, 0] @ Y == pytest.approx(block.ols[0])
+        assert block.ols_weights(np.arange(Y.size))[:, 0] @ Y == pytest.approx(block.ols[0])
 
 
 class TestShrinkage:
@@ -457,12 +460,123 @@ class TestBlockMatchesWholeArrayReference:
         got["var_hajek"], got["var_ols"] = block.variance("hajek"), block.variance("ols")
         for name, value in want.items():
             if name in ("shrink", "var_hajek", "var_ols"):
-                # sums over cluster sums and one side of lam: the same terms
-                # added in another order
+                # sums over cluster sums and one side of lam's band: the
+                # same terms added in another order
                 np.testing.assert_allclose(got[name], value, rtol=1e-12, err_msg=name)
             else:
                 assert np.array_equal(got[name], value, equal_nan=True), name
         assert np.isfinite(want["hajek"]).sum() > harness.BLOCK // 2
+
+
+def far_apart_table(n, seed):
+    """An asymmetric integer distance table whose dependency graph has
+    several components and isolated units: distances 1-4 between units of
+    one group and 1000 between groups, group labels drawn per unit (so
+    components interleave in id order), every fifth unit a group of one."""
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, max(1, n // 30), size=n)
+    group[::5] = n + np.arange(group[::5].size)
+    dist = rng.integers(1, 5, size=(n, n)).astype(float)
+    dist[group[:, None] != group[None, :]] = 1000.0
+    np.fill_diagonal(dist, 0.0)
+    return build_space_from_dist(dist)
+
+
+def band_context(kind, n, design_name) -> DesignContext:
+    """A context on a random Euclidean population (the simulation's disk)
+    or on `far_apart_table`, at h = 2 on the table."""
+    if kind == "euclidean":
+        space = ss.build_space(uniform_disk(n, np.random.default_rng(n)))
+        h = ss.scaling_rule(n, 1.0)
+    else:
+        space, h = far_apart_table(n, n), 2.0
+    return DesignContext(space, harness.make_partition(space, design_name, h), h, 0.5)
+
+
+def band_stops(band) -> list:
+    """Per row block of the band, the column where its band stops."""
+    return [rows.start + block.shape[1] for rows, block
+            in zip(row_blocks(band.order.size, HAC_ROWS), band.blocks)]
+
+
+BAND_CASES = [(kind, n, design_name) for kind in ("euclidean", "table")
+              for n in (1, 2, 63, 64, 65, 300)
+              for design_name in ("scaling_clusters", "iid")]
+
+
+class TestBand:
+    @pytest.mark.parametrize("kind, n, design_name", BAND_CASES)
+    def test_band_holds_every_nonzero(self, kind, n, design_name):
+        ctx = band_context(kind, n, design_name)
+        band = ctx.band
+        lam = dependency_graph(ctx.space, ctx.partition, ctx.h, ctx.eta)
+        assert np.array_equal(np.sort(band.order), np.arange(n))
+        ordered = lam[band.order][:, band.order]
+        blocks = list(row_blocks(n, HAC_ROWS))
+        assert len(band.blocks) == len(blocks)
+        for rows, stop, block in zip(blocks, band_stops(band), band.blocks):
+            assert rows.stop <= stop <= n
+            assert np.array_equal(block, ordered[rows, rows.start:stop])
+            assert not ordered[rows, stop:].any()
+        # the order depends on lam alone: another context finds the same band
+        again = band_context(kind, n, design_name).band
+        assert np.array_equal(again.order, band.order)
+        assert band_stops(again) == band_stops(band)
+
+    @pytest.mark.parametrize("kind, n, design_name", BAND_CASES)
+    def test_banded_sum_matches_whole_product(self, kind, n, design_name):
+        ctx = band_context(kind, n, design_name)
+        lam = dependency_graph(ctx.space, ctx.partition, ctx.h, ctx.eta)
+        e = np.random.default_rng(3).standard_normal((n, 6))
+        np.testing.assert_allclose(ctx.band.quadratic(e[ctx.band.order]),
+                                   np.einsum("im,im->m", e, lam @ e), rtol=1e-12)
+        # and the HAC sums of a block, e built in band order, against the
+        # unit-order formulas
+        outcomes, guess = make_sim_dgp(ctx.space, n), make_guess(ctx.space, n)
+        B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5, range(16))
+        D = B[:, ctx.partition.assignment].T
+        Y = realize(outcomes, D)
+        block = DrawBlock(ctx, Y, B.T, guess=guess)
+        want = whole_array_estimates(ctx, Y, D, B.T, guess)
+        for name in ("hajek", "ols"):
+            np.testing.assert_allclose(block.variance(name), want["var_" + name],
+                                       rtol=1e-12, err_msg=name)
+
+    def test_isolated_units_take_no_search(self, monkeypatch):
+        # units with no neighbour but themselves are ordered at once: on
+        # lam = I no breadth-first search runs, for any n
+        calls, real = [], estimators._levels
+        monkeypatch.setattr(estimators, "_levels",
+                            lambda *args: calls.append(1) or real(*args))
+        band = Band.of(np.eye(2000, dtype=bool))
+        assert calls == []
+        assert np.array_equal(np.sort(band.order), np.arange(2000))
+        assert band_stops(band) == [rows.stop for rows in row_blocks(2000, HAC_ROWS)]
+
+    def test_path_is_ordered_from_an_end(self):
+        # on a path, the level order from an end is the path itself: the
+        # reverse order runs from the other end, one unit per level, and
+        # the band of each block reaches one column past it
+        n = 200
+        ids = np.random.default_rng(5).permutation(n)     # path in shuffled ids
+        lam = np.eye(n, dtype=bool)
+        lam[ids[:-1], ids[1:]] = lam[ids[1:], ids[:-1]] = True
+        order = band_order(lam)
+        assert np.array_equal(order, ids) or np.array_equal(order, ids[::-1])
+        stops = band_stops(Band.of(lam))
+        assert stops[:-1] == [rows.stop + 1 for rows in row_blocks(n, HAC_ROWS)][:-1]
+
+    def test_band_is_narrow_on_the_simulation_population(self):
+        # at n = 900 one side of 256-row blocks read 63% of lam's entries;
+        # the band reads 17-22% (both designs, 64-row blocks)
+        n = 900
+        space, _, _ = harness.build_population(n, 7 + n)
+        h = ss.scaling_rule(n, 1.0)
+        for design_name in ("scaling_clusters", "iid"):
+            band = DesignContext(space, harness.make_partition(space, design_name, h),
+                                 h, 0.5).band
+            cells = sum(block.size for block in band.blocks)
+            assert cells <= 0.3 * n * n, design_name
 
 
 class TestMixedClusterTreatment:

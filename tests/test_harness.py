@@ -17,8 +17,10 @@ class TestBlockWorkingSet:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     def test_traced_peak_of_two_blocks(self, monkeypatch, design):
         # a block of m = BLOCK draws at n = 900 holds at most 7 n x m
-        # float64 arrays at once, the HAC sums included: 5.6 and 5.7 here
-        # (the cell's two n x C cluster sums included), 6.1 on iid when
+        # float64 arrays at once, the HAC sums included: 5.32 and 5.65 here
+        # (the cell's two n x C cluster sums included; the HAC residual is
+        # built in band order 64 rows at a time), 5.63 and 5.67 when it was
+        # built whole over one side of lam in unit order, 6.1 on iid when
         # shrink's first stage cast all C x m bits at once, 6.1 and 6.7 with
         # a whole n x m lam @ e buffer, 11.4 and 12.4 when every weight
         # array was cached and the counts were float64
@@ -27,7 +29,7 @@ class TestBlockWorkingSet:
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
         ctx = DesignContext(space, part, h, 0.5)
-        ctx.counts, ctx.extended, ctx.lam           # the cell's, built once
+        ctx.counts, ctx.extended, ctx.band          # the cell's, built once
         monkeypatch.setattr(harness, "DesignContext", lambda *args: ctx)
         tracemalloc.start()
         try:
@@ -152,7 +154,8 @@ class TestBlockSize:
     def test_per_draw_results_do_not_depend_on_block_size(self, monkeypatch, design):
         # every per-draw value is a column of its block, built by the same
         # operations whichever block the draw falls in; at 601 draws a
-        # block of 100 leaves a 1-draw tail, which joins the block before it
+        # block of 100 leaves a 1-draw block, padded to 8 draws like the
+        # blocks of 100 and 7
         n = 300
         space, outcomes, guess = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
