@@ -274,7 +274,7 @@ class DrawBlock:
         """[Cov(T, Y) / Cov(T, A_hat d)] * (1'A_hat 1 / n): consistent for any
         guess with nonzero total mass, tighter when the guess's split of
         spillovers across the neighborhood boundary matches the truth."""
-        return self.cov_ty / self.first_stage * (self.guess.A_hat.sum() / self.guess.n)
+        return self.cov_ty / self.first_stage * self.guess.scale
 
     @cached_property
     def ow(self) -> np.ndarray:

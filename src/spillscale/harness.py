@@ -28,7 +28,17 @@ from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
 
 DESIGNS = ("scaling_clusters", "iid")
 ESTIMATORS = ("ht", "hajek", "ols", "shrink", "ow")
-BLOCK = 512                     # replicates evaluated per batched call
+BLOCK_BYTES = 2 ** 21           # bytes of one n x m float64 array of a block
+
+
+def block_width(n: int) -> int:
+    """Draws per Monte Carlo block at population size n: the largest power
+    of two m <= 512 whose n x m float64 array fits in BLOCK_BYTES, and at
+    least 8, so that a block's memory does not grow with n."""
+    m = 512
+    while m > 8 and 8 * n * m > BLOCK_BYTES:
+        m //= 2
+    return m
 
 
 class ConfigError(ValueError):
@@ -150,12 +160,17 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     ow_mc_draws=100_000) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
-    Replicate r uses treatment seed base_seed + r, in blocks of BLOCK draws.
-    A block of k draws, k not a multiple of 8, is padded with all-control
-    draws up to the next multiple, and their values are dropped: OpenBLAS
-    computes the columns of a last partial group of 8 otherwise than those
-    of a full one, and numpy reduces a single column by another loop, so
-    the pad keeps each draw's bits independent of the block it lands in.
+    Replicate r uses treatment seed base_seed + r, in blocks of
+    `block_width(n)` draws, so that a block holds a bounded number of bytes
+    at any n.  A block of k draws, k not a multiple of 8, is padded with
+    all-control draws up to the next multiple, and their values are
+    dropped: OpenBLAS computes the columns of a last partial group of 8
+    otherwise than those of a full one, and numpy reduces a single column
+    by another loop, so the pad keeps each draw's bits independent of the
+    block it lands in.  The dependency graph's band is built before the
+    first block, and each WITH_CI estimator's HAC sum runs right after its
+    estimate, so the Hajek sum releases the arrays that only it still reads
+    before the later estimators build theirs.
     Estimator failures (empty Hajek group, degenerate exposure, weak first
     stage) are recorded as NaN, never raised.
     """
@@ -176,7 +191,10 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
     clipped = dict.fromkeys(need_ci, 0)
 
-    for sl in (slice(lo, min(lo + BLOCK, reps)) for lo in range(0, reps, BLOCK)):
+    if need_ci:     # the graph's n x n temporaries, before any block's arrays
+        ctx.band
+    m = block_width(n)
+    for sl in (slice(lo, min(lo + m, reps)) for lo in range(0, reps, m)):
         k = sl.stop - sl.start
         B = draw_bits_batch(partition.n_clusters, p,
                             range(base_seed + sl.start, base_seed + sl.stop))
@@ -185,11 +203,11 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                           B.T, guess=guess, weights=ow_table)
         for name in estimators:
             estimates[name][sl] = getattr(block, name)[:k]
-        for name in need_ci:
-            sigma2 = block.variance(name)[:k]
-            clipped[name] += int((sigma2 < 0.0).sum())
-            half = half_width(sigma2, ci_level)
-            covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
+            if name in WITH_CI:
+                sigma2 = block.variance(name)[:k]
+                clipped[name] += int((sigma2 < 0.0).sum())
+                half = half_width(sigma2, ci_level)
+                covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
         del block       # the next block's arrays replace this one's
 
     return CellResult(estimates=estimates, covers=covers,

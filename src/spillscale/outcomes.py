@@ -54,6 +54,11 @@ class GuessMatrix:
     def n(self) -> int:
         return self.A_hat.shape[0]
 
+    @cached_property
+    def scale(self) -> float:
+        """1'A_hat 1 / n, the shrink estimator's scale."""
+        return float(self.A_hat.sum() / self.n)
+
 
 def decay_kernel(space: PremetricSpace, scale: float, exponent: float,
                  noise=None) -> np.ndarray:

@@ -444,14 +444,15 @@ class TestBlockMatchesWholeArrayReference:
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("design_name", ["scaling_clusters", "iid"])
     def test_bit_for_bit(self, design_name, seed):
-        # the harness's block: int8 bits and treatments, m = BLOCK draws
+        # the harness's block: int8 bits and treatments, m = block_width(n) draws
         n = 400
+        m = harness.block_width(n)
         space, outcomes, guess = harness.build_population(n, seed + n)
         h = ss.scaling_rule(n, 1.0)
         ctx = DesignContext(space, harness.make_partition(space, design_name, h),
                             h, 0.5)
         B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5,
-                                   range(seed, seed + harness.BLOCK))
+                                   range(seed, seed + m))
         D = B[:, ctx.partition.assignment].T
         Y = realize(outcomes, D)
         block = DrawBlock(ctx, Y, B.T, guess=guess)
@@ -465,7 +466,7 @@ class TestBlockMatchesWholeArrayReference:
                 np.testing.assert_allclose(got[name], value, rtol=1e-12, err_msg=name)
             else:
                 assert np.array_equal(got[name], value, equal_nan=True), name
-        assert np.isfinite(want["hajek"]).sum() > harness.BLOCK // 2
+        assert np.isfinite(want["hajek"]).sum() > m // 2
 
 
 def far_apart_table(n, seed):

@@ -15,21 +15,24 @@ from spillscale.outcomes import sim_budget
 
 class TestBlockWorkingSet:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
-    def test_traced_peak_of_two_blocks(self, monkeypatch, design):
-        # a block of m = BLOCK draws at n = 900 holds at most 7 n x m
-        # float64 arrays at once, the HAC sums included: 5.32 and 5.65 here
-        # (the cell's two n x C cluster sums included; the HAC residual is
-        # built in band order 64 rows at a time), 5.63 and 5.67 when it was
-        # built whole over one side of lam in unit order, 6.1 on iid when
-        # shrink's first stage cast all C x m bits at once, 6.1 and 6.7 with
-        # a whole n x m lam @ e buffer, 11.4 and 12.4 when every weight
-        # array was cached and the counts were float64
-        n, m = 900, harness.BLOCK
+    @pytest.mark.parametrize("n", [400, 900, 1600])
+    def test_traced_peak_of_two_blocks(self, monkeypatch, n, design):
+        # a block of m = block_width(n) draws holds at most 7 n x m float64
+        # arrays at once, the HAC sums included, so at most 7 BLOCK_BYTES at
+        # any n: 4.6-4.7 (scaling clusters) and 5.2 (iid) here.  The cell's
+        # context is built before the trace, its two n x C cluster sums
+        # included, since they grow as n C whatever the width.  512-draw
+        # blocks peaked at 9.5-12.3 such arrays at n = 900 and 1600; at
+        # n = 900 with the sums traced, 6.1 and 6.7 with a whole n x m
+        # lam @ e buffer, and 11.4 and 12.4 when every weight array was
+        # cached and the counts were float64
+        m = harness.block_width(n)
         space, outcomes, guess = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
         ctx = DesignContext(space, part, h, 0.5)
         ctx.counts, ctx.extended, ctx.band          # the cell's, built once
+        ctx.cluster_sums(outcomes.A), ctx.cluster_sums(guess.A_hat)
         monkeypatch.setattr(harness, "DesignContext", lambda *args: ctx)
         tracemalloc.start()
         try:
@@ -40,6 +43,50 @@ class TestBlockWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * n * m * 8
+
+
+class TestBlockWidth:
+    def test_width_rule(self):
+        widths = []
+        for n in np.unique(np.geomspace(2, 10 ** 7, 400).astype(int)):
+            m = harness.block_width(int(n))
+            assert 8 <= m <= 512 and m & (m - 1) == 0, (n, m)
+            assert m == 8 or 8 * n * m <= harness.BLOCK_BYTES, (n, m)
+            assert m == 512 or 8 * n * 2 * m > harness.BLOCK_BYTES, (n, m)
+            widths.append(m)
+        assert widths == sorted(widths, reverse=True)
+        assert [harness.block_width(n) for n in (80, 400, 900, 1600, 3000)] == \
+            [512, 512, 256, 128, 64]
+
+
+class TestShrinkScale:
+    def test_summed_once_per_guess(self, monkeypatch):
+        # shrink's scale 1'A_hat 1 / n is an n^2 sum: a cell of three blocks
+        # takes it once, and shrink keeps the bits it had when each block
+        # summed A_hat itself
+        n = 60
+        space, outcomes, guess = harness.build_population(n, 7 + n)
+        h = ss.scaling_rule(n, 1.0)
+        part = harness.make_partition(space, "scaling_clusters", h)
+        calls = []
+
+        class Counted(np.ndarray):
+            def sum(self, *args, **kwargs):
+                calls.append(1)
+                return super().sum(*args, **kwargs)
+
+        counted = ss.GuessMatrix(A_hat=guess.A_hat.view(Counted))
+        monkeypatch.setattr(harness, "block_width", lambda n: 8)
+        cell = simulate_design(space, outcomes, counted, part, h, 0.5, 24, 7, ["shrink"])
+        assert len(calls) == 1
+        ctx = DesignContext(space, part, h, 0.5)
+        B = draw_bits_batch(part.n_clusters, 0.5, range(7, 31)).T
+        Y = ss.realize(outcomes, B, ctx.cluster_sums(outcomes.A))
+        block = DrawBlock(ctx, Y, B, guess=guess)
+        assert np.array_equal(
+            block.shrink, block.cov_ty / block.first_stage * (guess.A_hat.sum() / n),
+            equal_nan=True)
+        assert np.array_equal(block.shrink, cell.estimates["shrink"], equal_nan=True)
 
 
 class TestBatchedEngineMatchesReference:
@@ -155,15 +202,18 @@ class TestBlockSize:
         # every per-draw value is a column of its block, built by the same
         # operations whichever block the draw falls in; at 601 draws a
         # block of 100 leaves a 1-draw block, padded to 8 draws like the
-        # blocks of 100 and 7
+        # blocks of 100 and 7; the first cell takes the harness's own
+        # width, block_width(n)
         n = 300
         space, outcomes, guess = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
-        for reps, blocks in ((600, (512, 100, 7)), (601, (512, 100))):
+        rule = harness.block_width
+        for reps, blocks in ((600, (None, 512, 100, 7)), (601, (None, 512, 100))):
             cells = []
             for block in blocks:
-                monkeypatch.setattr(harness, "BLOCK", block)
+                monkeypatch.setattr(harness, "block_width",
+                                    rule if block is None else lambda n, m=block: m)
                 cells.append(simulate_design(space, outcomes, guess, part, h, 0.5,
                                              reps, 7, ["ht", "hajek", "ols", "shrink"]))
             first = cells[0]
