@@ -281,7 +281,8 @@ def cmd_estimate(args):
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     h = _h(args, space)
-    guess = make_guess(space, args.guess_seed) if args.estimator == "shrink" else None
+    guess = (make_guess(space, args.guess_seed).over(partition)
+             if args.estimator == "shrink" else None)
     block = DrawBlock(DesignContext(space, partition, h, args.p, args.eta),
                       Y, b, guess=guess)
 
@@ -349,12 +350,12 @@ def cmd_oracle(args):
         _write(dump / "A.csv", _matrix_text(outcomes.A))
         _write(dump / "A_hat.csv", _matrix_text(guess.A_hat))
 
+    outcomes = outcomes.over(partition)
     enum = oracle.enumerate_assignments(partition, args.p)
     ctx = DesignContext(space, partition, h, args.p, args.eta)
 
     def run(B):
-        Y = realize(outcomes, B.T, ctx.cluster_sums(outcomes.A))
-        return getattr(DrawBlock(ctx, Y, B=B.T), args.estimator)
+        return getattr(DrawBlock(ctx, realize(outcomes, B.T), B=B.T), args.estimator)
 
     try:
         res = oracle.exact_expectation(run, enum)

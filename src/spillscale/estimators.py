@@ -137,23 +137,14 @@ def _levels(lam, degree, root, seen) -> list:
 
 
 class DesignContext:
-    """Incidence at h, its extension, the dependency graph and the cluster
-    sums of one design, each computed on first use and kept for one Monte
-    Carlo cell or one command; nothing is cached across contexts."""
+    """Incidence at h, its extension and the dependency graph of one design,
+    each computed on first use and kept for one Monte Carlo cell or one
+    command; nothing is cached across contexts."""
 
     def __init__(self, space: PremetricSpace, partition: ClusterPartition,
                  h, p: float, eta: float = 1.0):
         self.space, self.partition = space, partition
         self.h, self.p, self.eta = h, p, eta
-        self._sums = {}             # id(M) -> (M, its cluster sums)
-
-    def cluster_sums(self, M) -> np.ndarray:
-        """`design.cluster_sums` of the n x n matrix M over this partition,
-        built once per matrix: M is kept beside its sums, so its id is not
-        reused while the context lives."""
-        if id(M) not in self._sums:
-            self._sums[id(M)] = (M, design.cluster_sums(self.partition, M))
-        return self._sums[id(M)][1]
 
     @cached_property
     def extended(self) -> ExtendedNeighborhoods:
@@ -175,7 +166,8 @@ class DrawBlock:
 
     Y is n x m outcomes, B is C x m cluster bits kept as float32 (1-D inputs
     are one draw, m = 1) and unit treatments are B[assignment], built where
-    read; `guess` serves shrink and `weights` (an `owopt.OwWeightTable`) ow.
+    read; `guess`, over the context's partition (`GuessMatrix.over`), serves
+    shrink and `weights` (an `owopt.OwWeightTable`) ow.
     Of the n x m arrays, only those that several estimators read are kept.
     Each estimate is an (m,) array, NaN where undefined.
     """
@@ -259,10 +251,13 @@ class DrawBlock:
     @cached_property
     def first_stage(self) -> np.ndarray:
         """Cov(T, A_hat d), NaN where numerically zero; A_hat d is taken from
-        the cluster sums of A_hat and the bits, one float64 cast of a block
+        the guess's cluster sums and the bits, one float64 cast of a block
         of bit columns at a time (a column's GEMM bits do not depend on the
         split)."""
-        sums = self.ctx.cluster_sums(self.guess.A_hat)
+        sums = self.guess.A_hat
+        if sums.shape[1] != self.B.shape[0]:
+            raise ValueError(f"the guess has {sums.shape[1]} columns, the design "
+                             f"{self.B.shape[0]} clusters: pass guess.over(partition)")
         Tg = np.empty((sums.shape[0], self.B.shape[1]))
         for cols in row_blocks(self.B.shape[1]):
             np.matmul(sums, self.B[:, cols].astype(np.float64), out=Tg[:, cols])

@@ -1,10 +1,11 @@
 """Monte Carlo replication engine over designs, estimators, and sizes.
 
-Each (population size, design) cell builds a fresh uniform-disk population,
-the linear simulation outcomes, a guess matrix, and the partition, then
-replays seeded treatment draws (the Philox streams of `draw_treatments`)
-in blocks through the batched estimator core, `estimators.DrawBlock`, so
-identical configs give identical CSV bytes.
+Each population size builds a fresh uniform-disk population, every design's
+partition, and the linear simulation outcomes and guess matrix over each
+partition; each (size, design) cell then replays seeded treatment draws
+(the Philox streams of `draw_treatments`) in blocks through the batched
+estimator core, `estimators.DrawBlock`, so identical configs give identical
+CSV bytes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .design import (ClusterPartition, draw_bits_batch, scaling_clusters,
 from .estimators import WITH_CI, DesignContext, DrawBlock, check_hac_window, half_width
 from .geometry import (SEED_LIMIT, TAG_COORDS, PremetricSpace, build_space, rng_for,
                        uniform_disk)
-from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
-                       realize, sim_budget)
+from .outcomes import make_guess, make_sim_dgp, realize, sim_budget
 
 DESIGNS = ("scaling_clusters", "iid")
 ESTIMATORS = ("ht", "hajek", "ols", "shrink", "ow")
@@ -126,13 +126,10 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def build_population(n: int, seed: int) -> tuple[PremetricSpace, LinearOutcomes, GuessMatrix]:
-    """Uniform disk of radius sqrt(n), outcomes, and guess from one seed."""
-    coords = uniform_disk(n, rng_for(seed, TAG_COORDS))
-    space = build_space(coords)
-    outcomes = make_sim_dgp(space, seed)
-    guess = make_guess(space, seed)
-    return space, outcomes, guess
+def build_population(n: int, seed: int) -> PremetricSpace:
+    """Uniform disk of radius sqrt(n) from one seed; its outcomes and guess
+    come from the same seed (`make_sim_dgp`, `make_guess`)."""
+    return build_space(uniform_disk(n, rng_for(seed, TAG_COORDS)))
 
 
 def make_partition(space: PremetricSpace, design: str, h: float) -> ClusterPartition:
@@ -157,20 +154,22 @@ class CellResult:
 
 def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     estimators, ci_level=0.95, eta=1.0,
-                    ow_mc_draws=100_000) -> CellResult:
+                    ow_mc_draws=100_000, budget=None) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
-    Replicate r uses treatment seed base_seed + r, in blocks of
-    `block_width(n)` draws, so that a block holds a bounded number of bytes
-    at any n.  A block of k draws, k not a multiple of 8, is padded with
-    all-control draws up to the next multiple, and their values are
-    dropped: OpenBLAS computes the columns of a last partial group of 8
-    otherwise than those of a full one, and numpy reduces a single column
-    by another loop, so the pad keeps each draw's bits independent of the
-    block it lands in.  The dependency graph's band is built before the
-    first block, and each WITH_CI estimator's HAC sum runs right after its
-    estimate, so the Hajek sum releases the arrays that only it still reads
-    before the later estimators build theirs.
+    `outcomes` and `guess` are over the partition (`LinearOutcomes.over`,
+    `GuessMatrix.over`), and `budget`, which ow needs, is `sim_budget` of
+    the outcomes over units.  Replicate r uses treatment seed base_seed + r,
+    in blocks of `block_width(n)` draws, so that a block holds a bounded
+    number of bytes at any n.  A block of k draws, k not a multiple of 8,
+    is padded with all-control draws up to the next multiple, and their
+    values are dropped: OpenBLAS computes the columns of a last partial
+    group of 8 otherwise than those of a full one, and numpy reduces a
+    single column by another loop, so the pad keeps each draw's bits
+    independent of the block it lands in.  The dependency graph's band is
+    built before the first block, and each WITH_CI estimator's HAC sum runs
+    right after its estimate, so the Hajek sum releases the arrays that
+    only it still reads before the later estimators build theirs.
     Estimator failures (empty Hajek group, degenerate exposure, weak first
     stage) are recorded as NaN, never raised.
     """
@@ -181,8 +180,8 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
 
     ow_table = None
     if "ow" in estimators:
-        budget = sim_budget(outcomes, space, eta,
-                            s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
+        if budget is None:
+            raise ValueError("ow needs the interference budget of the outcomes")
         _, _, ow_table = owopt.optimize_weights(
             space, partition, owopt.default_ow_grid(h), p, budget, h,
             method="mc", mc_draws=ow_mc_draws, seed=base_seed + n)
@@ -199,8 +198,8 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         B = draw_bits_batch(partition.n_clusters, p,
                             range(base_seed + sl.start, base_seed + sl.stop))
         B = np.pad(B, ((0, -k % 8), (0, 0)))       # whole groups of 8 draws
-        block = DrawBlock(ctx, realize(outcomes, B.T, ctx.cluster_sums(outcomes.A)),
-                          B.T, guess=guess, weights=ow_table)
+        block = DrawBlock(ctx, realize(outcomes, B.T), B.T, guess=guess,
+                          weights=ow_table)
         for name in estimators:
             estimates[name][sl] = getattr(block, name)[:k]
             if name in WITH_CI:
@@ -247,21 +246,36 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 
 def _size_rows(config: ExperimentConfig, n: int) -> list:
-    """The cells of one population size; its population is released on
-    return, before the next size builds its own."""
+    """The cells of one population size.  The space and every design's
+    partition come first, then A and A_hat in turn, each reduced over every
+    partition (`over`) and so released before the next is built: a size
+    holds dist and at most one n x n kernel, besides an i.i.d. design's
+    reductions, which are the kernels themselves.  Each cell releases its
+    reductions after it runs, and the population is released on return,
+    before the next size builds its own."""
     names = config.estimators_at(n)
     if not names:
         return []
-    space, outcomes, guess = build_population(n, config.base_seed + n)
+    seed = config.base_seed + n
+    space = build_population(n, seed)
     h = scaling_rule(n, config.eta, config.c0)
+    partitions = {design: make_partition(space, design, h) for design in config.designs}
+    outcomes = make_sim_dgp(space, seed)
+    budget = None
+    if "ow" in names:           # the only reader of A beyond its reductions
+        budget = sim_budget(outcomes, space, config.eta,
+                            s_grid=sorted({h, *np.geomspace(1.0, max(n, 2), 12)}))
+    outcomes = {d: outcomes.over(part) for d, part in partitions.items()}
+    guess = make_guess(space, seed)
+    guess = {d: guess.over(part) for d, part in partitions.items()}
     rows = []
-    for design in config.designs:
-        partition = make_partition(space, design, h)
+    for design, partition in partitions.items():
         try:
             cell = simulate_design(
-                space, outcomes, guess, partition, h, config.p, config.reps,
-                config.base_seed, names, ci_level=config.ci_level,
-                eta=config.eta, ow_mc_draws=config.ow_mc_draws)
+                space, outcomes.pop(design), guess.pop(design), partition, h,
+                config.p, config.reps, config.base_seed, names,
+                ci_level=config.ci_level, eta=config.eta,
+                ow_mc_draws=config.ow_mc_draws, budget=budget)
         except owopt.UnseenSaturationError as exc:
             raise type(exc)(f"cell n={n} design={design}: {exc}; raise "
                             f"ow_mc_draws (now {config.ow_mc_draws})") from None

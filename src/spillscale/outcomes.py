@@ -10,10 +10,10 @@ drawn once per population.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .design import ClusterPartition, cluster_sums
 from .geometry import (TAG_DGP, TAG_GUESS, InterferenceBudget, PremetricSpace,
                        fit_interference_constant, rng_for, row_blocks)
 
@@ -24,40 +24,55 @@ class OutcomeModelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LinearOutcomes:
-    """Y_i(d) = beta0 + A_i d + eps_i with sum(eps) = 0."""
+    """Y_i(d) = beta0 + A_i d + eps_i with sum(eps) = 0: d holds unit
+    treatments and A is n x n, or d holds a partition's cluster bits and A
+    is the n x C cluster sums of the n x n A (`over`).  theta, the estimand
+    1'A1/n of the n x n A, is taken from A when not given."""
 
     beta0: float
     A: np.ndarray
     eps: np.ndarray
+    theta: float | None = None
 
     def __post_init__(self):
         if abs(float(self.eps.sum())) > 1e-9 * self.n:
             raise OutcomeModelError("residuals must sum to zero")
+        if self.theta is None:
+            object.__setattr__(self, "theta", float(self.A.sum() / self.n))
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
-    @cached_property
-    def theta(self) -> float:
-        """The estimand, the average global effect 1'A1/n."""
-        return float(self.A.sum() / self.n)
+    def over(self, partition: ClusterPartition) -> LinearOutcomes:
+        """The same outcomes of the partition's cluster bits, beta0, eps
+        and theta kept, so that the n x n A can be released."""
+        return LinearOutcomes(self.beta0, cluster_sums(partition, self.A),
+                              self.eps, self.theta)
 
 
 @dataclass(frozen=True, eq=False)
 class GuessMatrix:
-    """Researcher's deterministic guess for the spillover matrix."""
+    """Researcher's deterministic guess for the spillover matrix: n x n, or
+    its n x C cluster sums over a partition (`over`).  scale, the shrink
+    estimator's 1'A_hat 1 / n of the n x n guess, is taken from A_hat when
+    not given."""
 
     A_hat: np.ndarray
+    scale: float | None = None
+
+    def __post_init__(self):
+        if self.scale is None:
+            object.__setattr__(self, "scale", float(self.A_hat.sum() / self.n))
 
     @property
     def n(self) -> int:
         return self.A_hat.shape[0]
 
-    @cached_property
-    def scale(self) -> float:
-        """1'A_hat 1 / n, the shrink estimator's scale."""
-        return float(self.A_hat.sum() / self.n)
+    def over(self, partition: ClusterPartition) -> GuessMatrix:
+        """The guess's cluster sums over the partition, scale kept, so that
+        the n x n A_hat can be released."""
+        return GuessMatrix(cluster_sums(partition, self.A_hat), self.scale)
 
 
 def decay_kernel(space: PremetricSpace, scale: float, exponent: float,
@@ -107,15 +122,12 @@ def make_guess(space: PremetricSpace, seed: int) -> GuessMatrix:
         space, 1.1, 4.25, lambda shape: gen.uniform(0.9, 1.0, size=shape)))
 
 
-def realize(outcomes: LinearOutcomes, d, A=None) -> np.ndarray:
-    """Outcome vector under the full treatment assignment d, or an n x m
-    block of them, one assignment per column.
-
-    Given A = design.cluster_sums(partition, outcomes.A), d holds cluster
-    bits instead (C or C x m) and the outcomes are those of the unit
-    treatments d[assignment], from an n x C product in place of an n x n one.
-    """
-    A = outcomes.A if A is None else A
+def realize(outcomes: LinearOutcomes, d) -> np.ndarray:
+    """Outcome vector under the treatment d, or an n x m block of them, one
+    treatment per column: unit treatments (n or n x m), or cluster bits
+    (C or C x m) when the outcomes are over a partition, whose n x C product
+    stands in for an n x n one."""
+    A = outcomes.A
     d = np.asarray(d)
     if d.shape[:1] != (A.shape[1],) or d.ndim > 2:
         raise ValueError(f"treatment must have shape ({A.shape[1]},) or "
@@ -127,7 +139,8 @@ def realize(outcomes: LinearOutcomes, d, A=None) -> np.ndarray:
 
 def sim_budget(outcomes: LinearOutcomes, space: PremetricSpace, eta: float,
                s_grid) -> InterferenceBudget:
-    """Fit the decay/bound constants realized by a linear outcome model."""
+    """Fit the decay/bound constants realized by a linear outcome model of
+    unit treatments."""
     k1 = fit_interference_constant(outcomes.A, space, eta, s_grid)
     row_mass = np.abs(outcomes.A).sum(axis=1)
     ybar = float(np.max(abs(outcomes.beta0) + row_mass + np.abs(outcomes.eps)))

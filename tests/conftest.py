@@ -12,10 +12,17 @@ from spillscale.oracle import enumerate_assignments
 from spillscale.owopt import _CHUNK, effective_grid, interacting_pairs
 
 
+def population(n, seed):
+    """`harness.build_population(n, seed)` with the simulation outcomes and
+    guess of the same seed, over unit treatments (n x n A and A_hat)."""
+    space = harness.build_population(n, seed)
+    return space, ss.make_sim_dgp(space, seed), ss.make_guess(space, seed)
+
+
 @pytest.fixture(scope="session")
 def disk500():
     """The simulation geometry at n=500: uniform disk of radius sqrt(n)."""
-    space, outcomes, guess = harness.build_population(500, 42)
+    space, outcomes, guess = population(500, 42)
     return space, outcomes, guess
 
 
@@ -26,7 +33,7 @@ def small_exact_instance():
     The size parameter is found by a deterministic scan so the fixture has
     no magic constants; used by the enumeration-based exactness tests.
     """
-    space, outcomes, guess = harness.build_population(10, 1)
+    space, outcomes, guess = population(10, 1)
     for g in np.linspace(0.8, 8.0, 100):
         partition = ss.scaling_clusters(space, g)
         if partition.n_clusters == 6 and ss.incidence(space, partition, g).phi_max >= 2:

@@ -20,9 +20,9 @@ from spillscale.design import incidence, scaling_clusters, scaling_rule
 from spillscale.estimators import DesignContext, DrawBlock
 from spillscale.geometry import audit_geometry, fit_interference_constant
 from spillscale.oracle import enumerate_assignments, exact_expectation
-from spillscale.outcomes import realize
+from spillscale.outcomes import realize, sim_budget
 
-from conftest import bruteforce_polytope_min, per_row, saturation_indicators
+from conftest import bruteforce_polytope_min, per_row, population, saturation_indicators
 
 pytestmark = pytest.mark.acceptance
 
@@ -42,12 +42,15 @@ def rmse_and_se(vals, theta):
 
 
 def sim_cell(n, design, estimators, reps, h=None, **kw):
-    space, outcomes, guess = harness.build_population(n, BASE_SEED + n)
+    space, outcomes, guess = population(n, BASE_SEED + n)
     if h is None:
         h = scaling_rule(n, 1.0)
     partition = harness.make_partition(space, design, h)
-    cell = harness.simulate_design(space, outcomes, guess, partition, h, 0.5,
-                                   reps, BASE_SEED, estimators, **kw)
+    if "ow" in estimators:
+        kw["budget"] = sim_budget(outcomes, space, 1.0,
+                                  s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
+    cell = harness.simulate_design(space, outcomes.over(partition), guess.over(partition),
+                                   partition, h, 0.5, reps, BASE_SEED, estimators, **kw)
     return cell, space, outcomes, guess, partition, h
 
 
@@ -118,7 +121,7 @@ class TestCriterion3EstimandPin:
     @pytest.mark.parametrize("n", [50, 400, 1600])
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_03_theta_is_two(self, n, seed):
-        _, outcomes, _ = harness.build_population(n, seed)
+        _, outcomes, _ = population(n, seed)
         err = abs(outcomes.theta - 2.0)
         report(3, f"estimand pin n={n} seed={seed}", err <= 1e-12,
                f"|theta-2|={err:.2e}")
@@ -273,7 +276,7 @@ class TestCriterion9QpSolver:
 class TestCriterion10LemmaBounds:
     @pytest.mark.parametrize("n", [100, 400, 900, 1600, 2500])
     def test_10_phi_and_gamma_bounds(self, n):
-        space, _, _ = harness.build_population(n, BASE_SEED + n)
+        space = harness.build_population(n, BASE_SEED + n)
         h = scaling_rule(n, 1.0)
         part = scaling_clusters(space, h)
         counts = incidence(space, part, h)

@@ -16,7 +16,7 @@ from spillscale.cli import load_population, main
 from spillscale.estimators import DesignContext, DrawBlock, interval
 from spillscale.oracle import enumerate_assignments
 
-from conftest import saturation_indicators
+from conftest import population, saturation_indicators
 
 
 def write_population(path, coords):
@@ -31,7 +31,7 @@ def write_population(path, coords):
 
 @pytest.fixture()
 def population_csv(tmp_path):
-    space, _, _ = harness.build_population(40, 12)
+    space = harness.build_population(40, 12)
     path = tmp_path / "pop.csv"
     write_population(path, space.coords)
     return path, space
@@ -610,7 +610,7 @@ class TestDistanceTable:
 
 class TestOwWeightsCommand:
     def test_outputs_and_descent(self, tmp_path):
-        space, _, _ = harness.build_population(12, 3)
+        space = harness.build_population(12, 3)
         pop = tmp_path / "pop.csv"
         write_population(pop, space.coords)
         h = ss.scaling_rule(space.n, 1.0)
@@ -657,7 +657,7 @@ class TestOwWeightsCommand:
 
 class TestOracleCommand:
     def test_exact_mean_printed(self, tmp_path, capsys):
-        space, _, _ = harness.build_population(8, 3)
+        space = harness.build_population(8, 3)
         pop = tmp_path / "pop.csv"
         write_population(pop, space.coords)
         for g in np.linspace(1.0, 6.0, 40):
@@ -689,7 +689,7 @@ class TestOracleCommand:
                                   "of the 2^1 assignments")
 
     def test_unsupported_estimator_rejected_at_parsing(self, tmp_path):
-        space, _, _ = harness.build_population(6, 3)
+        space = harness.build_population(6, 3)
         pop = tmp_path / "pop.csv"
         write_population(pop, space.coords)
         with open(tmp_path / "clusters.csv", "w", newline="") as fh:
@@ -704,7 +704,7 @@ class TestOracleCommand:
         assert exc.value.code == 2
 
     def test_dump_matrices(self, tmp_path):
-        space, _, _ = harness.build_population(6, 3)
+        space = harness.build_population(6, 3)
         pop = tmp_path / "pop.csv"
         write_population(pop, space.coords)
         with open(tmp_path / "clusters.csv", "w", newline="") as fh:
@@ -723,7 +723,7 @@ class TestOracleCommand:
         assert A.sum() / 6 == pytest.approx(2.0, abs=1e-9)
 
     def test_dump_matrices_creates_directory(self, tmp_path):
-        space, _, _ = harness.build_population(6, 3)
+        space = harness.build_population(6, 3)
         pop, clu = tmp_path / "pop.csv", tmp_path / "clusters.csv"
         write_population(pop, space.coords)
         clu.write_text("unit_id,cluster_id\n" + "".join(
@@ -766,7 +766,7 @@ class TestOracleBlocks:
     @pytest.mark.parametrize("estimator", ["ht", "hajek"])
     def test_matches_per_assignment_reference(self, tmp_path, capsys,
                                               monkeypatch, estimator):
-        space0, _, _ = harness.build_population(30, 4)
+        space0 = harness.build_population(30, 4)
         part = ss.scaling_clusters(space0, 4.0)
         pop, clu = self._write(tmp_path, space0.coords, part.assignment)
         space, _ = load_population(pop)
@@ -1203,7 +1203,8 @@ assert scipy_keys() == ["scipy"] and sys.modules["scipy"] is None, scipy_keys()
 
 work = Path(sys.argv[1])
 main = spillscale.cli.main
-space, dgp, _ = harness.build_population(24, 12)
+space = harness.build_population(24, 12)
+dgp = outcomes.make_sim_dgp(space, 12)
 pop = work / "pop.csv"
 pop.write_text("unit_id,x1,x2\n" + "".join(
     f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(space.coords.tolist())),

@@ -17,8 +17,8 @@ from spillscale.geometry import build_space_from_dist
 from spillscale.harness import build_population
 from spillscale.owopt import interacting_pairs
 
-from conftest import (cluster_members, concatenated_by_cluster,
-                      lexsort_extension, line_space, saturation_indicators)
+from conftest import (cluster_members, concatenated_by_cluster, lexsort_extension,
+                      line_space, population, saturation_indicators)
 
 
 class TestScalingRule:
@@ -145,7 +145,7 @@ class TestScalingClusters:
         # the boolean n x n neighborhood matrix itself, not a second copy
         # (2.14 n^2 bytes at n = 1000 with the copy, 1.11 without)
         n = 1000
-        space, _, _ = build_population(n, 7)
+        space = build_population(n, 7)
         tracemalloc.start()
         try:
             scaling_clusters(space, scaling_rule(n, 1.0))
@@ -174,7 +174,7 @@ class TestByCluster:
     @pytest.mark.parametrize("kind", ["scaling", "singleton", "interleaved"])
     def test_matches_concatenated_scans(self, kind, tmp_path):
         if kind == "scaling":
-            space = build_population(700, 3)[0]
+            space = build_population(700, 3)
             part = scaling_clusters(space, scaling_rule(700, 1.0))
         elif kind == "singleton":
             part = singleton_partition(700)
@@ -194,7 +194,7 @@ class TestClusterSums:
     @pytest.mark.parametrize("kind", ["scaling", "interleaved"])
     def test_matches_indicator_product(self, kind, tmp_path):
         if kind == "scaling":
-            space = build_population(700, 3)[0]
+            space = build_population(700, 3)
             part = scaling_clusters(space, scaling_rule(700, 1.0))
         else:
             part = interleaved_partition(tmp_path)[1]
@@ -211,7 +211,7 @@ class TestClusterSums:
 
     def test_traced_peak_is_output_plus_one_row_block(self):
         n = 1000
-        space, outcomes, _ = build_population(n, 5)
+        space, outcomes, _ = population(n, 5)
         part = scaling_clusters(space, scaling_rule(n, 1.0))
         part.by_cluster                     # the partition's, built once
         tracemalloc.start()
@@ -260,7 +260,7 @@ class TestNeighborhoodProductsAgainstSets:
 
     @pytest.fixture(scope="class", params=["scaling_clusters", "singleton"])
     def instance(self, request):
-        space, _, _ = build_population(120, 4)
+        space = build_population(120, 4)
         h = scaling_rule(space.n, 1.0)
         part = (scaling_clusters(space, h) if request.param == "scaling_clusters"
                 else singleton_partition(space.n))
@@ -304,7 +304,7 @@ class TestIncidenceCounts:
 
     @pytest.fixture(scope="class", params=["scaling_clusters", "singleton"])
     def instance(self, request):
-        space, _, _ = build_population(120, 4)
+        space = build_population(120, 4)
         h = scaling_rule(space.n, 1.0)
         part = (scaling_clusters(space, h) if request.param == "scaling_clusters"
                 else singleton_partition(space.n))
@@ -394,7 +394,7 @@ class TestExtendUniformOverlap:
             assert grown <= base.phi_max ** 2 * base_sq + 1e-9
 
     def test_extension_counts_its_own_incidence(self):
-        space, _, _ = build_population(80, 83)
+        space = build_population(80, 83)
         h = ss.scaling_rule(80, 1.0)
         part = scaling_clusters(space, h)
         base = incidence(space, part, h)
@@ -442,7 +442,7 @@ class TestExtensionAgainstLexsort:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     @pytest.mark.parametrize("points", ["disk", "lattice"])
     def test_matches_reference(self, design, points):
-        space = (build_population(700, 3)[0] if points == "disk"
+        space = (build_population(700, 3) if points == "disk"
                  else self.lattice(6, 100))
         h = scaling_rule(space.n, 1.0)
         part = (scaling_clusters(space, h) if design == "scaling_clusters"
@@ -469,7 +469,7 @@ class TestExtensionAgainstLexsort:
         assert ext.extra[0].tolist() == [1, 2, 3]
 
     def test_partition_loaded_through_the_cli(self, tmp_path):
-        space, _, _ = build_population(300, 5)
+        space = build_population(300, 5)
         assignment, part = interleaved_partition(tmp_path)
         assert np.array_equal(part.assignment, assignment)
         for s in (2.0, 8.0, 40.0):

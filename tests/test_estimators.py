@@ -18,7 +18,7 @@ from spillscale.oracle import enumerate_assignments, exact_expectation
 from spillscale.outcomes import make_guess, make_sim_dgp, realize
 from spillscale.owopt import default_ow_grid, saturation_tables, stilde_indices
 
-from conftest import (SaturationProfile, line_space, per_row, saturation,
+from conftest import (SaturationProfile, line_space, per_row, population, saturation,
                       saturation_indicators, whole_array_estimates)
 
 
@@ -32,7 +32,7 @@ def one_draw(space, part, h, Y, d, p=0.5, eta=1.0, guess=None) -> DrawBlock:
 def exposure_draw(seed=0):
     """A context on a small simulated design, one draw's bits and its
     exposures, which vary across units."""
-    space, _, _ = harness.build_population(30, 31)
+    space = harness.build_population(30, 31)
     h = ss.scaling_rule(30, 1.0)
     ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
     b = draw_treatments(ctx.partition, 0.5, seed).b
@@ -148,7 +148,7 @@ class TestHajek:
     def test_ht_and_hajek_share_the_ipw_pair_in_either_order(self):
         # a block builds the IPW pair once; hajek_weights renormalizes it in
         # place and drops it, so an HT read after Hajek rebuilds it
-        space, outcomes, _ = harness.build_population(80, 3)
+        space, outcomes, _ = population(80, 3)
         h = ss.scaling_rule(80, 1.0)
         ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
         B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5, range(16))
@@ -160,11 +160,11 @@ class TestHajek:
         assert np.array_equal(second.ht, ht)
 
     def test_smaller_bias_than_ht_in_simulation(self):
-        space, outcomes, guess = harness.build_population(400, 7 + 400)
+        space, outcomes, guess = population(400, 7 + 400)
         h = ss.scaling_rule(400, 1.0)
         part = scaling_clusters(space, h)
-        cell = harness.simulate_design(space, outcomes, guess, part, h, 0.5,
-                                       2000, 7, ["ht", "hajek"])
+        cell = harness.simulate_design(space, outcomes.over(part), guess.over(part), part,
+                                       h, 0.5, 2000, 7, ["ht", "hajek"])
         ht = cell.estimates["ht"]
         hj = cell.estimates["hajek"]
         bias_ht = abs(np.nanmean(ht) - outcomes.theta)
@@ -275,6 +275,19 @@ class TestShrinkage:
         want = block.ols[0] * (A_hat.sum() / 6) / kappa
         assert got == pytest.approx(want, abs=1e-10)
 
+    def test_guess_must_be_over_the_partition(self):
+        # a clustered design reads the guess's n x C cluster sums; an n x n
+        # guess is refused by name, and its reduction gives the estimate
+        space = line_space(6, spacing=1.0)
+        part = ss.scaling_clusters(space, 1.5)
+        assert part.n_clusters < 6
+        guess = ss.make_guess(space, 2)
+        draw = draw_treatments(part, 0.5, seed=3)
+        Y = np.random.default_rng(5).normal(size=6)
+        with pytest.raises(ValueError, match=r"guess\.over\(partition\)"):
+            one_draw(space, part, 1.5, Y, draw.d, guess=guess).shrink
+        assert one_draw(space, part, 1.5, Y, draw.d, guess=guess.over(part)).shrink.shape == (1,)
+
     def test_weak_instrument_error(self):
         # a zero guess has a zero first stage: NaN
         space = line_space(4, spacing=4.0)
@@ -348,7 +361,7 @@ class TestPurityOnClusterIncidence:
 
     @pytest.fixture(scope="class")
     def population(self):
-        space, _, _ = harness.build_population(120, 5)
+        space = harness.build_population(120, 5)
         return space
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
@@ -413,7 +426,7 @@ class TestDesignContext:
     def test_incidence_at_h_computed_once(self, monkeypatch, order):
         # the extension pads the context's own base counts, so whichever
         # estimator reads first, the incidence at h is computed once
-        space, outcomes, _ = harness.build_population(40, 47)
+        space, outcomes, _ = population(40, 47)
         h = ss.scaling_rule(40, 1.0)
         part = scaling_clusters(space, h)
         draw = draw_treatments(part, 0.5, 0)
@@ -429,7 +442,7 @@ class TestDesignContext:
     def test_block_exposure_matches_single_draws(self):
         # each column of the batched exposure is the one-draw block's
         # exposure of that column's bits, bit for bit
-        space, _, _ = harness.build_population(60, 61)
+        space = harness.build_population(60, 61)
         h = ss.scaling_rule(60, 1.0)
         part = scaling_clusters(space, h)
         ctx = DesignContext(space, part, h, 0.5)
@@ -447,7 +460,7 @@ class TestBlockMatchesWholeArrayReference:
         # the harness's block: int8 bits and treatments, m = block_width(n) draws
         n = 400
         m = harness.block_width(n)
-        space, outcomes, guess = harness.build_population(n, seed + n)
+        space, outcomes, guess = population(n, seed + n)
         h = ss.scaling_rule(n, 1.0)
         ctx = DesignContext(space, harness.make_partition(space, design_name, h),
                             h, 0.5)
@@ -455,7 +468,7 @@ class TestBlockMatchesWholeArrayReference:
                                    range(seed, seed + m))
         D = B[:, ctx.partition.assignment].T
         Y = realize(outcomes, D)
-        block = DrawBlock(ctx, Y, B.T, guess=guess)
+        block = DrawBlock(ctx, Y, B.T, guess=guess.over(ctx.partition))
         want = whole_array_estimates(ctx, Y, D, B.T, guess)
         got = {name: getattr(block, name) for name in ("ht", "hajek", "ols", "shrink")}
         got["var_hajek"], got["var_ols"] = block.variance("hajek"), block.variance("ols")
@@ -537,7 +550,7 @@ class TestBand:
         B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5, range(16))
         D = B[:, ctx.partition.assignment].T
         Y = realize(outcomes, D)
-        block = DrawBlock(ctx, Y, B.T, guess=guess)
+        block = DrawBlock(ctx, Y, B.T, guess=guess.over(ctx.partition))
         want = whole_array_estimates(ctx, Y, D, B.T, guess)
         for name in ("hajek", "ols"):
             np.testing.assert_allclose(block.variance(name), want["var_" + name],
@@ -571,7 +584,7 @@ class TestBand:
         # at n = 900 one side of 256-row blocks read 63% of lam's entries;
         # the band reads 17-22% (both designs, 64-row blocks)
         n = 900
-        space, _, _ = harness.build_population(n, 7 + n)
+        space = harness.build_population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         for design_name in ("scaling_clusters", "iid"):
             band = DesignContext(space, harness.make_partition(space, design_name, h),
@@ -620,7 +633,7 @@ class TestVarianceCi:
                 float(np.sum(e ** 2)), abs=1e-14)
 
     def test_ci_brackets_estimate(self):
-        space, outcomes, _ = harness.build_population(80, 3)
+        space, outcomes, _ = population(80, 3)
         h = ss.scaling_rule(80, 1.0)
         part = scaling_clusters(space, h)
         draw = draw_treatments(part, 0.5, seed=2)
@@ -635,7 +648,7 @@ class TestVarianceCi:
     def test_hajek_sum_releases_what_it_read_last(self):
         # the Hajek HAC sum drops the counts and the Hajek weights once it
         # has read them; a later read recomputes both, to the same bits
-        space, outcomes, _ = harness.build_population(80, 3)
+        space, outcomes, _ = population(80, 3)
         h = ss.scaling_rule(80, 1.0)
         ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
         B = design.draw_bits_batch(ctx.partition.n_clusters, 0.5, range(16))

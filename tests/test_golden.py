@@ -8,8 +8,9 @@ reference next to the hand-computed cases and the exact-oracle tests.
 import pytest
 
 import spillscale as ss
-from spillscale import harness
 from spillscale.estimators import DesignContext, DrawBlock, interval
+
+from conftest import population
 
 P, ETA = 0.5, 1.0
 
@@ -50,7 +51,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def instance():
-    space, outcomes, guess = harness.build_population(48, 349)
+    space, outcomes, guess = population(48, 349)
     h = ss.scaling_rule(48, ETA)
     part = ss.scaling_clusters(space, h)
     return space, outcomes, guess, part, h
@@ -71,7 +72,7 @@ def test_single_draw_values_pinned(instance, seed):
     draw = ss.draw_treatments(part, P, seed)
     Y = ss.realize(outcomes, draw.d)
     block = DrawBlock(DesignContext(space, part, h, P, ETA), Y, draw.b,
-                      guess=guess)
+                      guess=guess.over(part))
 
     assert block.ht[0] == pytest.approx(want["ht"], rel=1e-12)
     haj = block.hajek[0]

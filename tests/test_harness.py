@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
                                 slopes_csv)
 from spillscale.outcomes import sim_budget
 
+from conftest import population
+
 
 class TestBlockWorkingSet:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
@@ -20,19 +23,20 @@ class TestBlockWorkingSet:
         # a block of m = block_width(n) draws holds at most 7 n x m float64
         # arrays at once, the HAC sums included, so at most 7 BLOCK_BYTES at
         # any n: 4.6-4.7 (scaling clusters) and 5.2 (iid) here.  The cell's
-        # context is built before the trace, its two n x C cluster sums
-        # included, since they grow as n C whatever the width.  512-draw
+        # context and its outcomes and guess over the partition (two n x C
+        # cluster sums) are built before the trace, since they grow as n C
+        # whatever the width.  512-draw
         # blocks peaked at 9.5-12.3 such arrays at n = 900 and 1600; at
         # n = 900 with the sums traced, 6.1 and 6.7 with a whole n x m
         # lam @ e buffer, and 11.4 and 12.4 when every weight array was
         # cached and the counts were float64
         m = harness.block_width(n)
-        space, outcomes, guess = harness.build_population(n, 7 + n)
+        space, outcomes, guess = population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
         ctx = DesignContext(space, part, h, 0.5)
         ctx.counts, ctx.extended, ctx.band          # the cell's, built once
-        ctx.cluster_sums(outcomes.A), ctx.cluster_sums(guess.A_hat)
+        outcomes, guess = outcomes.over(part), guess.over(part)
         monkeypatch.setattr(harness, "DesignContext", lambda *args: ctx)
         tracemalloc.start()
         try:
@@ -43,6 +47,49 @@ class TestBlockWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * n * m * 8
+
+
+class TestPopulationRelease:
+    @pytest.mark.parametrize("design, alive", [("scaling_clusters", False), ("iid", True)])
+    def test_kernels_released_before_the_first_block(self, monkeypatch, design, alive):
+        # a clustered cell reads A and A_hat only through their reductions
+        # over its partition, so both n x n kernels are dead when the first
+        # block is drawn; on the i.i.d. design the reductions are the kernels
+        refs = {}
+
+        def recording(name, build):
+            def build_and_record(space, seed):
+                model = build(space, seed)
+                refs[name] = weakref.ref(getattr(model, name))
+                return model
+            return build_and_record
+
+        monkeypatch.setattr(harness, "make_sim_dgp", recording("A", harness.make_sim_dgp))
+        monkeypatch.setattr(harness, "make_guess", recording("A_hat", harness.make_guess))
+        seen = []
+
+        def draw_and_check(*args):
+            if not seen:
+                seen.append({name: ref() is not None for name, ref in refs.items()})
+            return draw_bits_batch(*args)
+
+        monkeypatch.setattr(harness, "draw_bits_batch", draw_and_check)
+        run_experiment(ExperimentConfig(n_list=[400], designs=[design], reps=16,
+                                        base_seed=7))
+        assert seen == [{"A": alive, "A_hat": alive}]
+
+    def test_traced_peak_of_a_clustered_size(self):
+        # a scaling-clusters size holds dist and at most one n x n kernel:
+        # 2.44 n^2 doubles traced at n = 1600, against 3.55 when A and A_hat
+        # lived through the cells beside dist
+        n = 1600
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentConfig(n_list=[n], reps=8, base_seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 8 * n * n
 
 
 class TestBlockWidth:
@@ -59,13 +106,24 @@ class TestBlockWidth:
             [512, 512, 256, 128, 64]
 
 
+class TestOwBudget:
+    def test_ow_cell_needs_the_budget(self):
+        # the budget is fitted to the n x n A, which a cell no longer holds
+        space, outcomes, guess = population(30, 5)
+        part = ss.scaling_clusters(space, 2.0)
+        with pytest.raises(ValueError, match="interference budget"):
+            simulate_design(space, outcomes.over(part), guess.over(part), part, 2.0,
+                            0.5, 4, 0, ["ow"])
+
+
 class TestShrinkScale:
     def test_summed_once_per_guess(self, monkeypatch):
-        # shrink's scale 1'A_hat 1 / n is an n^2 sum: a cell of three blocks
-        # takes it once, and shrink keeps the bits it had when each block
-        # summed A_hat itself
+        # shrink's scale 1'A_hat 1 / n is an n^2 sum: the guess takes it
+        # once, and a cell of three blocks over its cluster sums takes no
+        # other sum of them, and shrink keeps the bits it had when each
+        # block summed A_hat itself
         n = 60
-        space, outcomes, guess = harness.build_population(n, 7 + n)
+        space, outcomes, guess = population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, "scaling_clusters", h)
         calls = []
@@ -75,14 +133,16 @@ class TestShrinkScale:
                 calls.append(1)
                 return super().sum(*args, **kwargs)
 
-        counted = ss.GuessMatrix(A_hat=guess.A_hat.view(Counted))
+        counted = ss.GuessMatrix(A_hat=guess.A_hat.view(Counted)).over(part)
+        counted = ss.GuessMatrix(A_hat=counted.A_hat.view(Counted), scale=counted.scale)
         monkeypatch.setattr(harness, "block_width", lambda n: 8)
-        cell = simulate_design(space, outcomes, counted, part, h, 0.5, 24, 7, ["shrink"])
+        cell = simulate_design(space, outcomes.over(part), counted, part, h, 0.5, 24, 7,
+                               ["shrink"])
         assert len(calls) == 1
         ctx = DesignContext(space, part, h, 0.5)
         B = draw_bits_batch(part.n_clusters, 0.5, range(7, 31)).T
-        Y = ss.realize(outcomes, B, ctx.cluster_sums(outcomes.A))
-        block = DrawBlock(ctx, Y, B, guess=guess)
+        Y = ss.realize(outcomes.over(part), B)
+        block = DrawBlock(ctx, Y, B, guess=guess.over(part))
         assert np.array_equal(
             block.shrink, block.cov_ty / block.first_stage * (guess.A_hat.sum() / n),
             equal_nan=True)
@@ -92,14 +152,14 @@ class TestShrinkScale:
 class TestBatchedEngineMatchesReference:
     def test_every_estimator_per_draw(self):
         n, base_seed, reps = 48, 301, 30
-        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
-                               base_seed, ["ht", "hajek", "ols", "shrink", "ow"],
-                               ow_mc_draws=10_000)
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
+        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
+                               0.5, reps, base_seed, ["ht", "hajek", "ols", "shrink", "ow"],
+                               ow_mc_draws=10_000, budget=budget)
         _, _, ow_tab = owopt.optimize_weights(
             space, part, owopt.default_ow_grid(h), 0.5, budget, h,
             method="mc", mc_draws=10_000, seed=base_seed + n)
@@ -108,7 +168,7 @@ class TestBatchedEngineMatchesReference:
             # the draw's own seeded treatments, as a one-draw block
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
             block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b,
-                              guess=guess, weights=ow_tab)
+                              guess=guess.over(part), weights=ow_tab)
             for name in ("ht", "ols", "shrink", "ow"):
                 assert cell.estimates[name][r] == pytest.approx(
                     getattr(block, name)[0], abs=1e-10)
@@ -123,14 +183,18 @@ class TestBatchedEngineMatchesReference:
         # through the partition; on the cell's own draws (one harness block)
         # shrink and ow equal the cell's estimates bit for bit
         n, base_seed, reps = 40, 23, 30
-        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = ss.scaling_clusters(space, h)
+        budget = sim_budget(outcomes, space, 1.0,
+                            s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
+        outcomes, guess = outcomes.over(part), guess.over(part)
         cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
-                               base_seed, ["shrink", "ow"], ow_mc_draws=5000)
+                               base_seed, ["shrink", "ow"], ow_mc_draws=5000,
+                               budget=budget)
         B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
         ctx = DesignContext(space, part, h, 0.5)
-        Y = ss.realize(outcomes, B.T, ctx.cluster_sums(outcomes.A))
+        Y = ss.realize(outcomes, B.T)
         shrink = DrawBlock(ctx, Y, B=B.T, guess=guess).shrink
         ow = DrawBlock(ctx, Y, B=B.T, weights=cell.ow_table).ow
         assert np.array_equal(shrink, cell.estimates["shrink"], equal_nan=True)
@@ -141,7 +205,7 @@ class TestBatchedEngineMatchesReference:
         # the cell reads a block's outcomes off the cluster sums of A and
         # the bits; they equal the product of A with the unit treatments
         n, base_seed, reps = 300, 9, 40
-        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
         seen = []
@@ -152,7 +216,8 @@ class TestBatchedEngineMatchesReference:
                 super().__init__(ctx, Y, *args, **kwargs)
 
         monkeypatch.setattr(harness, "DrawBlock", Recording)
-        simulate_design(space, outcomes, guess, part, h, 0.5, reps, base_seed, ["ht"])
+        simulate_design(space, outcomes.over(part), guess.over(part), part, h, 0.5,
+                        reps, base_seed, ["ht"])
         B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], ss.realize(outcomes, B[:, part.assignment].T),
@@ -160,11 +225,11 @@ class TestBatchedEngineMatchesReference:
 
     def test_ci_coverage_flags_match(self):
         n, base_seed, reps = 40, 77, 25
-        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
-                               base_seed, ["ols"])
+        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
+                               0.5, reps, base_seed, ["ols"])
         ctx = DesignContext(space, part, h, 0.5, 1.0)
         for r in range(reps):
             draw = ss.draw_treatments(part, 0.5, base_seed + r)
@@ -177,11 +242,11 @@ class TestBatchedEngineMatchesReference:
         # negative HAC sums are clipped to zero-width intervals; the cell
         # counts them per estimator and the CSV does not carry the count
         n, base_seed, reps = 60, 5, 200
-        space, outcomes, guess = harness.build_population(n, base_seed + n)
+        space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
-                               base_seed, ["ht", "hajek", "ols"])
+        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
+                               0.5, reps, base_seed, ["ht", "hajek", "ols"])
         ctx = DesignContext(space, part, h, 0.5, 1.0)
         want = {"hajek": 0, "ols": 0}
         for r in range(reps):
@@ -205,9 +270,10 @@ class TestBlockSize:
         # blocks of 100 and 7; the first cell takes the harness's own
         # width, block_width(n)
         n = 300
-        space, outcomes, guess = harness.build_population(n, 7 + n)
+        space, outcomes, guess = population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
+        outcomes, guess = outcomes.over(part), guess.over(part)
         rule = harness.block_width
         for reps, blocks in ((600, (None, 512, 100, 7)), (601, (None, 512, 100))):
             cells = []
@@ -246,11 +312,11 @@ class TestBookkeeping:
     def test_rmse_decomposition(self):
         rows = run_experiment(ExperimentConfig(
             n_list=[40], estimators=["ht", "ols"], reps=60, base_seed=3))
-        space, outcomes, guess = harness.build_population(40, 3 + 40)
+        space, outcomes, guess = population(40, 3 + 40)
         h = ss.scaling_rule(40, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes, guess, part, h, 0.5, 60, 3,
-                               ["ht", "ols"])
+        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
+                               0.5, 60, 3, ["ht", "ols"])
         for row in rows:
             vals = cell.estimates[row.estimator]
             vals = vals[~np.isnan(vals)]
@@ -266,8 +332,8 @@ class TestBookkeeping:
         guess = ss.make_guess(space, 1)
         part = ss.scaling_clusters(space, 10.0)
         assert part.n_clusters == 1
-        cell = simulate_design(space, outcomes, guess, part, 2.0, 0.5, 20, 0,
-                               ["hajek"])
+        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, 2.0,
+                               0.5, 20, 0, ["hajek"])
         rows = harness.summarize(cell, 2, "scaling_clusters", 20)
         assert rows[0].fail_rate == 1.0
         assert rows[0].reps_ok == 0

@@ -12,11 +12,13 @@ from spillscale.outcomes import (LinearOutcomes, OutcomeModelError,
                                  decay_kernel, make_guess, make_sim_dgp,
                                  realize)
 
+from conftest import population
+
 
 class TestSimDgp:
     @pytest.mark.parametrize("n,seed", [(50, 0), (120, 3), (400, 11)])
     def test_estimand_is_two(self, n, seed):
-        space, outcomes, _ = harness.build_population(n, seed)
+        space, outcomes, _ = population(n, seed)
         assert outcomes.theta == pytest.approx(2.0, abs=1e-12)
         assert outcomes.theta == float(outcomes.A.sum() / n)    # derived
 
@@ -29,7 +31,7 @@ class TestSimDgp:
         assert d1[0] - d0[0] == pytest.approx(2.0)
 
     def test_residuals_centered_and_fixed_by_seed(self):
-        space, outcomes, _ = harness.build_population(80, 6)
+        space, outcomes, _ = population(80, 6)
         assert abs(outcomes.eps.sum()) <= 1e-9 * space.n
         again = make_sim_dgp(space, 6)
         assert np.array_equal(outcomes.eps, again.eps)
@@ -37,7 +39,7 @@ class TestSimDgp:
         assert not np.array_equal(outcomes.eps, other.eps)
 
     def test_interference_decay_at_eta_one(self):
-        space, outcomes, _ = harness.build_population(400, 7)
+        space, outcomes, _ = population(400, 7)
         grid = np.geomspace(1.0, 400.0, 16)
         k1 = fit_interference_constant(outcomes.A, space, 1.0, grid) * (1 + 1e-9)
         for s in grid:
@@ -48,7 +50,7 @@ class TestSimDgp:
         grid = np.geomspace(1.0, 50.0, 16)
         fits = {}
         for n in (100, 400, 900, 1600, 2500):
-            space, outcomes, _ = harness.build_population(n, 7 + n)
+            space, outcomes, _ = population(n, 7 + n)
             fits[n] = fit_interference_constant(outcomes.A, space, 1.0, s_grid=grid)
         vals = np.array(list(fits.values()))
         assert np.all(np.isfinite(vals))
@@ -58,18 +60,18 @@ class TestSimDgp:
 
 class TestRealize:
     def test_all_control_is_baseline(self):
-        space, outcomes, _ = harness.build_population(30, 2)
+        space, outcomes, _ = population(30, 2)
         y0 = realize(outcomes, np.zeros(30, dtype=int))
         assert np.allclose(y0, outcomes.beta0 + outcomes.eps)
 
     def test_global_contrast_equals_theta(self):
-        space, outcomes, _ = harness.build_population(30, 2)
+        space, outcomes, _ = population(30, 2)
         y1 = realize(outcomes, np.ones(30, dtype=int))
         y0 = realize(outcomes, np.zeros(30, dtype=int))
         assert np.mean(y1 - y0) == pytest.approx(outcomes.theta, abs=1e-12)
 
     def test_superposition_for_disjoint_assignments(self):
-        space, outcomes, _ = harness.build_population(40, 8)
+        space, outcomes, _ = population(40, 8)
         rng = np.random.default_rng(1)
         y0 = realize(outcomes, np.zeros(40, dtype=int))
         for _ in range(10):
@@ -80,14 +82,14 @@ class TestRealize:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_wrong_length_rejected(self):
-        space, outcomes, _ = harness.build_population(30, 2)
+        space, outcomes, _ = population(30, 2)
         with pytest.raises(ValueError):
             realize(outcomes, np.zeros(29, dtype=int))
         with pytest.raises(ValueError, match=r"\(30,\) or \(30, m\)"):
             realize(outcomes, np.zeros((30, 2, 2), dtype=int))
 
     def test_block_is_one_assignment_per_column(self):
-        _, outcomes, _ = harness.build_population(30, 2)
+        _, outcomes, _ = population(30, 2)
         outcomes = LinearOutcomes(beta0=1.5, A=outcomes.A, eps=outcomes.eps)
         D = (np.random.default_rng(3).uniform(size=(30, 7)) < 0.5).astype(np.int8)
         Y = realize(outcomes, D)
@@ -116,15 +118,15 @@ class TestAge:
 
 class TestGuess:
     def test_normalized_total_exact(self):
-        space, _, guess = harness.build_population(60, 4)
+        space, _, guess = population(60, 4)
         assert guess.A_hat.sum() / 60 == pytest.approx(2.0, abs=1e-12)
 
     def test_parameter_degeneration_recovers_truth(self):
-        space, outcomes, _ = harness.build_population(25, 9)
+        space, outcomes, _ = population(25, 9)
         assert np.array_equal(decay_kernel(space, 1, 4), outcomes.A)
 
     def test_guess_respects_decay_and_row_bound(self):
-        space, outcomes, guess = harness.build_population(200, 5)
+        space, outcomes, guess = population(200, 5)
         grid = np.geomspace(1.0, 200.0, 16)
         k1 = fit_interference_constant(outcomes.A, space, 1.0, grid)
         assert fit_interference_constant(guess.A_hat, space, 1.0, grid) <= k1 * 1.05
@@ -132,7 +134,7 @@ class TestGuess:
         assert np.abs(guess.A_hat).sum(axis=1).max() <= ybar
 
     def test_noise_varies_with_seed(self):
-        space, _, _ = harness.build_population(20, 3)
+        space = harness.build_population(20, 3)
         g1 = make_guess(space, 3)
         g2 = make_guess(space, 4)
         assert not np.allclose(g1.A_hat, g2.A_hat)
@@ -182,13 +184,14 @@ class TestDensePopulation:
         assert space.min_positive_distance() == (off.min() if n > 1 else np.inf)
 
     def test_build_population_peak_memory(self):
-        # three live n x n float64 arrays (dist, A, A_hat) plus one
-        # 256-row block of the guess noise: 3.26 n^2 doubles at n = 1000,
-        # against 5.0 when every operator made a whole n x n temporary
+        # the space with its outcomes and guess over units: three live n x n
+        # float64 arrays (dist, A, A_hat) plus one 256-row block of the
+        # guess noise, 3.26 n^2 doubles at n = 1000, against 5.0 when every
+        # operator made a whole n x n temporary
         n = 1000
         tracemalloc.start()
         try:
-            harness.build_population(n, 7)
+            population(n, 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -15,9 +15,8 @@ from spillscale.owopt import (_row_projector, assemble_objective,
                               ipw_weight_table, objective_kernel,
                               saturation_tables, solve_qp, stilde_indices)
 
-from conftest import (bruteforce_polytope_min, line_space,
-                      masked_stilde_indices, saturation,
-                      whole_array_saturation_tables)
+from conftest import (bruteforce_polytope_min, line_space, masked_stilde_indices,
+                      population, saturation, whole_array_saturation_tables)
 
 
 def four_cluster_line():
@@ -71,7 +70,7 @@ class TestSaturationTables:
                 assert np.allclose(tab.joint[r], np.diag(tab.marg[i]))
 
     def test_mc_matches_exact(self):
-        space, outcomes, _ = harness.build_population(8, 3)
+        space, outcomes, _ = population(8, 3)
         for g in np.linspace(1.0, 6.0, 40):
             part = scaling_clusters(space, g)
             if part.n_clusters == 4:
@@ -133,7 +132,7 @@ class TestChunkedTables:
 
     def test_mc_stream_crosses_a_chunk_boundary(self):
         n = 40
-        space, _, _ = harness.build_population(n, 7 + n)
+        space = harness.build_population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         part = scaling_clusters(space, h)
         self.assert_matches_reference(space, part, owopt.default_ow_grid(h),
@@ -171,7 +170,7 @@ class TestChunkedTables:
 
     def test_peak_memory_is_output_plus_one_chunk(self):
         n, draws = 200, 20_000
-        space, _, _ = harness.build_population(n, 7 + n)
+        space = harness.build_population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         part = scaling_clusters(space, h)
         tracemalloc.start()
@@ -212,7 +211,7 @@ class TestAssembleObjective:
         # a size a unit never takes: its product terms and joint entries
         # are probabilities of an event that never occurs
         n = 40
-        space, outcomes, _ = harness.build_population(n, 7 + n)
+        space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         part = scaling_clusters(space, h)
         tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
@@ -226,7 +225,7 @@ class TestAssembleObjective:
 
     @pytest.mark.parametrize("n", [40, 60, 80, 120])
     def test_exactly_symmetric_without_symmetrizing(self, n):
-        space, outcomes, _ = harness.build_population(n, 7 + n)
+        space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         tab = saturation_tables(space, scaling_clusters(space, h),
                                 owopt.default_ow_grid(h), 0.5,
@@ -397,7 +396,7 @@ class TestQpTrajectoryGolden:
 
     @pytest.mark.parametrize("n", sorted(PINS))
     def test_iterations_and_objective_pinned(self, n):
-        space, outcomes, _ = harness.build_population(n, 7 + n)
+        space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0, 1.0)
         part = scaling_clusters(space, h)
         budget = sim_budget(outcomes, space, 1.0,
@@ -456,7 +455,7 @@ class TestOwEstimate:
         # one draw and as one column of a 40-draw block; distinct positive
         # weights make every unit's size enter the sum
         n = 60
-        space, outcomes, _ = harness.build_population(n, 7 + n)
+        space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
         tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
