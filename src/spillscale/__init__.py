@@ -11,8 +11,7 @@ from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
 from .harness import ExperimentConfig, ResultRow, run_experiment
 from .oracle import (AssignmentEnumeration, enumerate_assignments,
                      exact_expectation)
-from .outcomes import (GuessMatrix, LinearOutcomes, make_guess, make_sim_dgp,
-                       realize)
+from .outcomes import LinearOutcomes, make_guess, make_sim_dgp, realize
 from .owopt import (OwWeightTable, SaturationTables, assemble_objective,
                     ipw_weight_table, optimize_weights, saturation_tables,
                     solve_qp)

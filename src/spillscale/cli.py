@@ -340,15 +340,14 @@ def cmd_oracle(args):
     dump = args.dump_matrices and _output("oracle", "--dump-matrices",
                                           args.dump_matrices)
     space, ids = load_population(args.population)
+    if dump and space.n > 500:
+        raise SystemExit("--dump-matrices is limited to n <= 500")
     partition = load_clusters(args.clusters, ids)
     outcomes = make_sim_dgp(space, args.seed)
     h = _h(args, space)
     if dump:
-        if space.n > 500:
-            raise SystemExit("--dump-matrices is limited to n <= 500")
-        guess = make_guess(space, args.seed)
         _write(dump / "A.csv", _matrix_text(outcomes.A))
-        _write(dump / "A_hat.csv", _matrix_text(guess.A_hat))
+        _write(dump / "A_hat.csv", _matrix_text(make_guess(space, args.seed).A))
 
     outcomes = outcomes.over(partition)
     enum = oracle.enumerate_assignments(partition, args.p)

@@ -7,7 +7,8 @@ when all phi clusters meeting it share one status.  Hajek renormalizes each
 comparison group's weights to sum to one.  OLS regresses outcomes on
 the fraction of treated clusters among those meeting each (extended)
 neighborhood, and the shrink estimator instruments a guess-implied
-exposure with that fraction.  Variances come from a spatial HAC sum over
+exposure (the guessed spillovers, a `LinearOutcomes`, realized on the
+draw) with that fraction.  Variances come from a spatial HAC sum over
 pairs whose slightly inflated neighborhoods share a randomization cluster.
 
 Every estimator is linear in the outcomes with weights that depend only on
@@ -28,7 +29,7 @@ import numpy as np
 from . import design
 from .design import ClusterPartition, ExtendedNeighborhoods, IncidenceCounts
 from .geometry import PremetricSpace, row_blocks
-from .outcomes import GuessMatrix
+from .outcomes import LinearOutcomes, realize
 
 HAC_EPSILON = 0.1               # HAC dependency radius h**(1 + HAC_EPSILON)
 HAC_ROWS = 64                   # rows per block of the banded HAC sum
@@ -166,14 +167,15 @@ class DrawBlock:
 
     Y is n x m outcomes, B is C x m cluster bits kept as float32 (1-D inputs
     are one draw, m = 1) and unit treatments are B[assignment], built where
-    read; `guess`, over the context's partition (`GuessMatrix.over`), serves
-    shrink and `weights` (an `owopt.OwWeightTable`) ow.
+    read; `guess`, the guessed spillovers as `LinearOutcomes` over the
+    context's partition (`LinearOutcomes.over`), serves shrink and `weights`
+    (an `owopt.OwWeightTable`) ow.
     Of the n x m arrays, only those that several estimators read are kept.
     Each estimate is an (m,) array, NaN where undefined.
     """
 
     def __init__(self, ctx: DesignContext, Y=None, B=None,
-                 guess: GuessMatrix | None = None, weights=None):
+                 guess: LinearOutcomes | None = None, weights=None):
         self.ctx, self.guess, self.weights = ctx, guess, weights
         self.Y, self.B = _cols(Y), _cols(B, np.float32)
         self.ybar = None if Y is None else self.Y.mean(axis=0)
@@ -250,26 +252,23 @@ class DrawBlock:
 
     @cached_property
     def first_stage(self) -> np.ndarray:
-        """Cov(T, A_hat d), NaN where numerically zero; A_hat d is taken from
-        the guess's cluster sums and the bits, one float64 cast of a block
-        of bit columns at a time (a column's GEMM bits do not depend on the
-        split)."""
-        sums = self.guess.A_hat
-        if sums.shape[1] != self.B.shape[0]:
-            raise ValueError(f"the guess has {sums.shape[1]} columns, the design "
+        """Cov(T, A_hat d), NaN where numerically zero; A_hat d is the
+        guess realized on the bits, its A the guess's cluster sums."""
+        columns = self.guess.A.shape[1]
+        if columns != self.B.shape[0]:
+            raise ValueError(f"the guess has {columns} columns, the design "
                              f"{self.B.shape[0]} clusters: pass guess.over(partition)")
-        Tg = np.empty((sums.shape[0], self.B.shape[1]))
-        for cols in row_blocks(self.B.shape[1]):
-            np.matmul(sums, self.B[:, cols].astype(np.float64), out=Tg[:, cols])
+        Tg = realize(self.guess, self.B)
         cov = _dot(self.T, Tg) / self.T.shape[0] - self.tbar * Tg.mean(axis=0)
         return np.where(np.abs(cov) > 1e-12, cov, np.nan)
 
     @cached_property
     def shrink(self) -> np.ndarray:
-        """[Cov(T, Y) / Cov(T, A_hat d)] * (1'A_hat 1 / n): consistent for any
-        guess with nonzero total mass, tighter when the guess's split of
-        spillovers across the neighborhood boundary matches the truth."""
-        return self.cov_ty / self.first_stage * self.guess.scale
+        """[Cov(T, Y) / Cov(T, A_hat d)] * theta_hat, theta_hat = 1'A_hat 1 / n
+        the guess's theta: consistent for any guess with nonzero total mass,
+        tighter when the guess's split of spillovers across the neighborhood
+        boundary matches the truth."""
+        return self.cov_ty / self.first_stage * self.guess.theta
 
     @cached_property
     def ow(self) -> np.ndarray:

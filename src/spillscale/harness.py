@@ -1,11 +1,11 @@
 """Monte Carlo replication engine over designs, estimators, and sizes.
 
 Each population size builds a fresh uniform-disk population, every design's
-partition, and the linear simulation outcomes and guess matrix over each
-partition; each (size, design) cell then replays seeded treatment draws
-(the Philox streams of `draw_treatments`) in blocks through the batched
-estimator core, `estimators.DrawBlock`, so identical configs give identical
-CSV bytes.
+partition, and the simulation outcomes and the guess, both linear
+spillover models (`LinearOutcomes`), over each partition; each (size,
+design) cell then replays seeded treatment draws (the Philox streams of
+`draw_treatments`) in blocks through the batched estimator core,
+`estimators.DrawBlock`, so identical configs give identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
                     ow_mc_draws=100_000, budget=None) -> CellResult:
     """Replay `reps` seeded draws and evaluate the requested estimators.
 
-    `outcomes` and `guess` are over the partition (`LinearOutcomes.over`,
-    `GuessMatrix.over`), and `budget`, which ow needs, is `sim_budget` of
+    `outcomes` and `guess` are `LinearOutcomes` over the partition
+    (`LinearOutcomes.over`), and `budget`, which ow needs, is `sim_budget` of
     the outcomes over units.  Replicate r uses treatment seed base_seed + r,
     in blocks of `block_width(n)` draws, so that a block holds a bounded
     number of bytes at any n.  A block of k draws, k not a multiple of 8,
@@ -247,12 +247,12 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 def _size_rows(config: ExperimentConfig, n: int) -> list:
     """The cells of one population size.  The space and every design's
-    partition come first, then A and A_hat in turn, each reduced over every
-    partition (`over`) and so released before the next is built: a size
-    holds dist and at most one n x n kernel, besides an i.i.d. design's
-    reductions, which are the kernels themselves.  Each cell releases its
-    reductions after it runs, and the population is released on return,
-    before the next size builds its own."""
+    partition come first, then the outcomes' A and the guess's in turn,
+    each reduced over every partition (`over`) and so released before the
+    next is built: a size holds dist and at most one n x n kernel, besides
+    an i.i.d. design's reductions, which are the kernels themselves.  Each
+    cell releases its reductions after it runs, and the population is
+    released on return, before the next size builds its own."""
     names = config.estimators_at(n)
     if not names:
         return []

@@ -1,10 +1,13 @@
-"""Potential-outcome engines: the linear spillover model and simulation DGP.
+"""Potential-outcome engines: the linear spillover model, the simulation DGP
+and the researcher's guess.
 
 Under linearity, Y_i(d) = beta0 + A_i d + eps_i with a deterministic residual
 that sums to zero, and the average global effect is 1'A1/n.  The simulation
 DGP places spillovers proportional to (dist+1)**-4, normalized so the
 estimand equals 2 in every population, with spatially autocorrelated noise
-drawn once per population.
+drawn once per population.  The guess is a model of the same type, with
+beta0 = 0 and eps = 0: `realize` of it is the shrink estimator's guessed
+exposure, and its theta that estimator's scale.
 """
 
 from __future__ import annotations
@@ -51,30 +54,6 @@ class LinearOutcomes:
                               self.eps, self.theta)
 
 
-@dataclass(frozen=True, eq=False)
-class GuessMatrix:
-    """Researcher's deterministic guess for the spillover matrix: n x n, or
-    its n x C cluster sums over a partition (`over`).  scale, the shrink
-    estimator's 1'A_hat 1 / n of the n x n guess, is taken from A_hat when
-    not given."""
-
-    A_hat: np.ndarray
-    scale: float | None = None
-
-    def __post_init__(self):
-        if self.scale is None:
-            object.__setattr__(self, "scale", float(self.A_hat.sum() / self.n))
-
-    @property
-    def n(self) -> int:
-        return self.A_hat.shape[0]
-
-    def over(self, partition: ClusterPartition) -> GuessMatrix:
-        """The guess's cluster sums over the partition, scale kept, so that
-        the n x n A_hat can be released."""
-        return GuessMatrix(cluster_sums(partition, self.A_hat), self.scale)
-
-
 def decay_kernel(space: PremetricSpace, scale: float, exponent: float,
                  noise=None) -> np.ndarray:
     """Spillover kernel (scale*dist + 1)**-exponent, times noise(shape) one
@@ -110,16 +89,17 @@ def make_sim_dgp(space: PremetricSpace, seed: int) -> LinearOutcomes:
     return LinearOutcomes(beta0=0.0, A=A, eps=eps)
 
 
-def make_guess(space: PremetricSpace, seed: int) -> GuessMatrix:
-    """Noisy, structurally wrong but decay-respecting guess for A.
+def make_guess(space: PremetricSpace, seed: int) -> LinearOutcomes:
+    """Noisy, structurally wrong but decay-respecting guess for A, as the
+    linear outcomes it implies with beta0 = 0 and eps = 0.
 
-    A_hat = decay_kernel(space, 1.1, 4.25) with each entry times an i.i.d.
-    Uniform(0.9, 1) factor from the seed's stream, so 1'A_hat 1 / n = 2
-    exactly, like the true matrix.
+    Its A is decay_kernel(space, 1.1, 4.25) with each entry times an i.i.d.
+    Uniform(0.9, 1) factor from the seed's stream, so its theta, the shrink
+    estimator's scale, is 2 exactly, like the true matrix's.
     """
     gen = rng_for(seed, TAG_GUESS)
-    return GuessMatrix(A_hat=decay_kernel(
-        space, 1.1, 4.25, lambda shape: gen.uniform(0.9, 1.0, size=shape)))
+    A = decay_kernel(space, 1.1, 4.25, lambda shape: gen.uniform(0.9, 1.0, size=shape))
+    return LinearOutcomes(0.0, A, np.zeros(space.n))
 
 
 def realize(outcomes: LinearOutcomes, d) -> np.ndarray:

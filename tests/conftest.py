@@ -206,12 +206,12 @@ def whole_array_estimates(ctx, Y, D, B, guess) -> dict:
     cov_ty = dot(T, Y) / n - tbar * ybar
     var_t = dot(T, T) / n - tbar ** 2
     var_t = np.where(var_t > 1e-12, var_t, np.nan)
-    Tg = guess.A_hat @ D
+    Tg = guess.A @ D
     first = dot(T, Tg) / n - tbar * Tg.mean(axis=0)
     first = np.where(np.abs(first) > 1e-12, first, np.nan)
     out = {"ht": dot(w1 - w0, Y) / n, "hajek": dot(hajek_w, Y),
            "ols": cov_ty / var_t,
-           "shrink": cov_ty / first * (guess.A_hat.sum() / guess.n)}
+           "shrink": cov_ty / first * (guess.A.sum() / guess.n)}
 
     lam = dependency_graph(ctx.space, ctx.partition, ctx.h, ctx.eta)
 

@@ -179,9 +179,9 @@ class TestCriterion7FixedRadiusBias:
         touch = ext.incidence[:, part.assignment]
         n = space.n
         theta = outcomes.theta
-        theta_hat = float(guess.A_hat.sum() / n)
+        theta_hat = float(guess.A.sum() / n)
         off_true = float(np.where(touch, 0.0, outcomes.A).sum() / n)
-        off_guess = float(np.where(touch, 0.0, guess.A_hat).sum() / n)
+        off_guess = float(np.where(touch, 0.0, guess.A).sum() / n)
         r_true = off_true / theta
         r_guess = off_guess / theta_hat
         targets = {

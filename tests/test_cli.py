@@ -133,7 +133,7 @@ class TestEstimateCommand:
             if estimator == "ols":
                 want = cov[0, 1] / cov[0, 0]
             else:
-                A_hat = ss.make_guess(space, 52).A_hat
+                A_hat = ss.make_guess(space, 52).A
                 first = np.cov(T, A_hat @ draw.d)[0, 1]
                 want = cov[0, 1] / first * A_hat.sum() / space.n
         assert float(row["estimate"]) == pytest.approx(want, rel=1e-9)
@@ -733,6 +733,25 @@ class TestOracleCommand:
                      str(clu), "--h", "1.0", "--dump-matrices", str(dump)]) == 0
         assert sorted(p.name for p in dump.iterdir()) == ["A.csv", "A_hat.csv"]
         assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["dump"]
+
+    def test_dump_matrices_size_checked_before_the_kernel(self, tmp_path, monkeypatch):
+        # n = 501 is refused once the population is read, before the n x n
+        # outcome kernel is built and before any file is written
+        n = 501
+        pop, clu = tmp_path / "pop.csv", tmp_path / "clusters.csv"
+        write_population(pop, ss.uniform_disk(n, np.random.default_rng(0)))
+        clu.write_text("unit_id,cluster_id\n" + "".join(f"{i},{i}\n" for i in range(n)))
+
+        def kernel_built(*args):
+            raise AssertionError("make_sim_dgp called")
+
+        monkeypatch.setattr(cli, "make_sim_dgp", kernel_built)
+        dump = tmp_path / "dump"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--population", str(pop), "--clusters", str(clu),
+                  "--h", "1.0", "--dump-matrices", str(dump)])
+        assert exc.value.code == "--dump-matrices is limited to n <= 500"
+        assert not dump.exists()
 
 
 class TestOracleBlocks:

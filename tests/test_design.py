@@ -526,10 +526,21 @@ class TestDrawTreatments:
         c = draw_treatments(part, 0.4, seed=100)
         assert not np.array_equal(a.b, c.b)
 
+    @staticmethod
+    def batch_treatments(part, seeds):
+        """Unit treatments of the seeds' draws at p = 0.5, one row each, from
+        one `draw_bits_batch` call; `draw_treatments` returns that call's
+        row, checked on every 1000th seed."""
+        B = draw_bits_batch(part.n_clusters, 0.5, seeds)
+        for k in range(0, len(seeds), 1000):
+            draw = draw_treatments(part, 0.5, seed=seeds[k])
+            assert np.array_equal(draw.b, B[k]) and np.array_equal(
+                draw.d, B[k][part.assignment]), seeds[k]
+        return B[:, part.assignment]
+
     def test_marginal_rate(self):
         part = singleton_partition(1)
-        draws = np.array([draw_treatments(part, 0.5, seed=s).d[0]
-                          for s in range(100_000)])
+        draws = self.batch_treatments(part, range(100_000))[:, 0]
         # binomial 99.99% band around 0.5 at 1e5 draws is well inside 0.01
         assert abs(draws.mean() - 0.5) < 0.01
 
@@ -538,8 +549,7 @@ class TestDrawTreatments:
         space = ss.build_space(np.array([[0.0], [1.0], [50.0]]))
         part = scaling_clusters(space, 1.5)
         assert part.assignment[0] == part.assignment[1] != part.assignment[2]
-        D = np.array([draw_treatments(part, 0.5, seed=s).d
-                      for s in range(10_000)], dtype=float)
+        D = self.batch_treatments(part, range(10_000)).astype(float)
         cov_shared = np.mean(D[:, 0] * D[:, 1]) - D[:, 0].mean() * D[:, 1].mean()
         cov_apart = np.mean(D[:, 0] * D[:, 2]) - D[:, 0].mean() * D[:, 2].mean()
         assert cov_shared >= 0.2

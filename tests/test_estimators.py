@@ -267,7 +267,7 @@ class TestShrinkage:
         draw = draw_treatments(part, 0.5, seed=3)
         kappa = 2.5
         A_hat = kappa * ctx.extended.incidence.astype(float) / ctx.extended.phi_max
-        guess = ss.GuessMatrix(A_hat=A_hat)
+        guess = ss.LinearOutcomes(0.0, A_hat, np.zeros(6))
         rng = np.random.default_rng(5)
         Y = rng.normal(size=6)
         block = DrawBlock(ctx, Y, draw.b, guess=guess)
@@ -288,12 +288,33 @@ class TestShrinkage:
             one_draw(space, part, 1.5, Y, draw.d, guess=guess).shrink
         assert one_draw(space, part, 1.5, Y, draw.d, guess=guess.over(part)).shrink.shape == (1,)
 
+    @pytest.mark.parametrize("design_name", ["scaling_clusters", "iid"])
+    def test_first_stage_is_the_guess_realized(self, disk500, design_name):
+        # the first stage reads A_hat d as `realize` of the guess over the
+        # partition, every bit as the product of its cluster sums with one
+        # float64 cast of 256 bit columns at a time, and adding the guess's
+        # beta0 + eps = +0.0 leaves every entry as it is
+        space, _, guess = disk500
+        h = ss.scaling_rule(space.n, 1.0)
+        part = harness.make_partition(space, design_name, h)
+        ctx, sums = DesignContext(space, part, h, 0.5), guess.over(part)
+        for m in (1, 8, 256, 512):
+            B = design.draw_bits_batch(part.n_clusters, 0.5, range(m)).T
+            block = DrawBlock(ctx, B=B, guess=sums)
+            Tg = np.empty((space.n, m))
+            for cols in row_blocks(m):
+                np.matmul(sums.A, block.B[:, cols].astype(np.float64), out=Tg[:, cols])
+            cov = (np.einsum("im,im->m", block.T, Tg) / space.n
+                   - block.tbar * Tg.mean(axis=0))
+            want = np.where(np.abs(cov) > 1e-12, cov, np.nan)
+            assert np.array_equal(block.first_stage, want, equal_nan=True), m
+
     def test_weak_instrument_error(self):
         # a zero guess has a zero first stage: NaN
         space = line_space(4, spacing=4.0)
         part = singleton_partition(4)
         draw = draw_treatments(part, 0.5, seed=1)
-        guess = ss.GuessMatrix(A_hat=np.zeros((4, 4)))
+        guess = ss.LinearOutcomes(0.0, np.zeros((4, 4)), np.zeros(4))
         block = one_draw(space, part, 1.0, np.ones(4), draw.d, guess=guess)
         assert np.isnan(block.first_stage[0])
         assert np.isnan(block.shrink[0])

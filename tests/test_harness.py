@@ -60,7 +60,7 @@ class TestPopulationRelease:
         def recording(name, build):
             def build_and_record(space, seed):
                 model = build(space, seed)
-                refs[name] = weakref.ref(getattr(model, name))
+                refs[name] = weakref.ref(model.A)
                 return model
             return build_and_record
 
@@ -118,10 +118,10 @@ class TestOwBudget:
 
 class TestShrinkScale:
     def test_summed_once_per_guess(self, monkeypatch):
-        # shrink's scale 1'A_hat 1 / n is an n^2 sum: the guess takes it
-        # once, and a cell of three blocks over its cluster sums takes no
-        # other sum of them, and shrink keeps the bits it had when each
-        # block summed A_hat itself
+        # shrink's scale, the guess's theta 1'A_hat 1 / n, is an n^2 sum:
+        # the guess takes it once, and a cell of three blocks over its
+        # cluster sums takes no other sum of them, and shrink keeps the bits
+        # it had when each block summed A_hat itself
         n = 60
         space, outcomes, guess = population(n, 7 + n)
         h = ss.scaling_rule(n, 1.0)
@@ -133,8 +133,8 @@ class TestShrinkScale:
                 calls.append(1)
                 return super().sum(*args, **kwargs)
 
-        counted = ss.GuessMatrix(A_hat=guess.A_hat.view(Counted)).over(part)
-        counted = ss.GuessMatrix(A_hat=counted.A_hat.view(Counted), scale=counted.scale)
+        counted = ss.LinearOutcomes(0.0, guess.A.view(Counted), guess.eps).over(part)
+        counted = ss.LinearOutcomes(0.0, counted.A.view(Counted), counted.eps, counted.theta)
         monkeypatch.setattr(harness, "block_width", lambda n: 8)
         cell = simulate_design(space, outcomes.over(part), counted, part, h, 0.5, 24, 7,
                                ["shrink"])
@@ -144,7 +144,7 @@ class TestShrinkScale:
         Y = ss.realize(outcomes.over(part), B)
         block = DrawBlock(ctx, Y, B, guess=guess.over(part))
         assert np.array_equal(
-            block.shrink, block.cov_ty / block.first_stage * (guess.A_hat.sum() / n),
+            block.shrink, block.cov_ty / block.first_stage * (guess.A.sum() / n),
             equal_nan=True)
         assert np.array_equal(block.shrink, cell.estimates["shrink"], equal_nan=True)
 

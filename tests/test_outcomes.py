@@ -119,7 +119,17 @@ class TestAge:
 class TestGuess:
     def test_normalized_total_exact(self):
         space, _, guess = population(60, 4)
-        assert guess.A_hat.sum() / 60 == pytest.approx(2.0, abs=1e-12)
+        assert guess.A.sum() / 60 == pytest.approx(2.0, abs=1e-12)
+
+    def test_linear_outcomes_without_offset(self):
+        # the guess is the linear model of its matrix with beta0 = 0 and
+        # eps = 0, and its theta is 1'A_hat 1 / n summed as the shrink
+        # estimator's scale always was
+        _, _, guess = population(60, 4)
+        assert isinstance(guess, LinearOutcomes)
+        assert guess.beta0 == 0.0
+        assert np.array_equal(guess.eps, np.zeros(60))
+        assert guess.theta == float(guess.A.sum() / guess.n)
 
     def test_parameter_degeneration_recovers_truth(self):
         space, outcomes, _ = population(25, 9)
@@ -129,15 +139,15 @@ class TestGuess:
         space, outcomes, guess = population(200, 5)
         grid = np.geomspace(1.0, 200.0, 16)
         k1 = fit_interference_constant(outcomes.A, space, 1.0, grid)
-        assert fit_interference_constant(guess.A_hat, space, 1.0, grid) <= k1 * 1.05
+        assert fit_interference_constant(guess.A, space, 1.0, grid) <= k1 * 1.05
         ybar = np.max(np.abs(outcomes.A).sum(axis=1) + np.abs(outcomes.eps))
-        assert np.abs(guess.A_hat).sum(axis=1).max() <= ybar
+        assert np.abs(guess.A).sum(axis=1).max() <= ybar
 
     def test_noise_varies_with_seed(self):
         space = harness.build_population(20, 3)
         g1 = make_guess(space, 3)
         g2 = make_guess(space, 4)
-        assert not np.allclose(g1.A_hat, g2.A_hat)
+        assert not np.allclose(g1.A, g2.A)
 
 
 class TestValidation:
@@ -175,7 +185,7 @@ class TestDensePopulation:
         assert np.array_equal(space.dist, dist)
         assert np.array_equal(outcomes.A, A)
         assert np.array_equal(outcomes.eps, eps)
-        assert np.array_equal(guess.A_hat, A_hat)
+        assert np.array_equal(guess.A, A_hat)
         for s in (0.5, 2.0, 10.0):
             outside = ~(dist <= space.radius(s))
             assert np.array_equal(off_neighborhood_sums(A, space, s),
