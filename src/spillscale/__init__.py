@@ -1,10 +1,9 @@
 """Cluster-randomized designs and average-global-effect estimation under
 spatially decaying spillovers."""
 
-from .design import (ClusterPartition, DesignDraw, ExtendedNeighborhoods,
-                     IncidenceCounts, draw_treatments, extend_uniform_overlap,
-                     greedy_cover, incidence, scaling_clusters, scaling_rule,
-                     singleton_partition)
+from .design import (ClusterPartition, ExtendedNeighborhoods, IncidenceCounts,
+                     draw_bits_batch, extend_uniform_overlap, greedy_cover,
+                     incidence, scaling_clusters, scaling_rule, singleton_partition)
 from .geometry import (GeometryAudit, InterferenceBudget, PremetricSpace,
                        audit_geometry, build_space, build_space_from_dist,
                        uniform_disk)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, oracle, owopt
-from .design import (ClusterPartition, cluster_bits, draw_treatments,
+from .design import (ClusterPartition, cluster_bits, draw_bits_batch,
                      incidence, scaling_clusters, scaling_rule)
 from .estimators import (UNDEFINED, WITH_CI, DesignContext, DrawBlock,
                          check_hac_window, interval)
@@ -246,7 +246,7 @@ def cmd_design(args):
     space, ids = load_population(args.population)
     h = _h(args, space)
     partition = scaling_clusters(space, h)
-    draw = draw_treatments(partition, args.p, args.seed)
+    d = draw_bits_batch(partition.n_clusters, args.p, [args.seed])[0][partition.assignment]
     counts = incidence(space, partition, h)
     _write(out / "clusters.csv", harness.csv_text(
         ["unit_id", "cluster_id"],
@@ -257,7 +257,7 @@ def cmd_design(args):
     _write(out / "incidence.csv",
            harness.csv_text(["kind", "id", "value"], inc_rows))
     _write(out / "treatments.csv", harness.csv_text(
-        ["unit_id", "d"], [(u, int(draw.d[i])) for i, u in enumerate(ids)]))
+        ["unit_id", "d"], [(u, int(d[i])) for i, u in enumerate(ids)]))
     print(f"n={space.n} clusters={partition.n_clusters} h={h:.6g} "
           f"phi_max={counts.phi_max} seed={args.seed}")
     return 0

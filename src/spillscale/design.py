@@ -45,11 +45,28 @@ class ClusterPartition:
     @cached_property
     def by_cluster(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, starts): unit ids grouped cluster by cluster, ascending
-        within each, and where each group starts, for a ufunc's `reduceat`
-        over a unit axis taken in that order; it needs every cluster
-        nonempty, as every constructor ensures."""
+        within each, and where each group starts, for `reduce` over a unit
+        axis taken in that order; it needs every cluster nonempty, as every
+        constructor ensures."""
         sizes = np.bincount(self.assignment)
         return np.argsort(self.assignment, kind="stable"), np.cumsum(sizes) - sizes
+
+    def check_units(self, X, axis: int = 1) -> None:
+        """ValueError unless X has one entry per unit of the partition on `axis`."""
+        if X.shape[axis] != self.n:
+            raise ValueError(f"{X.shape[axis]} units on axis {axis}, but the "
+                             f"partition covers {self.n}")
+
+    def reduce(self, ufunc, X, axis: int = 1, out=None) -> np.ndarray:
+        """`ufunc` reduced over each cluster's units on X's `axis`, which has
+        one entry per unit: C entries there, cluster c's at index c."""
+        self.check_units(X, axis)
+        order, starts = self.by_cluster
+        # `take` keeps the gathered block C-contiguous, where `[:, order]` on a
+        # float table does not and more than doubles the reduction's time;
+        # rebinding X frees a temporary X before the output is allocated
+        X = np.take(X, order, axis=axis)
+        return ufunc.reduceat(X, starts, axis=axis, out=out)
 
 
 def greedy_cover(space: PremetricSpace, g: float) -> tuple[list, np.ndarray]:
@@ -120,17 +137,17 @@ class IncidenceCounts:
 def incidence(space: PremetricSpace, partition: ClusterPartition, s) -> IncidenceCounts:
     """Exact phi/gamma counts by direct intersection tests.
 
-    Per row block, the neighborhood matrix's rows are transposed into
-    cluster order and or-reduced over each cluster's units eight booleans at
-    a time, as 64-bit words: a bitwise or of 0/1 bytes is their logical or.
+    Per row block, the neighborhood matrix's rows are transposed and
+    or-reduced over each cluster's units (`ClusterPartition.reduce`) eight
+    booleans at a time, as 64-bit words: a bitwise or of 0/1 bytes is their
+    logical or.
     """
-    order, starts = partition.by_cluster
     inc = np.empty((space.n, partition.n_clusters), dtype=bool)
     for rows in row_blocks(space.n):
         b = rows.stop - rows.start
         near = np.zeros((space.n, -(-b // 8) * 8), dtype=bool)    # whole words
-        near[:, :b] = space.neighborhood_matrix(s, rows).T[order]
-        words = np.bitwise_or.reduceat(near.view(np.int64), starts, axis=0)
+        near[:, :b] = space.neighborhood_matrix(s, rows).T
+        words = partition.reduce(np.bitwise_or, near.view(np.int64), axis=0)
         inc[rows] = words.view(bool)[:, :b].T      # cluster c meets N(i, s)
     return IncidenceCounts(incidence=inc)
 
@@ -158,40 +175,29 @@ class ExtendedNeighborhoods(IncidenceCounts):
     """Incidence padded so every unit meets exactly phi_max clusters."""
 
     base_incidence: np.ndarray      # n x C boolean incidence before padding
-    assignment: np.ndarray          # unit -> cluster id
 
     @cached_property
     def extra(self) -> list:
-        """Per unit: the ids of the units in its padded clusters, ascending
-        (int64; empty where nothing was appended)."""
+        """Per unit: the ids of its appended clusters, ascending (int64;
+        empty where nothing was appended)."""
         extra = []
         for rows in row_blocks(self.phi.size):
             added = self.incidence[rows] & ~self.base_incidence[rows]
-            extra.extend(np.flatnonzero(a) for a in added[:, self.assignment])
+            extra.extend(np.flatnonzero(a) for a in added)
         return extra
-
-
-def cluster_distances(space: PremetricSpace, partition: ClusterPartition,
-                      units) -> np.ndarray:
-    """len(units) x C matrix of min distance from each unit to each cluster."""
-    order, starts = partition.by_cluster
-    # `take` keeps the gathered block C-contiguous, where `[:, order]` on a
-    # float table does not and more than doubles the reduction's time
-    return np.minimum.reduceat(np.take(space.dist[units], order, axis=1),
-                               starts, axis=1)
 
 
 def cluster_sums(partition: ClusterPartition, M) -> np.ndarray:
     """n x C sums of M's columns within each cluster, so that M @ d equals
     cluster_sums(partition, M) @ b for unit treatments d = b[assignment];
     M itself when the assignment is arange(n).  Built one row block at a
-    time, by the `reduceat` over `by_cluster` that `cluster_distances` runs."""
+    time by `ClusterPartition.reduce`."""
+    partition.check_units(M)
     if np.array_equal(partition.assignment, np.arange(partition.n)):
         return M
-    order, starts = partition.by_cluster
     out = np.empty((M.shape[0], partition.n_clusters))
     for rows in row_blocks(M.shape[0]):
-        np.add.reduceat(np.take(M[rows], order, axis=1), starts, axis=1, out=out[rows])
+        partition.reduce(np.add, M[rows], out=out[rows])
     return out
 
 
@@ -210,7 +216,7 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
     deficient = np.flatnonzero(base.phi < phi_max)
     for rows in row_blocks(deficient.size):
         units = deficient[rows]
-        D = cluster_distances(space, partition, units)
+        D = partition.reduce(np.minimum, space.dist[units])   # min to each cluster
         D[inc[units]] = np.inf             # only clusters not yet met
         need = phi_max - base.phi[units]
         for k in range(int(need.max())):
@@ -218,16 +224,7 @@ def extend_uniform_overlap(space: PremetricSpace, partition: ClusterPartition,
             D[np.arange(units.size), nearest] = np.inf
             take = need > k
             inc[units[take], nearest[take]] = True
-    return ExtendedNeighborhoods(incidence=inc, base_incidence=base.incidence,
-                                 assignment=partition.assignment)
-
-
-@dataclass(frozen=True)
-class DesignDraw:
-    """One realized cluster randomization."""
-
-    b: np.ndarray                   # cluster treatment bits
-    d: np.ndarray                   # induced unit treatment bits
+    return ExtendedNeighborhoods(incidence=inc, base_incidence=base.incidence)
 
 
 def cluster_bits(partition: ClusterPartition, d) -> np.ndarray:
@@ -245,7 +242,10 @@ def draw_bits_batch(n_clusters: int, p: float, seeds) -> np.ndarray:
     """m x C int8 Bernoulli(p) cluster bits, row k from seeds[k]'s stream:
     rng_for(seeds[k], TAG_TREAT).uniform(size=C) < p.  One Philox is reset
     to each row's key, counter 0 and an empty buffer, the state a fresh
-    Philox(key=...) starts in; `random` is `uniform`'s 0 + 1 * x."""
+    Philox(key=...) starts in; `random` is `uniform`'s 0 + 1 * x.  Unit
+    treatments are a row b's b[partition.assignment]."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("treatment probability p must be in (0, 1)")
     keys = philox_keys(seeds, TAG_TREAT)
     B = np.empty((keys.shape[0], n_clusters), dtype=np.int8)
     bitgen = np.random.Philox(0)
@@ -256,11 +256,3 @@ def draw_bits_batch(n_clusters: int, p: float, seeds) -> np.ndarray:
                         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         B[k] = gen.random(n_clusters) < p
     return B
-
-
-def draw_treatments(partition: ClusterPartition, p: float, seed: int) -> DesignDraw:
-    """One draw of `draw_bits_batch` and the unit treatments it induces."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("treatment probability p must be in (0, 1)")
-    b = draw_bits_batch(partition.n_clusters, p, [seed])[0]
-    return DesignDraw(b=b, d=b[partition.assignment])

@@ -3,8 +3,8 @@
 Each population size builds a fresh uniform-disk population, every design's
 partition, and the simulation outcomes and the guess, both linear
 spillover models (`LinearOutcomes`), over each partition; each (size,
-design) cell then replays seeded treatment draws (the Philox streams of
-`draw_treatments`) in blocks through the batched estimator core,
+design) cell then replays seeded cluster bits (`draw_bits_batch`, one
+Philox stream per seed) in blocks through the batched estimator core,
 `estimators.DrawBlock`, so identical configs give identical CSV bytes.
 """
 

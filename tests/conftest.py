@@ -249,10 +249,10 @@ def concatenated_by_cluster(partition) -> tuple[np.ndarray, np.ndarray]:
 # --- per-unit overlap padding: the reference for the row-blocked extension --
 # `design.extend_uniform_overlap` ranks candidate clusters one block of
 # deficient units at a time, by repeated `argmin` over a min-distance table
-# built with one `np.minimum.reduceat`, and derives `extra` only when read.
-# Below is the form it replaced: an n x C table filled cluster by cluster,
-# then per unit a `lexsort` by (distance, cluster id) and the chosen
-# clusters' members, concatenated and sorted.
+# built with one `ClusterPartition.reduce`, and derives `extra` only when
+# read.  Below is the form it replaced: an n x C table filled cluster by
+# cluster, then per unit a `lexsort` by (distance, cluster id) and the
+# chosen cluster ids, sorted.
 
 
 def lexsort_extension(space: PremetricSpace, partition, base) -> tuple[np.ndarray, list]:
@@ -269,6 +269,5 @@ def lexsort_extension(space: PremetricSpace, partition, base) -> tuple[np.ndarra
         order = candidates[np.lexsort((candidates, D[i, candidates]))]
         chosen = order[:need]
         inc[i, chosen] = True
-        extra[i] = np.sort(np.concatenate(
-            [clusters[c] for c in chosen]))
+        extra[i] = np.sort(chosen)
     return inc, extra

@@ -71,6 +71,11 @@ class TestDesignCommand:
         phi = [int(r["value"]) for r in inc if r["kind"] == "phi"]
         gamma = [int(r["value"]) for r in inc if r["kind"] == "gamma"]
         assert sum(phi) == sum(gamma)
+        # unit treatments are the seed's cluster bits through the assignment
+        assignment = np.array([int(r["cluster_id"]) for r in clusters])
+        b = ss.draw_bits_batch(assignment.max() + 1, 0.5, [3])[0]
+        d = [int(r["d"]) for r in read_csv(out / "treatments.csv")]
+        assert d == b[assignment].tolist()
 
     def test_distance_matrix_input(self, tmp_path):
         dist = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
@@ -92,27 +97,29 @@ class TestEstimateCommand:
         pop_path, space = population_csv
         h = ss.scaling_rule(space.n, 1.0)
         part = ss.scaling_clusters(space, h)
-        draw = ss.draw_treatments(part, 0.5, seed)
+        b = ss.draw_bits_batch(part.n_clusters, 0.5, [seed])[0]
+        d = b[part.assignment]
         outcomes = ss.make_sim_dgp(space, 12 + 40)
-        Y = ss.realize(outcomes, draw.d)
+        Y = ss.realize(outcomes, d)
         out_csv = tmp_path / "outcomes.csv"
         with open(out_csv, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["unit_id", "Y", "d"])
             for i in range(space.n):
-                w.writerow([i, f"{Y[i]:.12g}", int(draw.d[i])])
+                w.writerow([i, f"{Y[i]:.12g}", int(d[i])])
         clu_csv = tmp_path / "clusters.csv"
         with open(clu_csv, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["unit_id", "cluster_id"])
             for i in range(space.n):
                 w.writerow([i, int(part.assignment[i])])
-        return pop_path, out_csv, clu_csv, space, part, draw, Y, h
+        return pop_path, out_csv, clu_csv, space, part, b, Y, h
 
     @pytest.mark.parametrize("estimator", ["ht", "hajek", "ols", "shrink"])
     def test_matches_library(self, tmp_path, population_csv, estimator):
-        pop, ocsv, ccsv, space, part, draw, Y, h = self._realized_data(
+        pop, ocsv, ccsv, space, part, b, Y, h = self._realized_data(
             tmp_path, population_csv)
+        d = b[part.assignment]
         out = tmp_path / f"{estimator}.csv"
         rc = main(["estimate", "--population", str(pop), "--outcomes",
                    str(ocsv), "--clusters", str(ccsv), "--estimator",
@@ -124,23 +131,22 @@ class TestEstimateCommand:
         # independent formulas on the outcomes as the command read them
         Y = np.array([float(r["Y"]) for r in read_csv(ocsv)])
         if estimator in ("ht", "hajek"):
-            want = pure_comparison(estimator, space, part, h, 0.5, Y, draw.d)
+            want = pure_comparison(estimator, space, part, h, 0.5, Y, d)
         else:
             ext = ss.extend_uniform_overlap(
                 space, part, ss.incidence(space, part, h))
-            T = (ext.incidence @ draw.b) / ext.phi_max
+            T = (ext.incidence @ b) / ext.phi_max
             cov = np.cov(T, Y)
             if estimator == "ols":
                 want = cov[0, 1] / cov[0, 0]
             else:
                 A_hat = ss.make_guess(space, 52).A
-                first = np.cov(T, A_hat @ draw.d)[0, 1]
+                first = np.cov(T, A_hat @ d)[0, 1]
                 want = cov[0, 1] / first * A_hat.sum() / space.n
         assert float(row["estimate"]) == pytest.approx(want, rel=1e-9)
         if estimator in ("hajek", "ols"):
             assert float(row["ci_lo"]) <= want <= float(row["ci_hi"])
-            block = DrawBlock(DesignContext(space, part, h, 0.5, 1.0), Y,
-                              draw.b)
+            block = DrawBlock(DesignContext(space, part, h, 0.5, 1.0), Y, b)
             res = interval(getattr(block, estimator)[0],
                            block.variance(estimator)[0], 0.95)
             assert float(row["var_hat"]) == pytest.approx(res.variance_hat,

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale.design import (TAG_TREAT, ClusterPartition, cluster_distances,
-                               cluster_sums, draw_bits_batch, draw_treatments,
-                               extend_uniform_overlap, greedy_cover, rng_for,
-                               incidence, scaling_clusters, scaling_rule,
-                               singleton_partition)
+from spillscale.design import (TAG_TREAT, ClusterPartition, cluster_sums,
+                               draw_bits_batch, extend_uniform_overlap,
+                               greedy_cover, rng_for, incidence, scaling_clusters,
+                               scaling_rule, singleton_partition)
 from spillscale.cli import load_clusters
 from spillscale.estimators import dependency_graph
 from spillscale.geometry import build_space_from_dist
@@ -188,6 +187,47 @@ class TestByCluster:
         assert part.by_cluster is part.by_cluster       # computed once
 
 
+class TestReduce:
+    """`ClusterPartition.reduce` against a loop over each cluster's members."""
+
+    @pytest.mark.parametrize("kind", ["scaling", "singleton", "shuffled"])
+    @pytest.mark.parametrize("ufunc", [np.add, np.minimum, np.bitwise_or])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_member_loop(self, kind, ufunc, axis):
+        if kind == "scaling":
+            space = build_population(300, 3)
+            part = scaling_clusters(space, scaling_rule(300, 1.0))
+        elif kind == "singleton":
+            part = singleton_partition(300)
+        else:
+            part = ClusterPartition(np.random.default_rng(2).permutation(300) % 37)
+        rng = np.random.default_rng(5)
+        X = (rng.integers(0, 2 ** 62, size=(part.n, 9)) if ufunc is np.bitwise_or
+             else rng.uniform(size=(part.n, 9)))
+        X = X if axis == 0 else np.ascontiguousarray(X.T)
+        got = part.reduce(ufunc, X, axis=axis)
+        want = np.stack([ufunc.reduce(np.take(X, members, axis=axis), axis=axis)
+                         for members in cluster_members(part)], axis=axis)
+        assert got.shape[axis] == part.n_clusters
+        if ufunc is np.add:                 # the loop sums in another order
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_rejects_another_populations_units(self):
+        part = singleton_partition(400)
+        with pytest.raises(ValueError, match="500 units on axis 1.*covers 400"):
+            part.reduce(np.add, np.ones((3, 500)))
+        with pytest.raises(ValueError, match="3 units on axis 0.*covers 400"):
+            part.reduce(np.add, np.ones((3, 400)), axis=0)
+
+    def test_incidence_rejects_another_populations_partition(self):
+        space = build_population(300, 5)
+        part = scaling_clusters(build_population(200, 5), 2.0)
+        with pytest.raises(ValueError, match="300 units on axis 0.*covers 200"):
+            incidence(space, part, 2.0)
+
+
 class TestClusterSums:
     """`cluster_sums` against the product with the n x C cluster indicator."""
 
@@ -208,6 +248,16 @@ class TestClusterSums:
         assert cluster_sums(singleton_partition(40), M) is M
         shuffled = ClusterPartition(np.random.default_rng(1).permutation(40))
         assert np.array_equal(cluster_sums(shuffled, M)[:, shuffled.assignment], M)
+
+    def test_rejects_another_populations_partition(self, disk500):
+        outcomes = disk500[1]
+        small = build_population(400, 1)
+        for part in (scaling_clusters(small, scaling_rule(400, 1.0)),
+                     singleton_partition(400)):
+            with pytest.raises(ValueError, match="500 units on axis 1.*covers 400"):
+                cluster_sums(part, outcomes.A)
+            with pytest.raises(ValueError, match="500 units on axis 1.*covers 400"):
+                outcomes.over(part)
 
     def test_traced_peak_is_output_plus_one_row_block(self):
         n = 1000
@@ -374,8 +424,8 @@ class TestExtendUniformOverlap:
         assert ext.phi_max == 2
         # the extension pads a copy; the base counts keep phi = 1 at the ends
         assert base.incidence.sum(axis=1).tolist() == [1, 2, 2, 1]
-        assert ext.extra[0].tolist() == [2, 3]     # whole nearest cluster
-        assert ext.extra[3].tolist() == [0, 1]
+        assert ext.extra[0].tolist() == [1]        # the nearest cluster
+        assert ext.extra[3].tolist() == [0]
         assert np.all(ext.phi == 2)
 
     def test_uniform_after_extension_and_gamma_growth(self):
@@ -407,7 +457,7 @@ class TestExtendUniformOverlap:
 
     def test_nearest_cluster_chosen(self):
         space, part = _three_cluster_line()
-        D = cluster_distances(space, part, np.arange(space.n))
+        D = part.reduce(np.minimum, space.dist)
         # unit 0 is closest to cluster 1, then cluster 2
         assert D[0, 1] < D[0, 2]
 
@@ -428,8 +478,9 @@ class TestExtensionAgainstLexsort:
             assert got.dtype == np.int64
             assert np.all(np.diff(got) > 0)
             assert np.array_equal(got, want)
+        # the count of extended units that perfbench's trace reads
         assert (sum(e.size > 0 for e in ext.extra)
-                == np.count_nonzero(base.phi < base.phi_max))
+                == (base.phi < base.phi_max).sum())
         return ext
 
     @staticmethod
@@ -510,33 +561,26 @@ class TestDrawBitsBatch:
 
 
 class TestDrawTreatments:
+    """Unit treatments are a row of cluster bits read through the
+    assignment, b[assignment]."""
+
     def test_within_cluster_constancy_and_extreme_p(self):
         space = line_space(6)
         part = scaling_clusters(space, 100.0)
-        draw = draw_treatments(part, 0.999999, seed=4)
-        assert np.unique(draw.d).size == 1
-        assert np.all(draw.d == draw.b[0])
+        b = draw_bits_batch(part.n_clusters, 0.999999, [4])[0]
+        d = b[part.assignment]
+        assert np.unique(d).size == 1
+        assert np.all(d == b[0])
 
     def test_determinism(self):
-        part = singleton_partition(12)
-        a = draw_treatments(part, 0.4, seed=99)
-        b = draw_treatments(part, 0.4, seed=99)
-        assert np.array_equal(a.b, b.b)
-        assert np.array_equal(a.d, b.d)
-        c = draw_treatments(part, 0.4, seed=100)
-        assert not np.array_equal(a.b, c.b)
+        a, b, c = draw_bits_batch(12, 0.4, [99, 99, 100])
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @staticmethod
     def batch_treatments(part, seeds):
-        """Unit treatments of the seeds' draws at p = 0.5, one row each, from
-        one `draw_bits_batch` call; `draw_treatments` returns that call's
-        row, checked on every 1000th seed."""
-        B = draw_bits_batch(part.n_clusters, 0.5, seeds)
-        for k in range(0, len(seeds), 1000):
-            draw = draw_treatments(part, 0.5, seed=seeds[k])
-            assert np.array_equal(draw.b, B[k]) and np.array_equal(
-                draw.d, B[k][part.assignment]), seeds[k]
-        return B[:, part.assignment]
+        """Unit treatments of the seeds' draws at p = 0.5, one row each."""
+        return draw_bits_batch(part.n_clusters, 0.5, seeds)[:, part.assignment]
 
     def test_marginal_rate(self):
         part = singleton_partition(1)
@@ -556,7 +600,6 @@ class TestDrawTreatments:
         assert abs(cov_apart) <= 0.05
 
     def test_rejects_bad_p(self):
-        part = singleton_partition(3)
-        for p in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
-                draw_treatments(part, p, seed=0)
+        for p in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
+                draw_bits_batch(5, p, [1, 2])

@@ -5,7 +5,7 @@ import pytest
 
 import spillscale as ss
 from spillscale import design, harness
-from spillscale.design import (cluster_bits, draw_treatments, incidence,
+from spillscale.design import (cluster_bits, draw_bits_batch, incidence,
                                scaling_clusters, singleton_partition)
 from spillscale import estimators
 from spillscale.estimators import (HAC_EPSILON, HAC_ROWS, UNDEFINED, Band,
@@ -35,7 +35,7 @@ def exposure_draw(seed=0):
     space = harness.build_population(30, 31)
     h = ss.scaling_rule(30, 1.0)
     ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
-    b = draw_treatments(ctx.partition, 0.5, seed).b
+    b = draw_bits_batch(ctx.partition.n_clusters, 0.5, [seed])[0]
     T = DrawBlock(ctx, B=b).T[:, 0]
     assert T.var() > 0.01
     return ctx, b, T
@@ -264,13 +264,13 @@ class TestShrinkage:
         space = line_space(6, spacing=4.0)
         part = singleton_partition(6)
         ctx = DesignContext(space, part, 1.0, 0.5)
-        draw = draw_treatments(part, 0.5, seed=3)
+        b = draw_bits_batch(part.n_clusters, 0.5, [3])[0]
         kappa = 2.5
         A_hat = kappa * ctx.extended.incidence.astype(float) / ctx.extended.phi_max
         guess = ss.LinearOutcomes(0.0, A_hat, np.zeros(6))
         rng = np.random.default_rng(5)
         Y = rng.normal(size=6)
-        block = DrawBlock(ctx, Y, draw.b, guess=guess)
+        block = DrawBlock(ctx, Y, b, guess=guess)
         got = block.shrink[0]
         want = block.ols[0] * (A_hat.sum() / 6) / kappa
         assert got == pytest.approx(want, abs=1e-10)
@@ -282,11 +282,11 @@ class TestShrinkage:
         part = ss.scaling_clusters(space, 1.5)
         assert part.n_clusters < 6
         guess = ss.make_guess(space, 2)
-        draw = draw_treatments(part, 0.5, seed=3)
+        d = draw_bits_batch(part.n_clusters, 0.5, [3])[0][part.assignment]
         Y = np.random.default_rng(5).normal(size=6)
         with pytest.raises(ValueError, match=r"guess\.over\(partition\)"):
-            one_draw(space, part, 1.5, Y, draw.d, guess=guess).shrink
-        assert one_draw(space, part, 1.5, Y, draw.d, guess=guess.over(part)).shrink.shape == (1,)
+            one_draw(space, part, 1.5, Y, d, guess=guess).shrink
+        assert one_draw(space, part, 1.5, Y, d, guess=guess.over(part)).shrink.shape == (1,)
 
     @pytest.mark.parametrize("design_name", ["scaling_clusters", "iid"])
     def test_first_stage_is_the_guess_realized(self, disk500, design_name):
@@ -313,9 +313,9 @@ class TestShrinkage:
         # a zero guess has a zero first stage: NaN
         space = line_space(4, spacing=4.0)
         part = singleton_partition(4)
-        draw = draw_treatments(part, 0.5, seed=1)
+        d = draw_bits_batch(part.n_clusters, 0.5, [1])[0][part.assignment]
         guess = ss.LinearOutcomes(0.0, np.zeros((4, 4)), np.zeros(4))
-        block = one_draw(space, part, 1.0, np.ones(4), draw.d, guess=guess)
+        block = one_draw(space, part, 1.0, np.ones(4), d, guess=guess)
         assert np.isnan(block.first_stage[0])
         assert np.isnan(block.shrink[0])
 
@@ -351,8 +351,7 @@ class TestSaturation:
     def test_single_cluster_always_pure(self):
         space = line_space(4)
         part = scaling_clusters(space, 100.0)
-        for seed in range(3):
-            d = draw_treatments(part, 0.5, seed).d
+        for d in draw_bits_batch(part.n_clusters, 0.5, range(3))[:, part.assignment]:
             prof = stilde_profile(space, part, d, [1.0, 4.0, 9.0])
             assert np.all(prof.s_tilde == 9.0)
 
@@ -395,8 +394,7 @@ class TestPurityOnClusterIncidence:
         tables = saturation_tables(space, part, default_ow_grid(h), 0.5,
                                    mc_draws=1)
         (k_h,) = np.flatnonzero(tables.grid == h)
-        B = np.array([draw_treatments(part, 0.5, seed).b
-                      for seed in range(40)]).T
+        B = draw_bits_batch(part.n_clusters, 0.5, range(40)).T
         idx = stilde_indices(tables.levels, B)
         sat, dis = DrawBlock(DesignContext(space, part, h, 0.5), B=B).pure
         assert np.array_equal(idx >= k_h, sat | dis)
@@ -411,8 +409,8 @@ class TestPurityOnClusterIncidence:
                  2.0 * space.size_of_radius(space.dist.max()))
         # 20 seeded draws, plus the two constant ones: above the diameter
         # only those have pure neighborhoods
-        bits = [draw_treatments(part, 0.5, seed).b for seed in range(20)]
-        bits += [np.ones(part.n_clusters, dtype=np.int8),
+        bits = [*draw_bits_batch(part.n_clusters, 0.5, range(20)),
+                 np.ones(part.n_clusters, dtype=np.int8),
                  np.zeros(part.n_clusters, dtype=np.int8)]
         for h in sizes:
             ctx = DesignContext(space, part, h, 0.5)
@@ -432,9 +430,9 @@ class TestPurityOnClusterIncidence:
         part = harness.make_partition(space, design, h_rule)
         grid = default_ow_grid(h_rule)
         tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
-        B = np.array([draw_treatments(part, 0.5, seed).b for seed in range(20)]
-                     + [np.ones(part.n_clusters, dtype=np.int8),
-                        np.zeros(part.n_clusters, dtype=np.int8)])
+        B = np.array([*draw_bits_batch(part.n_clusters, 0.5, range(20)),
+                      np.ones(part.n_clusters, dtype=np.int8),
+                      np.zeros(part.n_clusters, dtype=np.int8)])
         idx = stilde_indices(tables.levels, B.T)
         for b, got in zip(B, idx.T):
             want = saturation(space, b[part.assignment], grid)
@@ -450,12 +448,12 @@ class TestDesignContext:
         space, outcomes, _ = population(40, 47)
         h = ss.scaling_rule(40, 1.0)
         part = scaling_clusters(space, h)
-        draw = draw_treatments(part, 0.5, 0)
+        b = draw_bits_batch(part.n_clusters, 0.5, [0])[0]
         sizes, real = [], design.incidence
         monkeypatch.setattr(design, "incidence",
                             lambda *args: sizes.append(args[2]) or real(*args))
         block = DrawBlock(DesignContext(space, part, h, 0.5),
-                          realize(outcomes, draw.d), draw.b)
+                          realize(outcomes, b[part.assignment]), b)
         for name in order:
             getattr(block, name)
         assert sizes == [h]
@@ -467,7 +465,7 @@ class TestDesignContext:
         h = ss.scaling_rule(60, 1.0)
         part = scaling_clusters(space, h)
         ctx = DesignContext(space, part, h, 0.5)
-        B = np.array([draw_treatments(part, 0.5, r).b for r in range(7)]).T
+        B = draw_bits_batch(part.n_clusters, 0.5, range(7)).T
         T = DrawBlock(ctx, B=B).T
         assert T.shape == (60, 7)
         for k in range(7):
@@ -657,8 +655,8 @@ class TestVarianceCi:
         space, outcomes, _ = population(80, 3)
         h = ss.scaling_rule(80, 1.0)
         part = scaling_clusters(space, h)
-        draw = draw_treatments(part, 0.5, seed=2)
-        block = one_draw(space, part, h, realize(outcomes, draw.d), draw.d)
+        d = draw_bits_batch(part.n_clusters, 0.5, [2])[0][part.assignment]
+        block = one_draw(space, part, h, realize(outcomes, d), d)
         estimate = block.hajek[0]
         res = interval(estimate, block.variance("hajek")[0], 0.95)
         level, lo, hi = res.ci

@@ -69,9 +69,9 @@ def assert_ci(res, want):
 def test_single_draw_values_pinned(instance, seed):
     space, outcomes, guess, part, h = instance
     want = GOLDEN[seed]
-    draw = ss.draw_treatments(part, P, seed)
-    Y = ss.realize(outcomes, draw.d)
-    block = DrawBlock(DesignContext(space, part, h, P, ETA), Y, draw.b,
+    b = ss.draw_bits_batch(part.n_clusters, P, [seed])[0]
+    Y = ss.realize(outcomes, b[part.assignment])
+    block = DrawBlock(DesignContext(space, part, h, P, ETA), Y, b,
                       guess=guess.over(part))
 
     assert block.ht[0] == pytest.approx(want["ht"], rel=1e-12)

@@ -166,8 +166,8 @@ class TestBatchedEngineMatchesReference:
         ctx = DesignContext(space, part, h, 0.5)
         for r in range(reps):
             # the draw's own seeded treatments, as a one-draw block
-            draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b,
+            b = draw_bits_batch(part.n_clusters, 0.5, [base_seed + r])[0]
+            block = DrawBlock(ctx, ss.realize(outcomes, b[part.assignment]), b,
                               guess=guess.over(part), weights=ow_tab)
             for name in ("ht", "ols", "shrink", "ow"):
                 assert cell.estimates[name][r] == pytest.approx(
@@ -232,8 +232,8 @@ class TestBatchedEngineMatchesReference:
                                0.5, reps, base_seed, ["ols"])
         ctx = DesignContext(space, part, h, 0.5, 1.0)
         for r in range(reps):
-            draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b)
+            b = draw_bits_batch(part.n_clusters, 0.5, [base_seed + r])[0]
+            block = DrawBlock(ctx, ss.realize(outcomes, b[part.assignment]), b)
             res = interval(block.ols[0], block.variance("ols")[0], 0.95)
             covered = res.ci[1] <= outcomes.theta <= res.ci[2]
             assert bool(cell.covers["ols"][r]) == covered
@@ -250,8 +250,8 @@ class TestBatchedEngineMatchesReference:
         ctx = DesignContext(space, part, h, 0.5, 1.0)
         want = {"hajek": 0, "ols": 0}
         for r in range(reps):
-            draw = ss.draw_treatments(part, 0.5, base_seed + r)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b)
+            b = draw_bits_batch(part.n_clusters, 0.5, [base_seed + r])[0]
+            block = DrawBlock(ctx, ss.realize(outcomes, b[part.assignment]), b)
             for name in want:
                 want[name] += int(block.variance(name)[0] < 0.0)
         assert cell.hac_clipped == want

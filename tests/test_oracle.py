@@ -5,7 +5,7 @@ import pytest
 
 import spillscale as ss
 from spillscale import oracle
-from spillscale.design import draw_treatments, singleton_partition
+from spillscale.design import draw_bits_batch, singleton_partition
 from spillscale.oracle import (EnumerationError, enumerate_assignments,
                                exact_expectation)
 
@@ -159,7 +159,7 @@ class TestAgainstSampler:
             assert abs(freq[code] - prob) <= 4 * se
 
     def test_sampler_matches_partition_structure(self):
-        # drawing through the partition induces the same cluster bits
+        # singleton clusters: the unit treatments are the cluster bits
         part = singleton_partition(4)
-        draw = draw_treatments(part, 0.5, seed=77)
-        assert np.array_equal(draw.d, draw.b)
+        b = draw_bits_batch(part.n_clusters, 0.5, [77])[0]
+        assert np.array_equal(b[part.assignment], b)

@@ -5,7 +5,7 @@ import pytest
 
 import spillscale as ss
 from spillscale import harness, owopt
-from spillscale.design import (TAG_TABLES, draw_treatments, rng_for,
+from spillscale.design import (TAG_TABLES, draw_bits_batch, rng_for,
                                scaling_clusters, scaling_rule,
                                singleton_partition)
 from spillscale.estimators import DesignContext, DrawBlock
@@ -431,9 +431,8 @@ class TestIpwWeightTable:
                                 method="exact")
         start = ipw_weight_table(tab, g, 0.5)
         ctx = DesignContext(space, part, g, 0.5)
-        for seed in range(12):
-            draw = draw_treatments(part, 0.5, seed)
-            block = DrawBlock(ctx, ss.realize(outcomes, draw.d), draw.b,
+        for b in draw_bits_batch(part.n_clusters, 0.5, range(12)):
+            block = DrawBlock(ctx, ss.realize(outcomes, b[part.assignment]), b,
                               weights=start)
             assert block.ow[0] == pytest.approx(block.ht[0], abs=1e-10)
 
@@ -443,9 +442,9 @@ class TestOwEstimate:
         space, outcomes, _, part, g = small_exact_instance
         tab = saturation_tables(space, part, [g], 0.5, method="exact")
         start = ipw_weight_table(tab, g, 0.5)
-        draw = draw_treatments(part, 0.5, 0)
+        b = draw_bits_batch(part.n_clusters, 0.5, [0])[0]
         block = DrawBlock(DesignContext(space, part, g, 0.5), np.zeros(space.n),
-                          draw.b, weights=start)
+                          b, weights=start)
         assert block.ow[0] == 0.0
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
@@ -464,16 +463,15 @@ class TestOwEstimate:
         weights = owopt.OwWeightTable(W=W, levels=tab.levels,
                                       objective_value=0.0, iterations=0,
                                       kkt_residual=0.0, converged=True)
-        draws = [draw_treatments(part, 0.5, seed) for seed in range(40)]
-        D = np.array([draw.d for draw in draws]).T
-        Y = ss.realize(outcomes, D)
+        B = draw_bits_batch(part.n_clusters, 0.5, range(40))
+        D = B[:, part.assignment]
+        Y = ss.realize(outcomes, D.T)
         ctx = DesignContext(space, part, h, 0.5)
-        block = DrawBlock(ctx, Y, np.array([draw.b for draw in draws]).T,
-                          weights=weights)
-        for r, draw in enumerate(draws):
-            idx = saturation(space, draw.d, tab.grid).idx
-            want = np.sum((2.0 * draw.d - 1.0) * W[np.arange(n), idx] * Y[:, r])
-            got = DrawBlock(ctx, Y[:, r], draw.b, weights=weights).ow[0]
+        block = DrawBlock(ctx, Y, B.T, weights=weights)
+        for r, (b, d) in enumerate(zip(B, D)):
+            idx = saturation(space, d, tab.grid).idx
+            want = np.sum((2.0 * d - 1.0) * W[np.arange(n), idx] * Y[:, r])
+            got = DrawBlock(ctx, Y[:, r], b, weights=weights).ow[0]
             assert got == pytest.approx(want, rel=1e-13)
             assert block.ow[r] == pytest.approx(want, rel=1e-13)
 
