@@ -279,7 +279,7 @@ def cmd_estimate(args):
     try:
         b = cluster_bits(partition, d)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise SystemExit(f"{args.outcomes}: {exc}") from None
     h = _h(args, space)
     guess = (make_guess(space, args.guess_seed).over(partition)
              if args.estimator == "shrink" else None)
@@ -319,8 +319,8 @@ def cmd_ow_weights(args):
     budget = InterferenceBudget(eta=args.eta, k1=args.k1, ybar=args.ybar)
     try:
         tables, start, ow = owopt.optimize_weights(
-            space, partition, grid, args.p, budget, h, method=args.method,
-            mc_draws=args.mc_draws, seed=args.seed)
+            DesignContext(space, partition, h, args.p, args.eta), grid, budget,
+            method=args.method, mc_draws=args.mc_draws, seed=args.seed)
     except owopt.UnseenSaturationError as exc:      # main() names the command
         raise type(exc)(f"{exc}; raise --mc-draws (now {args.mc_draws})") from None
     rows = [(u, tables.grid[s], ow.W[i, s])

@@ -138,22 +138,29 @@ def _levels(lam, degree, root, seen) -> list:
 
 
 class DesignContext:
-    """Incidence at h, its extension and the dependency graph of one design,
-    each computed on first use and kept for one Monte Carlo cell or one
-    command; nothing is cached across contexts."""
+    """One design and what it alone determines: the incidence at any size,
+    its extension at h and the dependency graph, each built on first use and
+    kept for one Monte Carlo cell or one command, never across contexts."""
 
     def __init__(self, space: PremetricSpace, partition: ClusterPartition,
                  h, p: float, eta: float = 1.0):
-        self.space, self.partition = space, partition
+        self.space, self.partition, self.n = space, partition, space.n
         self.h, self.p, self.eta = h, p, eta
+        self._by_size = {}          # size -> IncidenceCounts
+
+    def level(self, s) -> IncidenceCounts:
+        """The incidence at size s, built by `design.incidence` on first use."""
+        if s not in self._by_size:
+            self._by_size[s] = design.incidence(self.space, self.partition, s)
+        return self._by_size[s]
+
+    @property
+    def counts(self) -> IncidenceCounts:
+        return self.level(self.h)
 
     @cached_property
     def extended(self) -> ExtendedNeighborhoods:
         return design.extend_uniform_overlap(self.space, self.partition, self.counts)
-
-    @cached_property
-    def counts(self) -> IncidenceCounts:
-        return design.incidence(self.space, self.partition, self.h)
 
     @cached_property
     def band(self) -> Band:
@@ -272,8 +279,8 @@ class DrawBlock:
 
     @cached_property
     def ow(self) -> np.ndarray:
-        """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i, s_tilde on the weights' levels."""
-        idx = design.stilde_indices(self.weights.levels, self.B)
+        """sum_i (2 d_i - 1) W[i, s_tilde_i] Y_i, s_tilde on the weights' grid."""
+        idx = design.stilde_indices([self.ctx.level(s) for s in self.weights.grid], self.B)
         W = np.take_along_axis(self.weights.W, idx, axis=1)
         return _dot((2.0 * self.B[self.ctx.partition.assignment] - 1.0) * W, self.Y)
 

@@ -3,8 +3,8 @@
 Each population size builds a fresh uniform-disk population, every design's
 partition, and the simulation outcomes and the guess, both linear
 spillover models (`LinearOutcomes`), over each partition; each (size,
-design) cell then replays seeded cluster bits (`draw_bits_batch`, one
-Philox stream per seed) in blocks through the batched estimator core,
+design) cell, a `DesignContext`, replays seeded cluster bits (`draw_bits_batch`,
+one Philox stream per seed) in blocks through the batched estimator core,
 `estimators.DrawBlock`, so identical configs give identical CSV bytes.
 """
 
@@ -152,30 +152,28 @@ class CellResult:
     ow_table: owopt.OwWeightTable | None = None     # iterations, KKT residual
 
 
-def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
-                    estimators, ci_level=0.95, eta=1.0,
-                    ow_mc_draws=100_000, budget=None) -> CellResult:
-    """Replay `reps` seeded draws and evaluate the requested estimators.
+def simulate_design(ctx: DesignContext, outcomes, guess, config: ExperimentConfig,
+                    budget=None) -> CellResult:
+    """Replay `config.reps` seeded draws of `ctx` through `config.estimators_at(n)`.
 
     `outcomes` and `guess` are `LinearOutcomes` over the partition
-    (`LinearOutcomes.over`), and `budget`, which ow needs, is `sim_budget` of
-    the outcomes over units.  Replicate r uses treatment seed base_seed + r,
-    in blocks of `block_width(n)` draws, so that a block holds a bounded
-    number of bytes at any n.  A block of k draws, k not a multiple of 8,
-    is padded with all-control draws up to the next multiple, and their
-    values are dropped: OpenBLAS computes the columns of a last partial
-    group of 8 otherwise than those of a full one, and numpy reduces a
-    single column by another loop, so the pad keeps each draw's bits
-    independent of the block it lands in.  The dependency graph's band is
-    built before the first block, and each WITH_CI estimator's HAC sum runs
-    right after its estimate, so the Hajek sum releases the arrays that
-    only it still reads before the later estimators build theirs.
-    Estimator failures (empty Hajek group, degenerate exposure, weak first
-    stage) are recorded as NaN, never raised.
+    (`LinearOutcomes.over`); `budget`, which ow needs, is `sim_budget` of the
+    outcomes over units, and ow's tables read their incidences from `ctx`, as
+    the blocks do.  Replicate r uses treatment seed base_seed + r, in blocks
+    of `block_width(n)` draws.  A block of k draws, k not a multiple of 8, is
+    padded with all-control draws up to the next multiple, whose values are
+    dropped: OpenBLAS computes the columns of a last partial group of 8
+    otherwise than those of a full one, and numpy reduces a single column by
+    another loop, so the pad keeps each draw's bits independent of its block.
+    The band is built before the first block, and each WITH_CI estimator's HAC
+    sum runs right after its estimate, so the Hajek sum releases the arrays
+    that only it still reads before the later estimators build theirs.
+    Failures (empty Hajek group, degenerate exposure, weak first stage) are
+    NaN, never raised.
     """
     t0 = time.perf_counter()
-    n = space.n
-    ctx = DesignContext(space, partition, h, p, eta)
+    n, reps, base_seed = ctx.n, config.reps, config.base_seed
+    estimators = config.estimators_at(n)
     need_ci = [name for name in estimators if name in WITH_CI]
 
     ow_table = None
@@ -183,8 +181,8 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
         if budget is None:
             raise ValueError("ow needs the interference budget of the outcomes")
         _, _, ow_table = owopt.optimize_weights(
-            space, partition, owopt.default_ow_grid(h), p, budget, h,
-            method="mc", mc_draws=ow_mc_draws, seed=base_seed + n)
+            ctx, owopt.default_ow_grid(ctx.h), budget, mc_draws=config.ow_mc_draws,
+            seed=base_seed + n)
 
     estimates = {name: np.full(reps, np.nan) for name in estimators}
     covers = {name: np.zeros(reps, dtype=bool) for name in need_ci}
@@ -195,7 +193,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
     m = block_width(n)
     for sl in (slice(lo, min(lo + m, reps)) for lo in range(0, reps, m)):
         k = sl.stop - sl.start
-        B = draw_bits_batch(partition.n_clusters, p,
+        B = draw_bits_batch(ctx.partition.n_clusters, ctx.p,
                             range(base_seed + sl.start, base_seed + sl.stop))
         B = np.pad(B, ((0, -k % 8), (0, 0)))       # whole groups of 8 draws
         block = DrawBlock(ctx, realize(outcomes, B.T), B.T, guess=guess,
@@ -205,7 +203,7 @@ def simulate_design(space, outcomes, guess, partition, h, p, reps, base_seed,
             if name in WITH_CI:
                 sigma2 = block.variance(name)[:k]
                 clipped[name] += int((sigma2 < 0.0).sum())
-                half = half_width(sigma2, ci_level)
+                half = half_width(sigma2, config.ci_level)
                 covers[name][sl] = np.abs(estimates[name][sl] - outcomes.theta) <= half
         del block       # the next block's arrays replace this one's
 
@@ -251,8 +249,8 @@ def _size_rows(config: ExperimentConfig, n: int) -> list:
     each reduced over every partition (`over`) and so released before the
     next is built: a size holds dist and at most one n x n kernel, besides
     an i.i.d. design's reductions, which are the kernels themselves.  Each
-    cell releases its reductions after it runs, and the population is
-    released on return, before the next size builds its own."""
+    cell releases its context and reductions after it runs, and the
+    population is released on return, before the next size builds its own."""
     names = config.estimators_at(n)
     if not names:
         return []
@@ -271,11 +269,8 @@ def _size_rows(config: ExperimentConfig, n: int) -> list:
     rows = []
     for design, partition in partitions.items():
         try:
-            cell = simulate_design(
-                space, outcomes.pop(design), guess.pop(design), partition, h,
-                config.p, config.reps, config.base_seed, names,
-                ci_level=config.ci_level, eta=config.eta,
-                ow_mc_draws=config.ow_mc_draws, budget=budget)
+            cell = simulate_design(DesignContext(space, partition, h, config.p, config.eta),
+                                   outcomes.pop(design), guess.pop(design), config, budget)
         except owopt.UnseenSaturationError as exc:
             raise type(exc)(f"cell n={n} design={design}: {exc}; raise "
                             f"ow_mc_draws (now {config.ow_mc_draws})") from None

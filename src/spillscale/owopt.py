@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import ClusterPartition, IncidenceCounts, incidence, stilde_indices
+from .design import IncidenceCounts, stilde_indices
 from .geometry import (TAG_TABLES, InterferenceBudget, PremetricSpace, rng_for,
                        row_blocks)
 from .oracle import enumerate_assignments
@@ -43,7 +43,6 @@ class SaturationTables:
     grid: np.ndarray                # ascending, grid[0] = floor s0
     pairs: np.ndarray               # (P, 2) unit ids with i <= j
     joint: np.ndarray               # (P, S, S), P(s_tilde_i = s, s_tilde_j = t)
-    levels: list                    # IncidenceCounts at each grid size
 
     @cached_property
     def marg(self) -> np.ndarray:
@@ -78,10 +77,10 @@ def effective_grid(space: PremetricSpace, grid) -> np.ndarray:
     return np.concatenate([[s0], grid[grid > s0]])
 
 
-def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
-                      grid, p: float, method: str = "mc",
-                      mc_draws: int = 100_000, seed: int = 0) -> SaturationTables:
-    """Tabulate P(s_tilde_i = s) and interacting-pair joints.
+def saturation_tables(ctx, grid, method: str = "mc", mc_draws: int = 100_000,
+                      seed: int = 0) -> SaturationTables:
+    """Tabulate P(s_tilde_i = s) and interacting-pair joints of the design
+    `ctx` (a `DesignContext`), on its incidence at each effective grid size.
 
     method "exact" enumerates all 2**C cluster assignments (C <= 20) with
     their product-Bernoulli weights; "mc" averages mc_draws seeded draws.
@@ -89,10 +88,10 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
     saturation indices, in the narrowest unsigned dtype that holds S - 1,
     and the cluster bits of one column block of draws.
     """
-    if not 0.0 < p < 1.0:
+    if not 0.0 < ctx.p < 1.0:
         raise ValueError("p must be in (0, 1)")
     if method == "exact":
-        enum = enumerate_assignments(partition, p)
+        enum = enumerate_assignments(ctx.partition, ctx.p)
         total = enum.count
 
         def draws(lo, hi):
@@ -104,12 +103,12 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
         def draws(lo, hi):
             # called in draw order, so the uniforms continue one Philox
             # stream and the bits do not depend on the block size
-            u = gen.uniform(size=(hi - lo, partition.n_clusters))
-            return (u < p).T, np.full(hi - lo, 1.0 / mc_draws)
+            u = gen.uniform(size=(hi - lo, ctx.partition.n_clusters))
+            return (u < ctx.p).T, np.full(hi - lo, 1.0 / mc_draws)
     else:
         raise ValueError("method must be 'exact' or 'mc'")
-    grid_eff = effective_grid(space, grid)
-    levels = [incidence(space, partition, s) for s in grid_eff]
+    grid_eff = effective_grid(ctx.space, grid)
+    levels = [ctx.level(s) for s in grid_eff]
     S = grid_eff.size
     pairs = interacting_pairs(levels[-1])
     idx_type = np.min_scalar_type(S - 1)
@@ -119,7 +118,7 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
     for lo in range(0, total, _CHUNK):
         rows = min(_CHUNK, total - lo)
         # unit-major rows: each unit's draws are one contiguous run
-        idx = np.empty((space.n, rows), dtype=idx_type)
+        idx = np.empty((ctx.n, rows), dtype=idx_type)
         w = np.empty(rows)
         for cols in row_blocks(rows):
             bits, w[cols] = draws(lo + cols.start, lo + cols.stop)
@@ -127,7 +126,7 @@ def saturation_tables(space: PremetricSpace, partition: ClusterPartition,
         for r, (i, j) in enumerate(pairs.tolist()):
             code = idx[i].astype(code_type) * S + idx[j]
             joint[r] += np.bincount(code, weights=w, minlength=S * S).reshape(S, S)
-    return SaturationTables(grid=grid_eff, pairs=pairs, joint=joint, levels=levels)
+    return SaturationTables(grid=grid_eff, pairs=pairs, joint=joint)
 
 
 def objective_kernel(grid: np.ndarray, budget: InterferenceBudget) -> np.ndarray:
@@ -161,7 +160,7 @@ class OwWeightTable:
     """Nonnegative weight table; realized weight is (2 d_i - 1) W[i, s_idx]."""
 
     W: np.ndarray                   # n x S
-    levels: list | None             # IncidenceCounts at each grid size
+    grid: np.ndarray | None         # the effective sizes W was solved on
     objective_value: float
     iterations: int
     kkt_residual: float
@@ -190,7 +189,7 @@ def ipw_weight_table(tables: SaturationTables, h, p: float) -> OwWeightTable:
         raise UnseenSaturationError(f"unit {np.argmax(cover <= 0.0)} never has a "
                                     f"pure size-h neighborhood in the tables' draws")
     W = mask.astype(float)[None, :] / (p * tables.n * cover)[:, None]
-    return OwWeightTable(W=W, levels=tables.levels, objective_value=np.nan,
+    return OwWeightTable(W=W, grid=tables.grid, objective_value=np.nan,
                          iterations=0, kkt_residual=np.nan, converged=True)
 
 
@@ -427,28 +426,26 @@ def solve_qp(Q: np.ndarray, marg: np.ndarray, p: float,
             res = residual_x(x, qx)
     res = residual_x(x, qx)
     w = x / sd
-    return OwWeightTable(W=w.reshape(n, S), levels=None,
+    return OwWeightTable(W=w.reshape(n, S), grid=None,
                          objective_value=float(w @ (Q @ w)), iterations=it,
                          kkt_residual=res, converged=res <= QP_TOL,
                          polish_adopted=adopted)
 
 
-def optimize_weights(space: PremetricSpace, partition: ClusterPartition,
-                     grid, p: float, budget: InterferenceBudget, h,
-                     method: str = "mc", mc_draws: int = 100_000,
-                     seed: int = 0):
-    """Full pipeline: tables -> objective -> warm-started QP solve.
+def optimize_weights(ctx, grid, budget: InterferenceBudget, method: str = "mc",
+                     mc_draws: int = 100_000, seed: int = 0):
+    """Full pipeline for the design `ctx`: tables -> objective -> QP solve
+    warm-started at the IPW weights of the context's h and p.
 
     Returns (tables, ipw_table, ow_table); both weight tables share the
     tables' effective grid.
     """
-    tables = saturation_tables(space, partition, grid, p, method=method,
-                               mc_draws=mc_draws, seed=seed)
+    tables = saturation_tables(ctx, grid, method=method, mc_draws=mc_draws, seed=seed)
     Q = assemble_objective(tables, budget)
-    start = ipw_weight_table(tables, h, p)
+    start = ipw_weight_table(tables, ctx.h, ctx.p)
     start.objective_value = float(start.W.reshape(-1) @ (Q @ start.W.reshape(-1)))
-    ow = solve_qp(Q, tables.marg, p, warm_start=start.W)
-    ow.levels = tables.levels
+    ow = solve_qp(Q, tables.marg, ctx.p, warm_start=start.W)
+    ow.grid = tables.grid
     return tables, start, ow
 
 

@@ -49,8 +49,11 @@ def sim_cell(n, design, estimators, reps, h=None, **kw):
     if "ow" in estimators:
         kw["budget"] = sim_budget(outcomes, space, 1.0,
                                   s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
-    cell = harness.simulate_design(space, outcomes.over(partition), guess.over(partition),
-                                   partition, h, 0.5, reps, BASE_SEED, estimators, **kw)
+    config = harness.ExperimentConfig([n], estimators=estimators, reps=reps,
+                                      base_seed=BASE_SEED)
+    cell = harness.simulate_design(DesignContext(space, partition, h, 0.5),
+                                   outcomes.over(partition), guess.over(partition),
+                                   config, **kw)
     return cell, space, outcomes, guess, partition, h
 
 
@@ -215,9 +218,9 @@ class TestCriterion8OwDominance:
             g = float(rng.uniform(1.2, 2.2)) * n ** (1.0 / 3.0)
             part = scaling_clusters(space, g)
             p = float(rng.uniform(0.35, 0.65))
-            tab = owopt.saturation_tables(space, part, owopt.default_ow_grid(g),
-                                          p, method="mc", mc_draws=20_000,
-                                          seed=attempts)
+            tab = owopt.saturation_tables(DesignContext(space, part, g, p),
+                                          owopt.default_ow_grid(g), method="mc",
+                                          mc_draws=20_000, seed=attempts)
             try:
                 start = owopt.ipw_weight_table(tab, g, p)
             except ValueError:
@@ -258,7 +261,8 @@ class TestCriterion9QpSolver:
     def test_09_matches_bruteforce(self, scale):
         space, part, s1 = self._line_instance(scale)
         p = 0.5
-        tab = owopt.saturation_tables(space, part, [s1], p, method="exact")
+        tab = owopt.saturation_tables(DesignContext(space, part, s1, p), [s1],
+                                      method="exact")
         assert tab.grid.size == 2 and np.all(tab.marg > 0)
         budget = ss.InterferenceBudget(eta=1.0, k1=0.5, ybar=1.0)
         Q = owopt.assemble_objective(tab, budget)

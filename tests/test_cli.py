@@ -239,11 +239,13 @@ class TestEstimateCommand:
         write_population(pop, np.array([[0.0], [1.0]]))
         (tmp_path / "outcomes.csv").write_text("unit_id,Y,d\n0,1.0,1\n1,2.0,0\n")
         (tmp_path / "clusters.csv").write_text("unit_id,cluster_id\n0,0\n1,0\n")
-        with pytest.raises(SystemExit, match="not constant within cluster 0"):
+        with pytest.raises(SystemExit, match="not constant within cluster 0") as exc:
             main(["estimate", "--population", str(pop), "--outcomes",
                   str(tmp_path / "outcomes.csv"), "--clusters",
                   str(tmp_path / "clusters.csv"), "--estimator", "ht",
                   "--h", "1.0"])
+        # a message, not a code: the interpreter prints it and exits 1
+        assert exc.value.code.startswith(f"{tmp_path / 'outcomes.csv'}: ")
 
 
 class TestInvalidPopulation:

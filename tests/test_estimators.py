@@ -163,8 +163,10 @@ class TestHajek:
         space, outcomes, guess = population(400, 7 + 400)
         h = ss.scaling_rule(400, 1.0)
         part = scaling_clusters(space, h)
-        cell = harness.simulate_design(space, outcomes.over(part), guess.over(part), part,
-                                       h, 0.5, 2000, 7, ["ht", "hajek"])
+        cell = harness.simulate_design(
+            DesignContext(space, part, h, 0.5), outcomes.over(part), guess.over(part),
+            harness.ExperimentConfig([400], estimators=["ht", "hajek"], reps=2000,
+                                     base_seed=7))
         ht = cell.estimates["ht"]
         hj = cell.estimates["hajek"]
         bias_ht = abs(np.nanmean(ht) - outcomes.theta)
@@ -323,8 +325,10 @@ class TestShrinkage:
 def stilde_profile(space, part, d, grid) -> SaturationProfile:
     """Saturation sizes of one draw as `DrawBlock.ow` reads them: the tables'
     effective grid and incidence levels, then `stilde_indices`."""
-    tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
-    idx = stilde_indices(tables.levels, cluster_bits(part, d)[:, None])[:, 0]
+    ctx = DesignContext(space, part, max(grid), 0.5)
+    tables = saturation_tables(ctx, grid, mc_draws=1)
+    levels = [ctx.level(s) for s in tables.grid]
+    idx = stilde_indices(levels, cluster_bits(part, d)[:, None])[:, 0]
     return SaturationProfile(grid=tables.grid, s_tilde=tables.grid[idx], idx=idx)
 
 
@@ -391,11 +395,11 @@ class TestPurityOnClusterIncidence:
         space = population
         h = ss.scaling_rule(space.n, 1.0)
         part = harness.make_partition(space, design, h)
-        tables = saturation_tables(space, part, default_ow_grid(h), 0.5,
-                                   mc_draws=1)
+        ctx = DesignContext(space, part, h, 0.5)
+        tables = saturation_tables(ctx, default_ow_grid(h), mc_draws=1)
         (k_h,) = np.flatnonzero(tables.grid == h)
         B = draw_bits_batch(part.n_clusters, 0.5, range(40)).T
-        idx = stilde_indices(tables.levels, B)
+        idx = stilde_indices([ctx.level(s) for s in tables.grid], B)
         sat, dis = DrawBlock(DesignContext(space, part, h, 0.5), B=B).pure
         assert np.array_equal(idx >= k_h, sat | dis)
         assert 0 < (idx >= k_h).sum() < idx.size
@@ -429,11 +433,12 @@ class TestPurityOnClusterIncidence:
         h_rule = ss.scaling_rule(space.n, 1.0)
         part = harness.make_partition(space, design, h_rule)
         grid = default_ow_grid(h_rule)
-        tables = saturation_tables(space, part, grid, 0.5, mc_draws=1)
+        ctx = DesignContext(space, part, h_rule, 0.5)
+        tables = saturation_tables(ctx, grid, mc_draws=1)
         B = np.array([*draw_bits_batch(part.n_clusters, 0.5, range(20)),
                       np.ones(part.n_clusters, dtype=np.int8),
                       np.zeros(part.n_clusters, dtype=np.int8)])
-        idx = stilde_indices(tables.levels, B.T)
+        idx = stilde_indices([ctx.level(s) for s in tables.grid], B.T)
         for b, got in zip(B, idx.T):
             want = saturation(space, b[part.assignment], grid)
             assert np.array_equal(tables.grid, want.grid)
@@ -457,6 +462,33 @@ class TestDesignContext:
         for name in order:
             getattr(block, name)
         assert sizes == [h]
+
+    def test_counts_is_the_level_at_h(self, monkeypatch):
+        # one incidence per size, built when the size is first asked for
+        # (so a wrapper set on design.incidence after the context is made
+        # sees the call) and returned as the same object after that
+        space = harness.build_population(40, 47)
+        h = ss.scaling_rule(40, 1.0)
+        ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
+        sizes, real = [], design.incidence
+        monkeypatch.setattr(design, "incidence",
+                            lambda *args: sizes.append(args[2]) or real(*args))
+        assert ctx.counts is ctx.level(ctx.h)
+        assert ctx.level(2 * h) is ctx.level(2 * h)
+        assert sizes == [h, 2 * h]
+        assert ctx.n == space.n == 40
+
+    def test_contexts_of_one_design_share_no_incidence(self):
+        # nothing outlives a context: a second context of the same design
+        # builds its own incidence at every size, with the same entries
+        space = harness.build_population(40, 47)
+        h = ss.scaling_rule(40, 1.0)
+        part = scaling_clusters(space, h)
+        first, second = (DesignContext(space, part, h, 0.5) for _ in range(2))
+        assert first.counts is not second.counts
+        for s in default_ow_grid(h):
+            assert first.level(s) is not second.level(s)
+            assert np.array_equal(first.level(s).incidence, second.level(s).incidence)
 
     def test_block_exposure_matches_single_draws(self):
         # each column of the batched exposure is the one-draw block's

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spillscale as ss
-from spillscale import harness, owopt
+from spillscale import design, harness, owopt
 from spillscale.design import draw_bits_batch
 from spillscale.estimators import DesignContext, DrawBlock, interval
 from spillscale.harness import (ConfigError, ExperimentConfig, parse_config,
@@ -19,7 +19,7 @@ from conftest import population
 class TestBlockWorkingSet:
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
     @pytest.mark.parametrize("n", [400, 900, 1600])
-    def test_traced_peak_of_two_blocks(self, monkeypatch, n, design):
+    def test_traced_peak_of_two_blocks(self, n, design):
         # a block of m = block_width(n) draws holds at most 7 n x m float64
         # arrays at once, the HAC sums included, so at most 7 BLOCK_BYTES at
         # any n: 4.6-4.7 (scaling clusters) and 5.2 (iid) here.  The cell's
@@ -37,12 +37,12 @@ class TestBlockWorkingSet:
         ctx = DesignContext(space, part, h, 0.5)
         ctx.counts, ctx.extended, ctx.band          # the cell's, built once
         outcomes, guess = outcomes.over(part), guess.over(part)
-        monkeypatch.setattr(harness, "DesignContext", lambda *args: ctx)
+        config = ExperimentConfig([n], estimators=["ht", "hajek", "ols", "shrink"],
+                                  reps=2 * m, base_seed=7)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            simulate_design(space, outcomes, guess, part, h, 0.5, 2 * m, 7,
-                            ["ht", "hajek", "ols", "shrink"])
+            simulate_design(ctx, outcomes, guess, config)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -112,8 +112,27 @@ class TestOwBudget:
         space, outcomes, guess = population(30, 5)
         part = ss.scaling_clusters(space, 2.0)
         with pytest.raises(ValueError, match="interference budget"):
-            simulate_design(space, outcomes.over(part), guess.over(part), part, 2.0,
-                            0.5, 4, 0, ["ow"])
+            simulate_design(DesignContext(space, part, 2.0, 0.5), outcomes.over(part),
+                            guess.over(part),
+                            ExperimentConfig([30], estimators=["ow"], reps=4))
+
+
+class TestIncidenceOncePerSize:
+    def test_ht_ow_cell_builds_each_size_once(self, monkeypatch):
+        # HT reads the incidence at h, and the OW tables and every block's
+        # saturation sizes read it at each size of the effective grid, h
+        # among them: the cell's context builds each size once
+        n = 40
+        sizes, real = [], design.incidence
+        monkeypatch.setattr(design, "incidence",
+                            lambda *args: sizes.append(args[2]) or real(*args))
+        run_experiment(ExperimentConfig([n], estimators=["ht", "ow"], reps=24,
+                                        base_seed=7, ow_mc_draws=2000))
+        h = ss.scaling_rule(n, 1.0)
+        space = harness.build_population(n, 7 + n)
+        grid = owopt.effective_grid(space, owopt.default_ow_grid(h))
+        assert h in sizes
+        assert sorted(sizes) == sorted(grid.tolist())
 
 
 class TestShrinkScale:
@@ -136,10 +155,11 @@ class TestShrinkScale:
         counted = ss.LinearOutcomes(0.0, guess.A.view(Counted), guess.eps).over(part)
         counted = ss.LinearOutcomes(0.0, counted.A.view(Counted), counted.eps, counted.theta)
         monkeypatch.setattr(harness, "block_width", lambda n: 8)
-        cell = simulate_design(space, outcomes.over(part), counted, part, h, 0.5, 24, 7,
-                               ["shrink"])
-        assert len(calls) == 1
         ctx = DesignContext(space, part, h, 0.5)
+        cell = simulate_design(ctx, outcomes.over(part), counted,
+                               ExperimentConfig([n], estimators=["shrink"], reps=24,
+                                                base_seed=7))
+        assert len(calls) == 1
         B = draw_bits_batch(part.n_clusters, 0.5, range(7, 31)).T
         Y = ss.realize(outcomes.over(part), B)
         block = DrawBlock(ctx, Y, B, guess=guess.over(part))
@@ -157,13 +177,14 @@ class TestBatchedEngineMatchesReference:
         part = ss.scaling_clusters(space, h)
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
-        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
-                               0.5, reps, base_seed, ["ht", "hajek", "ols", "shrink", "ow"],
-                               ow_mc_draws=10_000, budget=budget)
-        _, _, ow_tab = owopt.optimize_weights(
-            space, part, owopt.default_ow_grid(h), 0.5, budget, h,
-            method="mc", mc_draws=10_000, seed=base_seed + n)
+        config = ExperimentConfig([n], estimators=["ht", "hajek", "ols", "shrink", "ow"],
+                                  reps=reps, base_seed=base_seed, ow_mc_draws=10_000)
+        cell = simulate_design(DesignContext(space, part, h, 0.5), outcomes.over(part),
+                               guess.over(part), config, budget=budget)
         ctx = DesignContext(space, part, h, 0.5)
+        _, _, ow_tab = owopt.optimize_weights(
+            ctx, owopt.default_ow_grid(h), budget, method="mc", mc_draws=10_000,
+            seed=base_seed + n)
         for r in range(reps):
             # the draw's own seeded treatments, as a one-draw block
             b = draw_bits_batch(part.n_clusters, 0.5, [base_seed + r])[0]
@@ -189,9 +210,10 @@ class TestBatchedEngineMatchesReference:
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
         outcomes, guess = outcomes.over(part), guess.over(part)
-        cell = simulate_design(space, outcomes, guess, part, h, 0.5, reps,
-                               base_seed, ["shrink", "ow"], ow_mc_draws=5000,
-                               budget=budget)
+        config = ExperimentConfig([n], estimators=["shrink", "ow"], reps=reps,
+                                  base_seed=base_seed, ow_mc_draws=5000)
+        cell = simulate_design(DesignContext(space, part, h, 0.5), outcomes, guess,
+                               config, budget=budget)
         B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
         ctx = DesignContext(space, part, h, 0.5)
         Y = ss.realize(outcomes, B.T)
@@ -216,8 +238,10 @@ class TestBatchedEngineMatchesReference:
                 super().__init__(ctx, Y, *args, **kwargs)
 
         monkeypatch.setattr(harness, "DrawBlock", Recording)
-        simulate_design(space, outcomes.over(part), guess.over(part), part, h, 0.5,
-                        reps, base_seed, ["ht"])
+        simulate_design(DesignContext(space, part, h, 0.5), outcomes.over(part),
+                        guess.over(part),
+                        ExperimentConfig([n], estimators=["ht"], reps=reps,
+                                         base_seed=base_seed))
         B = draw_bits_batch(part.n_clusters, 0.5, range(base_seed, base_seed + reps))
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], ss.realize(outcomes, B[:, part.assignment].T),
@@ -228,9 +252,10 @@ class TestBatchedEngineMatchesReference:
         space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
-                               0.5, reps, base_seed, ["ols"])
         ctx = DesignContext(space, part, h, 0.5, 1.0)
+        cell = simulate_design(ctx, outcomes.over(part), guess.over(part),
+                               ExperimentConfig([n], estimators=["ols"], reps=reps,
+                                                base_seed=base_seed))
         for r in range(reps):
             b = draw_bits_batch(part.n_clusters, 0.5, [base_seed + r])[0]
             block = DrawBlock(ctx, ss.realize(outcomes, b[part.assignment]), b)
@@ -245,9 +270,10 @@ class TestBatchedEngineMatchesReference:
         space, outcomes, guess = population(n, base_seed + n)
         h = ss.scaling_rule(n, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
-                               0.5, reps, base_seed, ["ht", "hajek", "ols"])
         ctx = DesignContext(space, part, h, 0.5, 1.0)
+        cell = simulate_design(ctx, outcomes.over(part), guess.over(part),
+                               ExperimentConfig([n], estimators=["ht", "hajek", "ols"],
+                                                reps=reps, base_seed=base_seed))
         want = {"hajek": 0, "ols": 0}
         for r in range(reps):
             b = draw_bits_batch(part.n_clusters, 0.5, [base_seed + r])[0]
@@ -276,12 +302,14 @@ class TestBlockSize:
         outcomes, guess = outcomes.over(part), guess.over(part)
         rule = harness.block_width
         for reps, blocks in ((600, (None, 512, 100, 7)), (601, (None, 512, 100))):
+            config = ExperimentConfig([n], estimators=["ht", "hajek", "ols", "shrink"],
+                                      reps=reps, base_seed=7)
             cells = []
             for block in blocks:
                 monkeypatch.setattr(harness, "block_width",
                                     rule if block is None else lambda n, m=block: m)
-                cells.append(simulate_design(space, outcomes, guess, part, h, 0.5,
-                                             reps, 7, ["ht", "hajek", "ols", "shrink"]))
+                cells.append(simulate_design(DesignContext(space, part, h, 0.5),
+                                             outcomes, guess, config))
             first = cells[0]
             for cell in cells[1:]:
                 for name, values in first.estimates.items():
@@ -315,8 +343,10 @@ class TestBookkeeping:
         space, outcomes, guess = population(40, 3 + 40)
         h = ss.scaling_rule(40, 1.0)
         part = ss.scaling_clusters(space, h)
-        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, h,
-                               0.5, 60, 3, ["ht", "ols"])
+        cell = simulate_design(DesignContext(space, part, h, 0.5), outcomes.over(part),
+                               guess.over(part),
+                               ExperimentConfig([40], estimators=["ht", "ols"], reps=60,
+                                                base_seed=3))
         for row in rows:
             vals = cell.estimates[row.estimator]
             vals = vals[~np.isnan(vals)]
@@ -332,8 +362,9 @@ class TestBookkeeping:
         guess = ss.make_guess(space, 1)
         part = ss.scaling_clusters(space, 10.0)
         assert part.n_clusters == 1
-        cell = simulate_design(space, outcomes.over(part), guess.over(part), part, 2.0,
-                               0.5, 20, 0, ["hajek"])
+        cell = simulate_design(DesignContext(space, part, 2.0, 0.5), outcomes.over(part),
+                               guess.over(part),
+                               ExperimentConfig([2], estimators=["hajek"], reps=20))
         rows = harness.summarize(cell, 2, "scaling_clusters", 20)
         assert rows[0].fail_rate == 1.0
         assert rows[0].reps_ok == 0

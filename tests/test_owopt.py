@@ -31,18 +31,22 @@ class TestSaturationTables:
     def test_single_cluster_concentrates_at_top(self):
         space = line_space(4)
         part = scaling_clusters(space, 50.0)
-        tab = saturation_tables(space, part, [2.0, 5.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 5.0, 0.5)
+        tab = saturation_tables(ctx, [2.0, 5.0], method="exact")
         assert np.allclose(tab.marg[:, -1], 1.0)
 
     def test_rows_sum_to_one(self):
         space, part = four_cluster_line()
-        tab = saturation_tables(space, part, [4.0], 0.3, method="exact")
+        ctx = DesignContext(space, part, 4.0, 0.3)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         assert np.allclose(tab.marg.sum(axis=1), 1.0, atol=1e-9)
 
     def test_label_flip_symmetry_at_half(self):
         space, part = four_cluster_line()
-        tab = saturation_tables(space, part, [4.0], 0.5, method="exact")
-        flipped = saturation_tables(space, part, [4.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 4.0, 0.5)
+        tab = saturation_tables(ctx, [4.0], method="exact")
+        flipped = saturation_tables(DesignContext(space, part, 4.0, 0.5), [4.0],
+                                    method="exact")
         # p = 1/2 makes treated/untreated exchangeable: recomputing with the
         # roles of saturated and dissaturated swapped changes nothing
         assert np.allclose(tab.marg, flipped.marg)
@@ -53,7 +57,8 @@ class TestSaturationTables:
 
     def test_joint_marginalizes_and_is_symmetric(self):
         space, part = four_cluster_line()
-        tab = saturation_tables(space, part, [4.0], 0.3, method="exact")
+        ctx = DesignContext(space, part, 4.0, 0.3)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         pair_of = {(int(i), int(j)): r for r, (i, j) in enumerate(tab.pairs)}
         for (i, j), r in pair_of.items():
             block = tab.joint[r]
@@ -64,7 +69,8 @@ class TestSaturationTables:
 
     def test_self_pair_is_diagonal(self):
         space, part = four_cluster_line()
-        tab = saturation_tables(space, part, [4.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 4.0, 0.5)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         for r, (i, j) in enumerate(tab.pairs):
             if i == j:
                 assert np.allclose(tab.joint[r], np.diag(tab.marg[i]))
@@ -77,8 +83,9 @@ class TestSaturationTables:
                 break
         assert part.n_clusters == 4
         grid = [g, 2 * g]
-        exact = saturation_tables(space, part, grid, 0.5, method="exact")
-        mc = saturation_tables(space, part, grid, 0.5, method="mc",
+        ctx = DesignContext(space, part, g, 0.5)
+        exact = saturation_tables(ctx, grid, method="exact")
+        mc = saturation_tables(ctx, grid, method="mc",
                                mc_draws=200_000, seed=9)
         assert np.max(np.abs(exact.marg - mc.marg)) < 0.01
         assert np.max(np.abs(exact.joint - mc.joint)) < 0.01
@@ -90,7 +97,8 @@ class TestSaturationTables:
         # 20000 draws span two table chunks
         space, part = four_cluster_line()
         p, draws, seed = 0.3, 20_000, 4
-        tab = saturation_tables(space, part, [2.0, 4.0], p, method=method,
+        ctx = DesignContext(space, part, 4.0, p)
+        tab = saturation_tables(ctx, [2.0, 4.0], method=method,
                                 mc_draws=draws, seed=seed)
         if method == "exact":
             enum = enumerate_assignments(part, p)
@@ -98,7 +106,7 @@ class TestSaturationTables:
         else:
             u = rng_for(seed, TAG_TABLES).uniform(size=(draws, part.n_clusters))
             B, w = (u < p).astype(np.int8), np.full(draws, 1.0 / draws)
-        idx = stilde_indices(tab.levels, B.T).T
+        idx = stilde_indices([ctx.level(s) for s in tab.grid], B.T).T
         S = tab.n_sizes
         assert S == 3
         at = [[idx[:, i] == s for s in range(S)] for i in range(space.n)]
@@ -117,14 +125,14 @@ class TestSaturationTables:
         space = line_space(21, spacing=3.0)
         part = singleton_partition(21)
         with pytest.raises(Exception, match="C <= 20"):
-            saturation_tables(space, part, [1.0], 0.5, method="exact")
+            saturation_tables(DesignContext(space, part, 1.0, 0.5), [1.0], method="exact")
 
 
 class TestChunkedTables:
     """The chunked tables against the whole-array reference, bit for bit."""
 
     def assert_matches_reference(self, space, part, grid, p, **kw):
-        tab = saturation_tables(space, part, grid, p, **kw)
+        tab = saturation_tables(DesignContext(space, part, max(grid), p), grid, **kw)
         joint, marg = whole_array_saturation_tables(space, part, grid, p, **kw)
         assert np.array_equal(tab.joint, joint)
         assert np.array_equal(tab.marg, marg)
@@ -175,7 +183,8 @@ class TestChunkedTables:
         part = scaling_clusters(space, h)
         tracemalloc.start()
         try:
-            tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
+            ctx = DesignContext(space, part, h, 0.5)
+            tab = saturation_tables(ctx, owopt.default_ow_grid(h),
                                     mc_draws=draws, seed=7 + n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -188,7 +197,8 @@ class TestAssembleObjective:
     def test_single_unit_single_size(self):
         space = ss.build_space([[0.0]])
         part = singleton_partition(1)
-        tab = saturation_tables(space, part, [2.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 2.0, 0.5)
+        tab = saturation_tables(ctx, [2.0], method="exact")
         # one unit: the floor and the grid size are always pure, so the
         # marginal concentrates at the top size
         budget = ss.InterferenceBudget(eta=1.0, k1=3.0, ybar=2.0)
@@ -199,7 +209,8 @@ class TestAssembleObjective:
 
     def test_interference_off_leaves_probability_structure(self):
         space, part = four_cluster_line()
-        tab = saturation_tables(space, part, [4.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 4.0, 0.5)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         budget = ss.InterferenceBudget(eta=1.0, k1=1e-12, ybar=1.5)
         Q = assemble_objective(tab, budget)
         S = tab.grid.size
@@ -214,7 +225,8 @@ class TestAssembleObjective:
         space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         part = scaling_clusters(space, h)
-        tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
+        ctx = DesignContext(space, part, h, 0.5)
+        tab = saturation_tables(ctx, owopt.default_ow_grid(h),
                                 mc_draws=2000, seed=3)
         budget = sim_budget(outcomes, space, 1.0, np.geomspace(1.0, n, 16))
         Q = assemble_objective(tab, budget)
@@ -227,9 +239,9 @@ class TestAssembleObjective:
     def test_exactly_symmetric_without_symmetrizing(self, n):
         space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0)
-        tab = saturation_tables(space, scaling_clusters(space, h),
-                                owopt.default_ow_grid(h), 0.5,
-                                mc_draws=20_000, seed=7 + n)
+        ctx = DesignContext(space, scaling_clusters(space, h), h, 0.5)
+        tab = saturation_tables(ctx, owopt.default_ow_grid(h), mc_draws=20_000,
+                                seed=7 + n)
         Q = assemble_objective(
             tab, sim_budget(outcomes, space, 1.0, np.geomspace(1.0, n, 16)))
         assert np.array_equal(Q, Q.T)
@@ -240,7 +252,8 @@ class TestAssembleObjective:
         # literal double sum over units and sizes
         space, part = four_cluster_line()
         p = 0.4
-        tab = saturation_tables(space, part, [4.0], p, method="exact")
+        ctx = DesignContext(space, part, 4.0, p)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         budget = ss.InterferenceBudget(eta=0.7, k1=1.3, ybar=1.1)
         Q = assemble_objective(tab, budget)
         n, S = tab.marg.shape
@@ -248,7 +261,7 @@ class TestAssembleObjective:
         w = rng.uniform(size=n * S)
 
         enum = enumerate_assignments(part, p)
-        idx = stilde_indices(tab.levels, enum.assignments.T).T
+        idx = stilde_indices([ctx.level(s) for s in tab.grid], enum.assignments.T).T
         kern = objective_kernel(tab.grid, budget)
         direct = 0.0
         for a, prob in enumerate(enum.probs):
@@ -325,7 +338,8 @@ class TestSolveQp:
     def test_unique_feasible_point(self):
         space = ss.build_space([[0.0]])
         part = singleton_partition(1)
-        tab = saturation_tables(space, part, [2.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 2.0, 0.5)
+        tab = saturation_tables(ctx, [2.0], method="exact")
         budget = ss.InterferenceBudget(eta=1.0, k1=1.0, ybar=1.0)
         Q = assemble_objective(tab, budget)
         ow = solve_qp(Q, tab.marg, 0.5)
@@ -351,7 +365,8 @@ class TestSolveQp:
             g = float(rng.uniform(2.0, 9.0))
             part = scaling_clusters(space, g)
             p = float(rng.uniform(0.3, 0.7))
-            tab = saturation_tables(space, part, [g, 2 * g], p, method="mc",
+            ctx = DesignContext(space, part, 2 * g, p)
+            tab = saturation_tables(ctx, [g, 2 * g], method="mc",
                                     mc_draws=20_000, seed=trial)
             budget = ss.InterferenceBudget(eta=1.0, k1=1.0, ybar=2.0)
             Q = assemble_objective(tab, budget)
@@ -366,7 +381,8 @@ class TestSolveQp:
     def test_matches_bruteforce_polytope_scan(self):
         space, part = four_cluster_line()
         p = 0.5
-        tab = saturation_tables(space, part, [4.0], p, method="exact")
+        ctx = DesignContext(space, part, 4.0, p)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         assert tab.grid.size == 2 and np.all(tab.marg > 0)
         budget = ss.InterferenceBudget(eta=1.0, k1=0.5, ybar=1.0)
         Q = assemble_objective(tab, budget)
@@ -402,7 +418,7 @@ class TestQpTrajectoryGolden:
         budget = sim_budget(outcomes, space, 1.0,
                             s_grid=sorted({h, *np.geomspace(1.0, n, 12)}))
         tables, start, ow = owopt.optimize_weights(
-            space, part, owopt.default_ow_grid(h), 0.5, budget, h,
+            DesignContext(space, part, h, 0.5), owopt.default_ow_grid(h), budget,
             method="mc", mc_draws=20_000, seed=7 + n)
         iterations, objective = self.PINS[n]
         assert ow.iterations == iterations
@@ -420,17 +436,17 @@ class TestQpTrajectoryGolden:
 class TestIpwWeightTable:
     def test_constraint_exact(self):
         space, part = four_cluster_line()
-        tab = saturation_tables(space, part, [4.0], 0.5, method="exact")
+        ctx = DesignContext(space, part, 4.0, 0.5)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         start = ipw_weight_table(tab, 4.0, 0.5)
         gap = np.abs((start.W * tab.marg).sum(axis=1) - 1.0 / (0.5 * space.n))
         assert gap.max() < 1e-12
 
     def test_reproduces_ht_at_half(self, small_exact_instance):
         space, outcomes, _, part, g = small_exact_instance
-        tab = saturation_tables(space, part, owopt.default_ow_grid(g), 0.5,
-                                method="exact")
-        start = ipw_weight_table(tab, g, 0.5)
         ctx = DesignContext(space, part, g, 0.5)
+        tab = saturation_tables(ctx, owopt.default_ow_grid(g), method="exact")
+        start = ipw_weight_table(tab, g, 0.5)
         for b in draw_bits_batch(part.n_clusters, 0.5, range(12)):
             block = DrawBlock(ctx, ss.realize(outcomes, b[part.assignment]), b,
                               weights=start)
@@ -440,11 +456,10 @@ class TestIpwWeightTable:
 class TestOwEstimate:
     def test_zero_outcomes(self, small_exact_instance):
         space, outcomes, _, part, g = small_exact_instance
-        tab = saturation_tables(space, part, [g], 0.5, method="exact")
-        start = ipw_weight_table(tab, g, 0.5)
+        ctx = DesignContext(space, part, g, 0.5)
+        start = ipw_weight_table(saturation_tables(ctx, [g], method="exact"), g, 0.5)
         b = draw_bits_batch(part.n_clusters, 0.5, [0])[0]
-        block = DrawBlock(DesignContext(space, part, g, 0.5), np.zeros(space.n),
-                          b, weights=start)
+        block = DrawBlock(ctx, np.zeros(space.n), b, weights=start)
         assert block.ow[0] == 0.0
 
     @pytest.mark.parametrize("design", ["scaling_clusters", "iid"])
@@ -457,16 +472,15 @@ class TestOwEstimate:
         space, outcomes, _ = population(n, 7 + n)
         h = scaling_rule(n, 1.0)
         part = harness.make_partition(space, design, h)
-        tab = saturation_tables(space, part, owopt.default_ow_grid(h), 0.5,
-                                mc_draws=1)
+        ctx = DesignContext(space, part, h, 0.5)
+        tab = saturation_tables(ctx, owopt.default_ow_grid(h), mc_draws=1)
         W = np.random.default_rng(3).uniform(0.5, 1.5, size=tab.marg.shape)
-        weights = owopt.OwWeightTable(W=W, levels=tab.levels,
+        weights = owopt.OwWeightTable(W=W, grid=tab.grid,
                                       objective_value=0.0, iterations=0,
                                       kkt_residual=0.0, converged=True)
         B = draw_bits_batch(part.n_clusters, 0.5, range(40))
         D = B[:, part.assignment]
         Y = ss.realize(outcomes, D.T)
-        ctx = DesignContext(space, part, h, 0.5)
         block = DrawBlock(ctx, Y, B.T, weights=weights)
         for r, (b, d) in enumerate(zip(B, D)):
             idx = saturation(space, d, tab.grid).idx
@@ -475,17 +489,38 @@ class TestOwEstimate:
             assert got == pytest.approx(want, rel=1e-13)
             assert block.ow[r] == pytest.approx(want, rel=1e-13)
 
+    def test_ow_matches_stilde_on_fresh_incidences(self):
+        # the block reads the incidences of the weights' grid from its own
+        # context, which the tables filled; the sum is the same bits as one
+        # taken on saturation indices over incidences built afresh
+        n = 60
+        space, outcomes, _ = population(n, 7 + n)
+        h = scaling_rule(n, 1.0)
+        part = scaling_clusters(space, h)
+        ctx = DesignContext(space, part, h, 0.5)
+        tab = saturation_tables(ctx, owopt.default_ow_grid(h), mc_draws=1)
+        W = np.random.default_rng(4).uniform(0.5, 1.5, size=tab.marg.shape)
+        weights = owopt.OwWeightTable(W=W, grid=tab.grid, objective_value=0.0,
+                                      iterations=0, kkt_residual=0.0, converged=True)
+        B = draw_bits_batch(part.n_clusters, 0.5, range(40)).T.astype(np.float32)
+        Y = ss.realize(outcomes.over(part), B)
+        idx = stilde_indices([ss.incidence(space, part, s) for s in tab.grid], B)
+        signed = (2.0 * B[part.assignment] - 1.0) * np.take_along_axis(W, idx, axis=1)
+        want = np.einsum("im,im->m", signed, Y)
+        assert np.array_equal(DrawBlock(ctx, Y, B, weights=weights).ow, want)
+
     def test_weight_expectation_identity(self):
         # E[omega_i | d_i = 1] = 1/(p n), checked by full enumeration at the
         # exchangeable p where the marginal table equals the conditional one
         space, part = four_cluster_line()
         p = 0.5
-        tab = saturation_tables(space, part, [4.0], p, method="exact")
+        ctx = DesignContext(space, part, 4.0, p)
+        tab = saturation_tables(ctx, [4.0], method="exact")
         budget = ss.InterferenceBudget(eta=1.0, k1=0.5, ybar=1.0)
         Q = assemble_objective(tab, budget)
         ow = solve_qp(Q, tab.marg, p, warm_start=ipw_weight_table(tab, 4.0, p).W)
         enum = enumerate_assignments(part, p)
-        idx = stilde_indices(tab.levels, enum.assignments.T).T
+        idx = stilde_indices([ctx.level(s) for s in tab.grid], enum.assignments.T).T
         for i in range(space.n):
             d_i = enum.assignments[:, part.assignment[i]].astype(float)
             w_i = ow.W[i, idx[:, i]]
